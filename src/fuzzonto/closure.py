@@ -2,8 +2,10 @@
 
 Prefers the compiled extension; falls back to the pure-Python kernel when the
 extension is missing or FUZZONTO_PURE=1 is set.  Both kernels share one
-contract (see _closure_py.reachable_pairs) and are benchmarked against each
-other in benchmarks/bench_closure.py.
+contract (see _closure_py.reachable_pairs), which tests/test_closure.py checks
+against a brute-force oracle.  The kernel is a small share of a pipeline run,
+so timing it alone says little about pipeline speed; perfbench/run.py measures
+the whole `rules` run.
 """
 
 from __future__ import annotations

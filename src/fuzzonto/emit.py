@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring as _quote
 from xml.sax.saxutils import quoteattr
 
 from .errors import NotNormalized
@@ -223,21 +224,46 @@ def _premise_to_obj(premise) -> dict:
     }
 
 
-def rules_to_json(rules: list[FuzzyRule]) -> bytes:
-    return dump_json(
-        {
-            "schema": SCHEMA_VERSION,
-            "rules": [
-                {
-                    "premise": _premise_to_obj(r.premise),
-                    "conclusion": r.conclusion,
-                    "mu": mu_to_obj(r.mu),
-                    "category": r.category,
-                }
-                for r in rules
-            ],
-        }
+def _rule_field_block(obj: dict) -> str:
+    """A flat dict of scalars as dump_json renders it as a field of a rule."""
+    fields = ",\n".join(
+        f"        {_quote(key)}: "
+        + (_quote(value) if isinstance(value, str) else json.dumps(value))
+        for key, value in sorted(obj.items())
     )
+    return "{\n" + fields + "\n      }"
+
+
+def rules_to_json(rules: list[FuzzyRule]) -> bytes:
+    """The bytes dump_json gives for {"schema", "rules": [...]}, written
+    record by record.
+
+    The stdlib encodes indented JSON in pure Python.  Every rule record has
+    the same shape, so it is written here directly, with C string escaping,
+    and each distinct premise and mu block is rendered once.
+    """
+    premise_blocks: dict = {}
+    mu_blocks: dict = {}
+    records = []
+    for r in rules:
+        premise = premise_blocks.get(r.premise)
+        if premise is None:
+            premise = premise_blocks[r.premise] = _rule_field_block(
+                _premise_to_obj(r.premise)
+            )
+        mu_key = (r.mu.numerator, r.mu.denominator)  # cheaper to hash than a Fraction
+        mu = mu_blocks.get(mu_key)
+        if mu is None:
+            mu = mu_blocks[mu_key] = _rule_field_block(mu_to_obj(r.mu))
+        records.append(
+            f'    {{\n      "category": {_quote(r.category)},\n'
+            f'      "conclusion": {_quote(r.conclusion)},\n'
+            f'      "mu": {mu},\n      "premise": {premise}\n    }}'
+        )
+    body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+    return (
+        f'{{\n  "rules": {body},\n  "schema": {_quote(SCHEMA_VERSION)}\n}}\n'
+    ).encode("utf-8")
 
 
 def rules_to_text(rules: list[FuzzyRule]) -> str:

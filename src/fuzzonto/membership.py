@@ -132,27 +132,23 @@ def build_equivalence_groups(m: OntologyModel) -> EquivalenceGroups:
     return EquivalenceGroups(rep_of, members_of)
 
 
-def _determiners(m: OntologyModel, key, asserted_only: bool) -> set[str]:
-    def keep(origin: str) -> bool:
-        return not asserted_only or origin == ASSERTED
-
-    if isinstance(key, str):
-        return {
-            h.holder for h in m.holdings.values() if h.property == key and keep(h.origin)
-        }
-    if key.kind == PART_OF:
-        return {
-            a.sub
-            for a in m.subclass_axioms.values()
-            if a.sup == key.resulting_class and keep(a.origin)
-        }
-    return {
-        r.subject
-        for r in m.relations.values()
-        if r.predicate == key.predicate
-        and r.object == key.resulting_class
-        and keep(r.origin)
-    }
+def _determiner_index(m: OntologyModel, kind: str, asserted_only: bool) -> dict:
+    """Every key of one kind mapped to its determining classes, in one pass:
+    property -> holders, superclass -> subclasses, or (predicate, object) ->
+    subjects."""
+    if kind == PROPERTY:
+        rows = ((h.property, h.holder, h.origin) for h in m.holdings.values())
+    elif kind == PART_OF:
+        rows = ((a.sup, a.sub, a.origin) for a in m.subclass_axioms.values())
+    else:
+        rows = (
+            ((r.predicate, r.object), r.subject, r.origin) for r in m.relations.values()
+        )
+    index: dict = {}
+    for key, determiner, origin in rows:
+        if not asserted_only or origin == ASSERTED:
+            index.setdefault(key, set()).add(determiner)
+    return index
 
 
 def count_determiners(
@@ -163,7 +159,13 @@ def count_determiners(
 ) -> tuple[int, set[str]]:
     """Determining classes for a property name or ComplexKey, and their count
     collapsed to equivalence-group representatives."""
-    determiners = _determiners(m, key, asserted_only)
+    if isinstance(key, str):
+        kind, lookup = PROPERTY, key
+    elif key.kind == PART_OF:
+        kind, lookup = PART_OF, key.resulting_class
+    else:
+        kind, lookup = RELATION, (key.predicate, key.resulting_class)
+    determiners = _determiner_index(m, kind, asserted_only).get(lookup)
     if not determiners:
         label = key if isinstance(key, str) else key.render()
         raise KeyAbsent(f"no occurrence of {label!r} in the model")
@@ -178,36 +180,25 @@ def _entry(groups: EquivalenceGroups, determiners: set[str]) -> MembershipEntry:
 def assign_property_mu(
     m: OntologyModel, groups: EquivalenceGroups, asserted_only: bool = False
 ) -> dict[str, MembershipEntry]:
-    out: dict[str, MembershipEntry] = {}
-    for name in sorted({h.property for h in m.holdings.values()}):
-        determiners = _determiners(m, name, asserted_only)
-        if determiners:
-            out[name] = _entry(groups, determiners)
-    return out
+    index = _determiner_index(m, PROPERTY, asserted_only)
+    return {name: _entry(groups, index[name]) for name in sorted(index)}
 
 
 def assign_partof_mu(
     m: OntologyModel, groups: EquivalenceGroups, asserted_only: bool = False
 ) -> dict[ComplexKey, MembershipEntry]:
-    out: dict[ComplexKey, MembershipEntry] = {}
-    for sup in sorted({a.sup for a in m.subclass_axioms.values()}):
-        key = ComplexKey.part_of(sup)
-        determiners = _determiners(m, key, asserted_only)
-        if determiners:
-            out[key] = _entry(groups, determiners)
-    return out
+    index = _determiner_index(m, PART_OF, asserted_only)
+    return {ComplexKey.part_of(sup): _entry(groups, index[sup]) for sup in sorted(index)}
 
 
 def assign_relation_mu(
     m: OntologyModel, groups: EquivalenceGroups, asserted_only: bool = False
 ) -> dict[ComplexKey, MembershipEntry]:
-    out: dict[ComplexKey, MembershipEntry] = {}
-    for pred, obj in sorted({(r.predicate, r.object) for r in m.relations.values()}):
-        key = ComplexKey.relation(pred, obj)
-        determiners = _determiners(m, key, asserted_only)
-        if determiners:
-            out[key] = _entry(groups, determiners)
-    return out
+    index = _determiner_index(m, RELATION, asserted_only)
+    return {
+        ComplexKey.relation(pred, obj): _entry(groups, index[pred, obj])
+        for pred, obj in sorted(index)
+    }
 
 
 def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:

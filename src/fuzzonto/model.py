@@ -149,9 +149,6 @@ class OntologyModel:
         self.subclass_axioms[key] = SubclassAxiom(sub, sup, origin)
         return True
 
-    def remove_subclass(self, sub: str, sup: str) -> bool:
-        return self.subclass_axioms.pop((sub, sup), None) is not None
-
     def add_equivalence(self, a: str, b: str) -> bool:
         """Record an unordered equivalence pair; self-pairs are rejected."""
         if a == b:
@@ -265,8 +262,3 @@ class OntologyModel:
 
     def __hash__(self):
         return hash(self.canonical())
-
-    def with_warnings(self, diagnostics) -> OntologyModel:
-        out = self.copy()
-        out.parse_warnings = self.parse_warnings + tuple(diagnostics)
-        return out

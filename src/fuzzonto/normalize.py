@@ -160,14 +160,32 @@ def _propagate_equivalents(m: OntologyModel, tracer: Tracer) -> bool:
     return changed
 
 
-def _closure_witness(
-    u: int, v: int, pairset: set[tuple[int, int]]
-) -> tuple[int, ...] | None:
-    """Least intermediate w proving (u, v), avoiding dropped self-pairs."""
-    for w in sorted(p[1] for p in pairset if p[0] == u):
-        if w not in (u, v) and (w, v) in pairset:
-            return (w,)
-    return None
+class _Reach:
+    """One reachable_pairs result as forward and backward rows of int bitsets.
+
+    Bit v of fwd[u] and bit u of bwd[v] are set exactly when (u, v) is a pair.
+    """
+
+    def __init__(self, n: int, pairs: list[tuple[int, int]]) -> None:
+        fwd = [0] * n
+        bwd = [0] * n
+        for u, v in pairs:
+            fwd[u] |= 1 << v
+            bwd[v] |= 1 << u
+        self.fwd = fwd
+        self.bwd = bwd
+
+    def has(self, u: int, v: int) -> bool:
+        return bool(self.fwd[u] >> v & 1)
+
+    def witness(self, u: int, v: int) -> int | None:
+        """Least w other than u and v with (u, w) and (w, v) both pairs, or
+        None.  w = u or w = v would cite the derived element itself or a
+        self-pair that the subclass closure drops."""
+        common = self.fwd[u] & self.bwd[v] & ~(1 << u | 1 << v)
+        if not common:
+            return None
+        return (common & -common).bit_length() - 1
 
 
 def _close_subclass_hierarchy(
@@ -180,17 +198,17 @@ def _close_subclass_hierarchy(
     index = {n: i for i, n in enumerate(names)}
     edges = [(index[sub], index[sup]) for sub, sup in old]
     pairs = closure.reachable_pairs(len(names), edges, limit=bound)
-    pairset = set(pairs)
+    reach = _Reach(len(names), pairs)
 
     # cycle policy: drop self-axioms, record mutual-subclass groups as equivalent
-    cyclic = sorted(u for u, v in pairset if u == v)
+    cyclic = [u for u in range(len(names)) if reach.has(u, u)]
     if cyclic:
         uf = UnionFind()
         for u in cyclic:
             uf.add(u)
         for u in cyclic:
             for v in cyclic:
-                if u < v and (u, v) in pairset and (v, u) in pairset:
+                if u < v and reach.has(u, v) and reach.has(v, u):
                     uf.union(u, v)
         for _, group in sorted(uf.groups().items()):
             cycle = sorted(names[u] for u in group)
@@ -234,10 +252,10 @@ def _close_subclass_hierarchy(
             m.add_subclass(sub, sup, origin)
             continue
         m.add_subclass(sub, sup, RULE_SUBCLASS_CLOSURE)
-        witness = _closure_witness(u, v, pairset)
+        witness = reach.witness(u, v)
         sources = ()
         if witness is not None:
-            w = names[witness[0]]
+            w = names[witness]
             sources = (el_subclass(sub, w), el_subclass(w, sup))
         tracer.emit(RULE_SUBCLASS_CLOSURE, el_subclass(sub, sup), sources)
         changed = True
@@ -351,15 +369,15 @@ def _rewrite_transitive(m: OntologyModel, tracer: Tracer, bound: int) -> bool:
         index = {n: i for i, n in enumerate(names)}
         edges = [(index[r.subject], index[r.object]) for r in existing]
         pairs = closure.reachable_pairs(len(names), edges, limit=bound)
-        pairset = set(pairs)
+        reach = _Reach(len(names), pairs)
         for u, v in pairs:
             subject, obj = names[u], names[v]
             if not m.add_relation(mod.target, subject, obj, RULE_TRANSITIVE):
                 continue
-            witness = _closure_witness(u, v, pairset)
+            witness = reach.witness(u, v)
             sources = ()
             if witness is not None:
-                w = names[witness[0]]
+                w = names[witness]
                 sources = (
                     el_relation(mod.target, subject, w),
                     el_relation(mod.target, w, obj),

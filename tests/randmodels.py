@@ -110,39 +110,54 @@ def brute_groups(names, pairs) -> dict:
     return {min(s): frozenset(s) for s in sets}
 
 
-def brute_table(m: OntologyModel) -> dict:
+def brute_table(m: OntologyModel, asserted_only: bool = False) -> dict:
     """Denominators and determiner sets per key, by direct enumeration.
 
     Keys: ("property", name), ("part_of", class), ("relation", pred, class);
-    values: (n over group minima, frozenset of determiners).
+    values: (n over group minima, frozenset of determiners widened to their
+    whole equivalence groups).  With asserted_only, derived elements neither
+    determine a key nor make one exist.
     """
     groups = brute_groups(m.classes.keys(), m.equivalences)
 
-    def rep(name):
-        for least, members in groups.items():
+    def group_of(name):
+        for members in groups.values():
             if name in members:
-                return least
-        return name
+                return members
+        return frozenset([name])
 
     def entry(determiners):
-        return len({rep(c) for c in determiners}), frozenset(determiners)
+        widened = frozenset().union(*(group_of(c) for c in determiners))
+        return len({min(group_of(c)) for c in determiners}), widened
+
+    def kept(elements):
+        return [e for e in elements if not asserted_only or e.origin == "asserted"]
 
     table = {}
     holders: dict = {}
-    for h in m.holdings.values():
+    for h in kept(m.holdings.values()):
         holders.setdefault(h.property, set()).add(h.holder)
     for prop, ds in holders.items():
         table[("property", prop)] = entry(ds)
 
     subs: dict = {}
-    for a in m.subclass_axioms.values():
+    for a in kept(m.subclass_axioms.values()):
         subs.setdefault(a.sup, set()).add(a.sub)
     for sup, ds in subs.items():
         table[("part_of", sup)] = entry(ds)
 
     rels: dict = {}
-    for r in m.relations.values():
+    for r in kept(m.relations.values()):
         rels.setdefault((r.predicate, r.object), set()).add(r.subject)
     for (pred, obj), ds in rels.items():
         table[("relation", pred, obj)] = entry(ds)
     return table
+
+
+def brute_witness(u: int, v: int, pairset: set) -> int | None:
+    """Least intermediate w (not u, not v) with (u, w) and (w, v) in pairset,
+    by scanning every pair."""
+    for w in sorted(p[1] for p in pairset if p[0] == u):
+        if w not in (u, v) and (w, v) in pairset:
+            return w
+    return None

@@ -1,0 +1,77 @@
+"""Output digest gate: rules JSON, rules text and rewrite traces stay byte-identical.
+
+The pinned values were recorded from the pipeline before its hot loops were
+rewritten (witness lookup, determiner index, rules JSON writer).  A change
+that alters any of these bytes on purpose says so in CHANGES.md and records
+the new values here.
+"""
+
+import hashlib
+import random
+
+from conftest import FIXTURE_NAMES, parse_fixture
+from fuzzonto import OntologyModel, RawModifier, assign_all, generate_rules, normalize
+from fuzzonto import emit
+
+PINNED = {
+    "rules_json": "b66121bd7d4d25ad38b387728e2b23a88af5df25260259f26f983d93a89da718",
+    "rules_text": "f6ae2ed8ee98bfc2446f4d4dc237f566b79b73a9e5a87224978685980efc39e4",
+    "traces": "0da5189821f97583c063509f0addf258135e1b0cb4237b8f8185c8518f7060f4",
+}
+
+
+def recipe_model(n: int, seed: int) -> OntologyModel:
+    """The synthetic hierarchy recipe of the pipeline benchmark, as a model.
+
+    Each C_i (i > 0) is a subclass of a random one of the 20 classes before
+    it; 5 datatype properties are each held by n/10 classes; 4 predicates
+    carry n/2 random relations each, with r0 symmetric, r1 transitive and
+    r2 inverseOf r3; n/50 random equivalences.
+    """
+    rng = random.Random(f"digest/{n}/{seed}")
+    m = OntologyModel()
+    classes = [f"C{i}" for i in range(n)]
+    for name in classes:
+        m.touch_class(name)
+    for i in range(1, n):
+        m.add_subclass(classes[i], classes[rng.randrange(max(0, i - 20), i)])
+    for k in range(5):
+        m.declare_property(f"p{k}", "datatype")
+        for holder in rng.sample(classes, n // 10):
+            m.add_holding(f"p{k}", holder)
+    for pred in ("r0", "r1", "r2", "r3"):
+        m.declare_property(pred, "object")
+        for _ in range(n // 2):
+            m.add_relation(pred, rng.choice(classes), rng.choice(classes))
+    for _ in range(n // 50):
+        m.add_equivalence(*rng.sample(classes, 2))
+    m.add_modifier(RawModifier("symmetric", "r0"))
+    m.add_modifier(RawModifier("transitive", "r1"))
+    m.add_modifier(RawModifier("inverse", "r2", counterpart="r3"))
+    return m
+
+
+def _inputs():
+    yield "recipe-60", recipe_model(60, 1)
+    for name in FIXTURE_NAMES:
+        yield name, parse_fixture(name)
+
+
+def _digests() -> dict:
+    hashes = {name: hashlib.sha256() for name in PINNED}
+    for label, model in _inputs():
+        result = normalize(model)
+        rules = generate_rules(assign_all(result.model))
+        outputs = {
+            "rules_json": emit.rules_to_json(rules),
+            "rules_text": emit.rules_to_text(rules).encode("utf-8"),
+            "traces": emit.dump_json(emit.traces_to_obj(result.traces)),
+        }
+        for name, data in outputs.items():
+            hashes[name].update(f"{label}:{len(data)}:".encode())
+            hashes[name].update(data)
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def test_output_digests_are_pinned():
+    assert _digests() == PINNED

@@ -17,6 +17,9 @@ from fuzzonto import (
     rules_to_text,
 )
 from fuzzonto.emit import annotated_to_json, decimal6, dump_json, traces_to_obj
+from fuzzonto.membership import ComplexKey
+from fuzzonto.rules import FuzzyRule
+from randmodels import random_model
 
 
 @pytest.mark.parametrize(
@@ -106,6 +109,56 @@ def test_rules_json_shape():
             "category": "identifying",
         }
     ]
+
+
+def generic_rules_json(rules) -> bytes:
+    """The rules document built as plain objects and encoded by dump_json."""
+
+    def premise(p):
+        if isinstance(p, str):
+            return {"kind": "property", "property": p}
+        if p.kind == "part_of":
+            return {"kind": "part_of", "class": p.resulting_class}
+        return {"kind": p.kind, "predicate": p.predicate, "class": p.resulting_class}
+
+    return dump_json(
+        {
+            "schema": "fuzzonto/1",
+            "rules": [
+                {
+                    "premise": premise(r.premise),
+                    "conclusion": r.conclusion,
+                    "mu": {
+                        "num": r.mu.numerator,
+                        "den": r.mu.denominator,
+                        "decimal": decimal6(r.mu),
+                    },
+                    "category": r.category,
+                }
+                for r in rules
+            ],
+        }
+    )
+
+
+def test_rules_json_equals_generic_encoding_on_random_models():
+    for seed in range(200):
+        rules = generate_rules(assign_all(normalize(random_model(seed)).model))
+        assert rules_to_json(rules) == generic_rules_json(rules), f"seed {seed}"
+
+
+def test_rules_json_equals_generic_encoding_on_awkward_strings():
+    awkward = ['q"uote', "back\\slash", "\u00c4rger", "line\u2028sep", "tab\tnl\n\x00\x1f"]
+    rules = []
+    for i, name in enumerate(awkward):
+        mu = Fraction(1, i + 1)
+        rules += [
+            FuzzyRule(name, name, mu),
+            FuzzyRule(ComplexKey.part_of(name), "C", mu, category=name),
+            FuzzyRule(ComplexKey.relation(name, name), name, Fraction(1, 7)),
+        ]
+    assert rules_to_json(rules) == generic_rules_json(rules)
+    assert rules_to_json([]) == generic_rules_json([])
 
 
 def test_traces_serialize_to_plain_objects():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,8 @@ def test_count_missing_key_raises():
         count_determiners(m, groups, "ghost")
     with pytest.raises(KeyAbsent):
         count_determiners(m, groups, ComplexKey.relation("r", "A"))
+    with pytest.raises(KeyAbsent):
+        count_determiners(m, groups, ComplexKey.part_of("A"))
 
 
 # -- assignment -----------------------------------------------------------------
@@ -216,21 +219,25 @@ def test_assign_all_entry_order_is_properties_partof_relations():
 
 
 def test_assign_all_totality_matches_brute_enumeration():
-    for seed in range(60):
+    for seed, asserted_only in itertools.product(range(300), (False, True)):
+        where = f"seed {seed} asserted_only={asserted_only}"
         model = normalize(random_model(seed)).model
-        annotated = assign_all(model)
-        expected = brute_table(model)
+        annotated = assign_all(model, asserted_only=asserted_only)
+        expected = brute_table(model, asserted_only=asserted_only)
         got = {}
         for kind, key, entry in annotated.table.entries():
+            n, _ = count_determiners(model, annotated.groups, key, asserted_only)
+            assert Fraction(1, n) == entry.mu, f"{where}: {key}"
             if kind == PROPERTY:
                 got[(PROPERTY, key)] = entry
             elif kind == PART_OF:
                 got[(PART_OF, key.resulting_class)] = entry
             else:
                 got[(RELATION, key.predicate, key.resulting_class)] = entry
-        assert set(got) == set(expected), f"seed {seed}"
-        for key, (n, _) in expected.items():
-            assert got[key].mu == Fraction(1, n), f"seed {seed}: {key}"
+        assert set(got) == set(expected), where
+        for key, (n, determiners) in expected.items():
+            assert got[key].mu == Fraction(1, n), f"{where}: {key}"
+            assert got[key].determiners == tuple(sorted(determiners)), f"{where}: {key}"
 
 
 def test_asserted_only_ignores_derived_determiners():

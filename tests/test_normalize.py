@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import FIXTURE_NAMES, normalize_fixture, parse_fixture
-from fuzzonto import FixpointOverflow, OntologyModel, normalize
+from fuzzonto import FixpointOverflow, OntologyModel, closure, normalize
 from fuzzonto.model import INTERSECTION, INVERSE, SYMMETRIC, TRANSITIVE, RawModifier
 from fuzzonto.normalize import (
     RULE_EQUIV_PROPERTY,
@@ -14,6 +14,7 @@ from fuzzonto.normalize import (
     RULE_SUBCLASS_CLOSURE,
     RULE_SYMMETRIC,
     RULE_TRANSITIVE,
+    _Reach,
     close_subclass_hierarchy,
     lift_relations,
     propagate_equivalents,
@@ -22,7 +23,7 @@ from fuzzonto.normalize import (
     rewrite_symmetric,
     rewrite_transitive,
 )
-from randmodels import brute_reachable, random_model
+from randmodels import brute_reachable, brute_witness, random_graph, random_model
 
 # -- single-step operations -------------------------------------------------
 
@@ -380,3 +381,22 @@ def test_transitive_closure_matches_oracle_through_normalize():
         out = normalize(m).model
         got = {(int(r.subject[1:]), int(r.object[1:])) for r in out.relations.values()}
         assert got == brute_reachable(edges), f"seed {seed}"
+
+
+def test_witness_matches_scanning_oracle():
+    seen = {"none": 0, "self_loop": 0, "cycle": 0, "isolated": 0}
+    for seed in range(400):
+        n, edges = random_graph(seed, max_nodes=16)
+        pairs = closure.reachable_pairs(n, edges)
+        pairset = set(pairs)
+        reach = _Reach(n, pairs)
+        assert {(u, v) for u in range(n) for v in range(n) if reach.has(u, v)} == pairset
+        for u, v in pairs:
+            expected = brute_witness(u, v, pairset)
+            assert reach.witness(u, v) == expected, f"seed {seed}: ({u}, {v})"
+            seen["none"] += expected is None
+        touched = {x for edge in edges for x in edge}
+        seen["self_loop"] += any(u == v for u, v in edges)
+        seen["cycle"] += any(u != v and (v, u) in pairset for u, v in pairs)
+        seen["isolated"] += len(touched) < n
+    assert all(seen.values()), seen
