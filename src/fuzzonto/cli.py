@@ -148,7 +148,7 @@ def run_pipeline(args: list[str]) -> int:
 
     started = time.perf_counter()
     try:
-        result = normalize(model, bound=options.max_elements)
+        result = normalize(model, bound=options.max_elements, trace=options.trace)
     except FixpointOverflow as exc:
         print(f"error[fixpoint-overflow]: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW

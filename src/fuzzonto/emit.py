@@ -12,7 +12,6 @@ import json
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
-from xml.sax.saxutils import quoteattr
 
 from .errors import NotNormalized
 from .ingest import OWL_NS, RDF_NS, RDFS_NS, SCHEMA_VERSION
@@ -107,6 +106,9 @@ def emit_normalized_rdf(m: OntologyModel) -> bytes:
     re-parse recovers exactly the same relation set."""
     if not m.normalized:
         raise NotNormalized("RDF export is defined for normalized models only")
+    # imported here: xml.sax.saxutils pulls in urllib.request, http.client and
+    # ssl, which every other command would pay for at start-up
+    from xml.sax.saxutils import quoteattr
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -191,9 +191,6 @@ class OntologyModel:
     def sorted_modifiers(self) -> list[RawModifier]:
         return sorted(self.modifiers, key=RawModifier.key)
 
-    def relations_of(self, predicate: str) -> list[RelationAssertion]:
-        return [r for r in self.sorted_relations() if r.predicate == predicate]
-
     def element_count(self) -> int:
         return (
             len(self.classes)

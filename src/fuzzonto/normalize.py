@@ -12,6 +12,12 @@ produced by stage 2 (say, a relation expanded from a symmetric property) still
 feed stage-1 rules on the next pass.  Every rule only ever adds elements or
 consumes a modifier, so the fixpoint exists; a configurable element budget
 guards against pathological blow-up.
+
+Passes after the first only redo what the previous pass's additions call for
+(semi-naive evaluation): the subclass closure reruns only when the axiom set
+changed, and the relation lift only pairs new relations with every axiom and
+old relations with new axioms.  Each rule reports whether it inserted or
+removed an element, and the fixpoint ends on the first pass where none did.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from dataclasses import dataclass, field
 from . import closure
 from .errors import FixpointOverflow
 from .model import (
-    ASSERTED,
     INTERSECTION,
     INVERSE,
     OBJECT,
@@ -95,7 +100,14 @@ class RewriteTrace:
 
 
 class Tracer:
-    def __init__(self) -> None:
+    """Counts every derivation per rule; keeps its trace only when enabled.
+
+    Rules check ``enabled`` before rendering elements or looking up a
+    witness, so a disabled tracer costs one counter increment per element.
+    """
+
+    def __init__(self, enabled: bool = True) -> None:
+        self.enabled = enabled
         self.traces: list[RewriteTrace] = []
         self.tally: dict[str, int] = {rule: 0 for rule in ALL_RULES}
 
@@ -113,50 +125,79 @@ class NormalizeResult:
     tally: dict[str, int] = field(default_factory=dict)
 
 
+@dataclass
+class _Progress:
+    """What one normalize run carries from pass to pass.
+
+    A fresh instance makes every rule start from scratch, which is what the
+    public single-step operations use.
+    """
+
+    closed: set | None = None  # subclass keys the last closure produced
+    lifted: int = 0  # len(relations) when the last lift ended
+    lift_axioms: set = field(default_factory=set)  # subclass keys that lift used
+    warned: set = field(default_factory=set)  # cycle groups already reported
+
+
 # -- stage 1 -------------------------------------------------------------------
 
 
 def _equivalence_groups(m: OntologyModel) -> list[list[str]]:
+    """Equivalence classes of m.equivalences, ordered by their sorted members
+    (so the order does not depend on set iteration or the hash seed)."""
     uf = UnionFind()
     for a, b in m.equivalences:
-        uf.add(a)
-        uf.add(b)
         uf.union(a, b)
-    return [sorted(g) for _, g in sorted(uf.groups().items())]
+    return sorted(sorted(g) for g in uf.groups().values())
 
 
 def _propagate_equivalents(m: OntologyModel, tracer: Tracer) -> bool:
-    changed = False
-    for group in _equivalence_groups(m):
-        if len(group) < 2:
-            continue
-        members = set(group)
+    groups = _equivalence_groups(m)
+    if not groups:
+        return False
+    group_of = {name: i for i, group in enumerate(groups) for name in group}
+    # one unsorted pass buckets every holding and relation by its group;
+    # groups are disjoint, so one group's copies never land in another's bucket
+    holders: list[dict[str, list[str]]] = [{} for _ in groups]
+    for prop, holder in m.holdings:
+        i = group_of.get(holder)
+        if i is not None:
+            holders[i].setdefault(prop, []).append(holder)
+    subjects: list[dict[tuple[str, str], list[str]]] = [{} for _ in groups]
+    for pred, subject, obj in m.relations:
+        i = group_of.get(subject)
+        if i is not None:
+            subjects[i].setdefault((pred, obj), []).append(subject)
 
+    changed = False
+    for group, by_property, by_pattern in zip(groups, holders, subjects):
         # datatype-property holdings: any member's property goes to the whole group
-        by_property: dict[str, list[str]] = {}
-        for h in m.sorted_holdings():
-            if h.holder in members:
-                by_property.setdefault(h.property, []).append(h.holder)
-        for prop in sorted(by_property):
-            source = el_holding(prop, min(by_property[prop]))
+        for prop, found in sorted(by_property.items()):
             for member in group:
                 if m.add_holding(prop, member, RULE_EQUIV_PROPERTY):
-                    tracer.emit(RULE_EQUIV_PROPERTY, el_holding(prop, member), (source,))
                     changed = True
+                    if tracer.enabled:
+                        tracer.emit(
+                            RULE_EQUIV_PROPERTY,
+                            el_holding(prop, member),
+                            (el_holding(prop, min(found)),),
+                        )
+                    else:
+                        tracer.tally[RULE_EQUIV_PROPERTY] += 1
 
         # subject-position relations likewise
-        by_pattern: dict[tuple[str, str], list[str]] = {}
-        for r in m.sorted_relations():
-            if r.subject in members:
-                by_pattern.setdefault((r.predicate, r.object), []).append(r.subject)
-        for pred, obj in sorted(by_pattern):
-            source = el_relation(pred, min(by_pattern[(pred, obj)]), obj)
+        for (pred, obj), found in sorted(by_pattern.items()):
             for member in group:
                 if m.add_relation(pred, member, obj, RULE_EQUIV_RELATION):
-                    tracer.emit(
-                        RULE_EQUIV_RELATION, el_relation(pred, member, obj), (source,)
-                    )
                     changed = True
+                    if tracer.enabled:
+                        tracer.emit(
+                            RULE_EQUIV_RELATION,
+                            el_relation(pred, member, obj),
+                            (el_relation(pred, min(found), obj),),
+                        )
+                    else:
+                        tracer.tally[RULE_EQUIV_RELATION] += 1
     return changed
 
 
@@ -175,9 +216,6 @@ class _Reach:
         self.fwd = fwd
         self.bwd = bwd
 
-    def has(self, u: int, v: int) -> bool:
-        return bool(self.fwd[u] >> v & 1)
-
     def witness(self, u: int, v: int) -> int | None:
         """Least w other than u and v with (u, w) and (w, v) both pairs, or
         None.  w = u or w = v would cite the derived element itself or a
@@ -188,31 +226,36 @@ class _Reach:
         return (common & -common).bit_length() - 1
 
 
-def _close_subclass_hierarchy(
-    m: OntologyModel, tracer: Tracer, warnings: list[Diagnostic], bound: int
-) -> bool:
-    old = {key: axiom.origin for key, axiom in m.subclass_axioms.items()}
-    if not old:
-        return False
-    names = sorted({n for pair in old for n in pair})
-    index = {n: i for i, n in enumerate(names)}
-    edges = [(index[sub], index[sup]) for sub, sup in old]
-    pairs = closure.reachable_pairs(len(names), edges, limit=bound)
-    reach = _Reach(len(names), pairs)
+def _cycle_groups(names: list[str], pairs: list[tuple[int, int]]) -> list[list[str]]:
+    """Classes that reach themselves, grouped by mutual reachability; each
+    group sorted, groups ordered by their members."""
+    cyclic = {u for u, v in pairs if u == v}
+    if not cyclic:
+        return []
+    among = {(u, v) for u, v in pairs if u in cyclic and v in cyclic}
+    uf = UnionFind(cyclic)
+    for u, v in among:
+        if u < v and (v, u) in among:
+            uf.union(u, v)
+    return sorted(sorted(names[u] for u in g) for g in uf.groups().values())
 
-    # cycle policy: drop self-axioms, record mutual-subclass groups as equivalent
-    cyclic = [u for u in range(len(names)) if reach.has(u, u)]
-    if cyclic:
-        uf = UnionFind()
-        for u in cyclic:
-            uf.add(u)
-        for u in cyclic:
-            for v in cyclic:
-                if u < v and reach.has(u, v) and reach.has(v, u):
-                    uf.union(u, v)
-        for _, group in sorted(uf.groups().items()):
-            cycle = sorted(names[u] for u in group)
-            if len(cycle) == 1:
+
+def _merge_cycles(
+    m: OntologyModel,
+    tracer: Tracer,
+    warnings: list[Diagnostic],
+    warned: set,
+    cycles: list[list[str]],
+) -> bool:
+    """Cycle policy: self-axioms are dropped (by the caller) and mutually
+    subclassed classes become equivalent.  Each group is reported once per
+    run, however often the closure reruns."""
+    changed = False
+    for cycle in cycles:
+        report = tuple(cycle) not in warned
+        warned.add(tuple(cycle))
+        if len(cycle) == 1:
+            if report:
                 warnings.append(
                     Diagnostic(
                         "self-subclass",
@@ -221,7 +264,8 @@ def _close_subclass_hierarchy(
                         el_subclass(cycle[0], cycle[0]),
                     )
                 )
-                continue
+            continue
+        if report:
             warnings.append(
                 Diagnostic(
                     "cyclic-hierarchy",
@@ -231,55 +275,127 @@ def _close_subclass_hierarchy(
                     el_subclass(cycle[0], cycle[1]),
                 )
             )
-            head = cycle[0]
-            for other in cycle[1:]:
-                if m.add_equivalence(head, other):
+        head = cycle[0]
+        for other in cycle[1:]:
+            if m.add_equivalence(head, other):
+                changed = True
+                if tracer.enabled:
                     tracer.emit(
                         RULE_SUBCLASS_CLOSURE,
                         el_equivalence(head, other),
                         (el_subclass(head, other), el_subclass(other, head)),
                     )
+                else:
+                    tracer.tally[RULE_SUBCLASS_CLOSURE] += 1
+    return changed
 
+
+def _close_subclass_hierarchy(
+    m: OntologyModel,
+    tracer: Tracer,
+    warnings: list[Diagnostic],
+    bound: int,
+    progress: _Progress,
+) -> bool:
+    if not m.subclass_axioms or m.subclass_axioms.keys() == progress.closed:
+        return False  # nothing to close, or closed already by the last run
+    old = {key: axiom.origin for key, axiom in m.subclass_axioms.items()}
+    names = sorted({n for pair in old for n in pair})
+    index = {n: i for i, n in enumerate(names)}
+    edges = [(index[sub], index[sup]) for sub, sup in old]
+    pairs = closure.reachable_pairs(len(names), edges, limit=bound)
+    changed = _merge_cycles(
+        m, tracer, warnings, progress.warned, _cycle_groups(names, pairs)
+    )
+
+    reach = _Reach(len(names), pairs) if tracer.enabled else None
     m.subclass_axioms.clear()
-    changed = False
+    added = 0
     for u, v in pairs:
         if u == v:
-            changed = True  # a self-axiom from the input was dropped
-            continue
+            continue  # self-axioms are dropped
         sub, sup = names[u], names[v]
         origin = old.get((sub, sup))
         if origin is not None:
             m.add_subclass(sub, sup, origin)
             continue
         m.add_subclass(sub, sup, RULE_SUBCLASS_CLOSURE)
-        witness = reach.witness(u, v)
-        sources = ()
-        if witness is not None:
-            w = names[witness]
-            sources = (el_subclass(sub, w), el_subclass(w, sup))
-        tracer.emit(RULE_SUBCLASS_CLOSURE, el_subclass(sub, sup), sources)
-        changed = True
-    return changed
+        added += 1
+        if reach is not None:
+            witness = reach.witness(u, v)
+            sources = ()
+            if witness is not None:
+                w = names[witness]
+                sources = (el_subclass(sub, w), el_subclass(w, sup))
+            tracer.emit(RULE_SUBCLASS_CLOSURE, el_subclass(sub, sup), sources)
+    if reach is None:
+        tracer.tally[RULE_SUBCLASS_CLOSURE] += added
+    progress.closed = set(m.subclass_axioms)
+    # every old non-self axiom is a pair, so the count differs only when a
+    # self-axiom from the input was dropped
+    return changed or added > 0 or len(m.subclass_axioms) != len(old)
 
 
-def _lift_relations(m: OntologyModel, tracer: Tracer) -> bool:
+def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bool:
+    """Add r(s, sup) for every r(s, o) and o -> sup.
+
+    Relations present when the last lift ended were lifted over every axiom
+    present then, and what that lift added needs no lift of its own, because
+    the axiom set it used was closed.  So only two kinds of pair can produce
+    a missing element: a newer relation with any axiom, and an older relation
+    with a newer axiom.  Their producers (predicate, subject, object, sup)
+    are added in sorted order, so each element keeps its least producer, as
+    in one sorted sweep over every pair.
+    """
+    relations = m.relations
+    keys = list(relations)
     supers: dict[str, list[str]] = {}
-    for axiom in m.sorted_subclass_axioms():
-        supers.setdefault(axiom.sub, []).append(axiom.sup)
-    changed = False
-    for r in m.sorted_relations():
-        for sup in supers.get(r.object, ()):
-            if m.add_relation(r.predicate, r.subject, sup, RULE_RELATION_LIFT):
-                tracer.emit(
-                    RULE_RELATION_LIFT,
-                    el_relation(r.predicate, r.subject, sup),
-                    (el_relation(r.predicate, r.subject, r.object), el_subclass(r.object, sup)),
-                )
-                changed = True
-    return changed
+    for sub, sup in m.subclass_axioms:
+        supers.setdefault(sub, []).append(sup)
+
+    found = [
+        (pred, subject, obj, sup)
+        for pred, subject, obj in keys[progress.lifted :]
+        for sup in supers.get(obj, ())
+        if (pred, subject, sup) not in relations
+    ]
+    fresh = [key for key in m.subclass_axioms if key not in progress.lift_axioms]
+    if fresh and progress.lifted:
+        by_object: dict[str, list[tuple[str, str]]] = {}
+        for pred, subject, obj in keys[: progress.lifted]:
+            by_object.setdefault(obj, []).append((pred, subject))
+        found += [
+            (pred, subject, obj, sup)
+            for obj, sup in fresh
+            for pred, subject in by_object.get(obj, ())
+            if (pred, subject, sup) not in relations
+        ]
+    found.sort()
+
+    added = 0
+    for pred, subject, obj, sup in found:
+        if not m.add_relation(pred, subject, sup, RULE_RELATION_LIFT):
+            continue  # a lesser producer came first
+        added += 1
+        if tracer.enabled:
+            tracer.emit(
+                RULE_RELATION_LIFT,
+                el_relation(pred, subject, sup),
+                (el_relation(pred, subject, obj), el_subclass(obj, sup)),
+            )
+    if not tracer.enabled:
+        tracer.tally[RULE_RELATION_LIFT] += added
+    progress.lifted = len(relations)
+    progress.lift_axioms = set(m.subclass_axioms)
+    return added > 0
 
 
 # -- stage 2 -------------------------------------------------------------------
+
+
+def _relations_with(m: OntologyModel, predicate: str) -> list[tuple[str, str, str]]:
+    """Keys of one predicate's relations, sorted."""
+    return sorted(key for key in m.relations if key[0] == predicate)
 
 
 def _rewrite_symmetric(m: OntologyModel, tracer: Tracer) -> bool:
@@ -287,13 +403,16 @@ def _rewrite_symmetric(m: OntologyModel, tracer: Tracer) -> bool:
     for mod in m.sorted_modifiers():
         if mod.kind != SYMMETRIC:
             continue
-        for r in m.relations_of(mod.target):
-            if m.add_relation(mod.target, r.object, r.subject, RULE_SYMMETRIC):
-                tracer.emit(
-                    RULE_SYMMETRIC,
-                    el_relation(mod.target, r.object, r.subject),
-                    (el_relation(r.predicate, r.subject, r.object), el_modifier(mod)),
-                )
+        for pred, subject, obj in _relations_with(m, mod.target):
+            if m.add_relation(pred, obj, subject, RULE_SYMMETRIC):
+                if tracer.enabled:
+                    tracer.emit(
+                        RULE_SYMMETRIC,
+                        el_relation(pred, obj, subject),
+                        (el_relation(pred, subject, obj), el_modifier(mod)),
+                    )
+                else:
+                    tracer.tally[RULE_SYMMETRIC] += 1
         m.remove_modifier(mod)
         changed = True
     return changed
@@ -317,13 +436,16 @@ def _rewrite_inverse(
                 )
             )
             m.declare_property(counterpart, OBJECT)
-        for r in m.relations_of(mod.target):
-            if m.add_relation(counterpart, r.object, r.subject, RULE_INVERSE):
-                tracer.emit(
-                    RULE_INVERSE,
-                    el_relation(counterpart, r.object, r.subject),
-                    (el_relation(r.predicate, r.subject, r.object), el_modifier(mod)),
-                )
+        for pred, subject, obj in _relations_with(m, mod.target):
+            if m.add_relation(counterpart, obj, subject, RULE_INVERSE):
+                if tracer.enabled:
+                    tracer.emit(
+                        RULE_INVERSE,
+                        el_relation(counterpart, obj, subject),
+                        (el_relation(pred, subject, obj), el_modifier(mod)),
+                    )
+                else:
+                    tracer.tally[RULE_INVERSE] += 1
         m.remove_modifier(mod)
         changed = True
     return changed
@@ -349,11 +471,14 @@ def _rewrite_intersection(
             if member == mod.target:
                 continue  # vacuous C <= C
             if m.add_subclass(mod.target, member, RULE_INTERSECTION):
-                tracer.emit(
-                    RULE_INTERSECTION,
-                    el_subclass(mod.target, member),
-                    (el_modifier(mod),),
-                )
+                if tracer.enabled:
+                    tracer.emit(
+                        RULE_INTERSECTION,
+                        el_subclass(mod.target, member),
+                        (el_modifier(mod),),
+                    )
+                else:
+                    tracer.tally[RULE_INTERSECTION] += 1
         m.remove_modifier(mod)
         changed = True
     return changed
@@ -364,15 +489,18 @@ def _rewrite_transitive(m: OntologyModel, tracer: Tracer, bound: int) -> bool:
     for mod in m.sorted_modifiers():
         if mod.kind != TRANSITIVE:
             continue
-        existing = m.relations_of(mod.target)
-        names = sorted({n for r in existing for n in (r.subject, r.object)})
+        existing = _relations_with(m, mod.target)
+        names = sorted({n for _, subject, obj in existing for n in (subject, obj)})
         index = {n: i for i, n in enumerate(names)}
-        edges = [(index[r.subject], index[r.object]) for r in existing]
+        edges = [(index[subject], index[obj]) for _, subject, obj in existing]
         pairs = closure.reachable_pairs(len(names), edges, limit=bound)
-        reach = _Reach(len(names), pairs)
+        reach = _Reach(len(names), pairs) if tracer.enabled else None
         for u, v in pairs:
             subject, obj = names[u], names[v]
             if not m.add_relation(mod.target, subject, obj, RULE_TRANSITIVE):
+                continue
+            if reach is None:
+                tracer.tally[RULE_TRANSITIVE] += 1
                 continue
             witness = reach.witness(u, v)
             sources = ()
@@ -404,14 +532,14 @@ def close_subclass_hierarchy(
 ) -> OntologyModel:
     out = m.copy()
     _close_subclass_hierarchy(
-        out, tracer or Tracer(), warnings if warnings is not None else [], 0
+        out, tracer or Tracer(), warnings if warnings is not None else [], 0, _Progress()
     )
     return out
 
 
 def lift_relations(m: OntologyModel, tracer: Tracer | None = None) -> OntologyModel:
     out = m.copy()
-    _lift_relations(out, tracer or Tracer())
+    _lift_relations(out, tracer or Tracer(), _Progress())
     return out
 
 
@@ -452,31 +580,37 @@ def rewrite_transitive(m: OntologyModel, tracer: Tracer | None = None) -> Ontolo
 # -- fixpoint driver -------------------------------------------------------------
 
 
-def normalize(m: OntologyModel, bound: int = DEFAULT_BOUND) -> NormalizeResult:
-    """Run both stages to a joint fixpoint; the result carries no modifiers."""
+def normalize(
+    m: OntologyModel, bound: int = DEFAULT_BOUND, trace: bool = False
+) -> NormalizeResult:
+    """Run both stages to a joint fixpoint; the result carries no modifiers.
+
+    With trace=False the result's traces are empty; tally still counts every
+    derived element by rule.
+    """
     work = m.copy()
     work.normalized = False
-    tracer = Tracer()
+    tracer = Tracer(trace)
     warnings: list[Diagnostic] = []
+    progress = _Progress()
     passes = 0
 
-    while True:
-        before = work.canonical()
+    changed = True
+    while changed:
         try:
-            _propagate_equivalents(work, tracer)
-            _close_subclass_hierarchy(work, tracer, warnings, bound)
-            _lift_relations(work, tracer)
-            _rewrite_symmetric(work, tracer)
-            _rewrite_inverse(work, tracer, warnings)
-            _rewrite_intersection(work, tracer, warnings)
-            _rewrite_transitive(work, tracer, bound)
+            # every rule runs; |= does not short-circuit
+            changed = _propagate_equivalents(work, tracer)
+            changed |= _close_subclass_hierarchy(work, tracer, warnings, bound, progress)
+            changed |= _lift_relations(work, tracer, progress)
+            changed |= _rewrite_symmetric(work, tracer)
+            changed |= _rewrite_inverse(work, tracer, warnings)
+            changed |= _rewrite_intersection(work, tracer, warnings)
+            changed |= _rewrite_transitive(work, tracer, bound)
         except OverflowError:
             raise FixpointOverflow(work.element_count(), bound) from None
         passes += 1
         if bound and work.element_count() > bound:
             raise FixpointOverflow(work.element_count(), bound)
-        if work.canonical() == before:
-            break
 
     work.normalized = True
     return NormalizeResult(

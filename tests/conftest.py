@@ -32,4 +32,4 @@ def parse_fixture(name: str):
 
 
 def normalize_fixture(name: str):
-    return normalize(parse_fixture(name))
+    return normalize(parse_fixture(name), trace=True)

@@ -3,6 +3,7 @@
 The oracles re-derive results from first principles (repeat-until-fixed pair
 composition, naive set merging, direct comprehension over model collections)
 so they share no code with the production implementations they check.
+reference_normalize is the exception and says what it shares.
 """
 
 import random
@@ -16,6 +17,23 @@ from fuzzonto.model import (
     TRANSITIVE,
     OntologyModel,
     RawModifier,
+)
+from fuzzonto.normalize import (
+    DEFAULT_BOUND,
+    RULE_EQUIV_PROPERTY,
+    RULE_EQUIV_RELATION,
+    RULE_RELATION_LIFT,
+    Tracer,
+    _close_subclass_hierarchy,
+    _equivalence_groups,
+    _Progress,
+    _rewrite_intersection,
+    _rewrite_inverse,
+    _rewrite_symmetric,
+    _rewrite_transitive,
+    el_holding,
+    el_relation,
+    el_subclass,
 )
 
 CLASS_POOL = [f"C{i}" for i in range(10)]
@@ -161,3 +179,90 @@ def brute_witness(u: int, v: int, pairset: set) -> int | None:
         if w not in (u, v) and (w, v) in pairset:
             return w
     return None
+
+
+def intersection_model(seed: int) -> OntologyModel:
+    """random_model(seed) plus 2-4 intersection definitions, so that later
+    passes meet subclass axioms which older relations were not lifted over."""
+    m = random_model(seed)
+    rng = random.Random(f"intersection/{seed}")
+    classes = sorted(m.classes)
+    for _ in range(rng.randint(2, 4)):
+        target = rng.choice(classes)
+        members = tuple(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
+        m.add_modifier(RawModifier(INTERSECTION, target, members=members))
+    return m
+
+
+def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
+    """Equivalence copies by a sorted rescan of the whole model per group."""
+    for group in _equivalence_groups(m):
+        members = set(group)
+        by_property: dict = {}
+        for h in m.sorted_holdings():
+            if h.holder in members:
+                by_property.setdefault(h.property, []).append(h.holder)
+        for prop in sorted(by_property):
+            source = el_holding(prop, min(by_property[prop]))
+            for member in group:
+                if m.add_holding(prop, member, RULE_EQUIV_PROPERTY):
+                    tracer.emit(RULE_EQUIV_PROPERTY, el_holding(prop, member), (source,))
+        by_pattern: dict = {}
+        for r in m.sorted_relations():
+            if r.subject in members:
+                by_pattern.setdefault((r.predicate, r.object), []).append(r.subject)
+        for pred, obj in sorted(by_pattern):
+            source = el_relation(pred, min(by_pattern[(pred, obj)]), obj)
+            for member in group:
+                if m.add_relation(pred, member, obj, RULE_EQUIV_RELATION):
+                    tracer.emit(
+                        RULE_EQUIV_RELATION, el_relation(pred, member, obj), (source,)
+                    )
+
+
+def _reference_lift(m: OntologyModel, tracer: Tracer) -> None:
+    """Lift every relation over every axiom, in one sorted sweep."""
+    supers: dict = {}
+    for axiom in m.sorted_subclass_axioms():
+        supers.setdefault(axiom.sub, []).append(axiom.sup)
+    for r in m.sorted_relations():
+        for sup in supers.get(r.object, ()):
+            if m.add_relation(r.predicate, r.subject, sup, RULE_RELATION_LIFT):
+                tracer.emit(
+                    RULE_RELATION_LIFT,
+                    el_relation(r.predicate, r.subject, sup),
+                    (el_relation(r.predicate, r.subject, r.object), el_subclass(r.object, sup)),
+                )
+
+
+def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
+    """The fixpoint evaluated naively: every pass rescans for equivalence
+    copies, reruns the subclass closure from scratch, re-lifts every relation
+    and compares canonical() before and after to decide whether to go on.
+
+    Unlike the oracles above it shares the subclass closure and the modifier
+    rewrites with the production code; what it checks is the delta-driven
+    driver, lift and change detection.  Because the closure starts fresh on
+    every pass, its cycle warnings repeat once per pass.
+
+    Returns (model, traces, warnings, passes, tally).
+    """
+    work = m.copy()
+    work.normalized = False
+    tracer = Tracer()
+    warnings: list = []
+    passes = 0
+    while True:
+        before = work.canonical()
+        _reference_propagate(work, tracer)
+        _close_subclass_hierarchy(work, tracer, warnings, bound, _Progress())
+        _reference_lift(work, tracer)
+        _rewrite_symmetric(work, tracer)
+        _rewrite_inverse(work, tracer, warnings)
+        _rewrite_intersection(work, tracer, warnings)
+        _rewrite_transitive(work, tracer, bound)
+        passes += 1
+        if work.canonical() == before:
+            break
+    work.normalized = True
+    return work, tuple(tracer.traces), warnings, passes, tracer.tally

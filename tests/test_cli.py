@@ -238,3 +238,19 @@ def test_output_bytes_stable_across_hash_seeds():
         return proc.stdout
 
     assert run_with_seed("1") == run_with_seed("2") == run_with_seed("0")
+
+
+def test_cli_import_leaves_the_network_stack_out():
+    # xml.sax.saxutils drags in urllib.request, http.client and ssl; only the
+    # RDF/XML writer needs it, so it must not load with the CLI
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, fuzzonto.cli; print('urllib.request' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "False\n"

@@ -1,19 +1,10 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
-from fuzzonto import _closure_py, closure
+from fuzzonto import closure
 from randmodels import brute_reachable, random_graph
 
-IMPLS = [pytest.param(_closure_py, id="python")]
-try:
-    from fuzzonto import _closure_cy
-
-    IMPLS.append(pytest.param(_closure_cy, id="compiled"))
-except ImportError:
-    pass
+# a single kernel; the "python" id keeps the established test names
+IMPLS = [pytest.param(closure, id="python")]
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -73,30 +64,3 @@ def test_matches_brute_force_on_random_graphs(impl):
         n, edges = random_graph(seed)
         got = impl.reachable_pairs(n, edges)
         assert got == sorted(brute_reachable(edges)), f"seed {seed}"
-
-
-def test_backends_agree():
-    if len(IMPLS) < 2:
-        pytest.skip("compiled backend not built")
-    for seed in range(80):
-        n, edges = random_graph(seed)
-        assert _closure_py.reachable_pairs(n, edges) == _closure_cy.reachable_pairs(
-            n, edges
-        )
-
-
-def test_dispatch_picked_a_backend():
-    assert closure.BACKEND in ("compiled", "python")
-    assert closure.reachable_pairs(3, [(0, 1), (1, 2)]) == [(0, 1), (0, 2), (1, 2)]
-
-
-def test_pure_python_override():
-    env = dict(os.environ, FUZZONTO_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from fuzzonto import closure; print(closure.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"

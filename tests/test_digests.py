@@ -60,7 +60,7 @@ def _inputs():
 def _digests() -> dict:
     hashes = {name: hashlib.sha256() for name in PINNED}
     for label, model in _inputs():
-        result = normalize(model)
+        result = normalize(model, trace=True)
         rules = generate_rules(assign_all(result.model))
         outputs = {
             "rules_json": emit.rules_to_json(rules),

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE_NAMES, normalize_fixture, parse_fixture
+import fuzzonto
 from fuzzonto import FixpointOverflow, OntologyModel, closure, normalize
 from fuzzonto.model import INTERSECTION, INVERSE, SYMMETRIC, TRANSITIVE, RawModifier
 from fuzzonto.normalize import (
@@ -23,7 +28,16 @@ from fuzzonto.normalize import (
     rewrite_symmetric,
     rewrite_transitive,
 )
-from randmodels import brute_reachable, brute_witness, random_graph, random_model
+from randmodels import (
+    brute_reachable,
+    brute_witness,
+    intersection_model,
+    random_graph,
+    random_model,
+    reference_normalize,
+)
+
+NORMALIZE = sys.modules["fuzzonto.normalize"]  # fuzzonto.normalize is the function
 
 # -- single-step operations -------------------------------------------------
 
@@ -390,7 +404,7 @@ def test_witness_matches_scanning_oracle():
         pairs = closure.reachable_pairs(n, edges)
         pairset = set(pairs)
         reach = _Reach(n, pairs)
-        assert {(u, v) for u in range(n) for v in range(n) if reach.has(u, v)} == pairset
+        assert {(u, v) for u in range(n) for v in range(n) if reach.fwd[u] >> v & 1} == pairset
         for u, v in pairs:
             expected = brute_witness(u, v, pairset)
             assert reach.witness(u, v) == expected, f"seed {seed}: ({u}, {v})"
@@ -400,3 +414,93 @@ def test_witness_matches_scanning_oracle():
         seen["cycle"] += any(u != v and (v, u) in pairset for u, v in pairs)
         seen["isolated"] += len(touched) < n
     assert all(seen.values()), seen
+
+
+def test_normalize_matches_full_reevaluation_reference(monkeypatch):
+    """The delta-driven driver against reference_normalize: same model with
+    origins, same traces in the same order, same pass count, tally and
+    warnings (the reference repeats a cycle warning on every pass)."""
+    lift = NORMALIZE._lift_relations
+    late_lifts = []
+
+    def spy(m, tracer, progress):
+        late = progress.lifted > 0 and any(
+            key not in progress.lift_axioms for key in m.subclass_axioms
+        )
+        changed = lift(m, tracer, progress)
+        late_lifts.append(late and changed)
+        return changed
+
+    monkeypatch.setattr(NORMALIZE, "_lift_relations", spy)
+    for make in (random_model, intersection_model):
+        for seed in range(2000):
+            m = make(seed)
+            model, traces, warnings, passes, tally = reference_normalize(m)
+            got = normalize(m, trace=True)
+            label = f"{make.__name__}({seed})"
+            assert got.model.canonical() == model.canonical(), label
+            assert got.traces == traces, label
+            assert got.passes == passes, label
+            assert got.tally == tally, label
+            assert list(got.warnings) == list(dict.fromkeys(warnings)), label
+    # lifts that met axioms newer than the relations before them, and added
+    assert sum(late_lifts) > 100, sum(late_lifts)
+
+
+def test_trace_off_changes_nothing_but_the_traces():
+    for make in (random_model, intersection_model):
+        for seed in range(500):
+            traced = normalize(make(seed), trace=True)
+            plain = normalize(make(seed))
+            label = f"{make.__name__}({seed})"
+            assert plain.traces == (), label
+            assert plain.model.canonical() == traced.model.canonical(), label
+            assert plain.tally == traced.tally, label
+            assert plain.passes == traced.passes, label
+            assert plain.warnings == traced.warnings, label
+            assert sum(traced.tally.values()) == len(traced.traces), label
+
+
+def test_traces_do_not_depend_on_hash_seed():
+    script = (
+        "from fuzzonto import emit, normalize\n"
+        "from randmodels import random_model\n"
+        "for seed in range(100):\n"
+        "    result = normalize(random_model(seed), trace=True)\n"
+        "    print(emit.dump_json(emit.traces_to_obj(result.traces)).decode())\n"
+        "    print([w.render() for w in result.warnings])\n"
+    )
+    path = os.pathsep.join(
+        [str(Path(__file__).parent), str(Path(fuzzonto.__file__).parents[1])]
+    )
+
+    def dump(hash_seed: str) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout
+
+    assert dump("1") == dump("2")
+
+
+def test_cycle_is_warned_once_per_run():
+    m = OntologyModel()
+    for name in "ABCD":
+        m.touch_class(name)
+    m.add_subclass("A", "B")
+    m.add_subclass("B", "A")
+    result = normalize(m)
+    assert [w.code for w in result.warnings] == ["cyclic-hierarchy"]
+    assert result.model.equivalences == {("A", "B")}
+
+    # the intersection adds axioms in pass 1, so the closure runs again in
+    # pass 2 and meets the same cycle
+    m.add_modifier(RawModifier(INTERSECTION, "C", members=("A", "D")))
+    result = normalize(m)
+    assert result.passes == 3
+    assert ("C", "B") in result.model.subclass_axioms
+    assert [w.code for w in result.warnings] == ["cyclic-hierarchy"]
