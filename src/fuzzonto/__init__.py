@@ -37,15 +37,7 @@ from .membership import (
     copy_to_equivalents,
     count_determiners,
 )
-from .model import (
-    ClassRef,
-    Diagnostic,
-    OntologyModel,
-    PropertyHolding,
-    RawModifier,
-    RelationAssertion,
-    SubclassAxiom,
-)
+from .model import Diagnostic, OntologyModel, RawModifier
 from .normalize import (
     NormalizeResult,
     RewriteTrace,
@@ -64,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnotatedOntology",
-    "ClassRef",
     "ComplexKey",
     "Diagnostic",
     "DuplicateIdentifier",
@@ -79,11 +70,8 @@ __all__ = [
     "NormalizeResult",
     "NotNormalized",
     "OntologyModel",
-    "PropertyHolding",
     "RawModifier",
-    "RelationAssertion",
     "RewriteTrace",
-    "SubclassAxiom",
     "UnsupportedConstruct",
     "annotated_to_json",
     "assign_all",

@@ -41,10 +41,10 @@ def dump_json(obj) -> bytes:
 
 def model_to_obj(m: OntologyModel) -> dict:
     classes = []
-    for c in m.sorted_classes():
-        item = {"name": c.name}
-        if c.iri is not None:
-            item["iri"] = c.iri
+    for name, iri in sorted(m.classes.items()):
+        item = {"name": name}
+        if iri is not None:
+            item["iri"] = iri
         classes.append(item)
 
     modifiers = []
@@ -59,26 +59,21 @@ def model_to_obj(m: OntologyModel) -> dict:
     return {
         "classes": classes,
         "properties": [
-            {"name": name, "kind": kind} for name, kind in m.sorted_properties()
+            {"name": name, "kind": kind} for name, kind in sorted(m.properties.items())
         ],
         "holdings": [
-            {"property": h.property, "holder": h.holder, "origin": h.origin}
-            for h in m.sorted_holdings()
+            {"property": prop, "holder": holder, "origin": origin}
+            for (prop, holder), origin in sorted(m.holdings.items())
         ],
         "relations": [
-            {
-                "predicate": r.predicate,
-                "subject": r.subject,
-                "object": r.object,
-                "origin": r.origin,
-            }
-            for r in m.sorted_relations()
+            {"predicate": pred, "subject": subject, "object": obj, "origin": origin}
+            for (pred, subject, obj), origin in sorted(m.relations.items())
         ],
         "subclass": [
-            {"sub": a.sub, "super": a.sup, "origin": a.origin}
-            for a in m.sorted_subclass_axioms()
+            {"sub": sub, "super": sup, "origin": origin}
+            for (sub, sup), origin in sorted(m.subclass_axioms.items())
         ],
-        "equivalences": [{"a": a, "b": b} for a, b in m.sorted_equivalences()],
+        "equivalences": [{"a": a, "b": b} for a, b in sorted(m.equivalences)],
         "modifiers": modifiers,
         "normalized": m.normalized,
     }
@@ -91,13 +86,6 @@ def emit_json(m: OntologyModel) -> bytes:
 
 
 # -- normalized RDF/XML -----------------------------------------------------------
-
-
-def _about(m: OntologyModel, name: str) -> str:
-    ref = m.classes.get(name)
-    if ref is not None and ref.iri is not None:
-        return ref.iri
-    return f"#{name}"
 
 
 def emit_normalized_rdf(m: OntologyModel) -> bytes:
@@ -117,22 +105,23 @@ def emit_normalized_rdf(m: OntologyModel) -> bytes:
     ]
 
     subs: dict[str, list[str]] = {}
-    for axiom in m.sorted_subclass_axioms():
-        subs.setdefault(axiom.sub, []).append(axiom.sup)
+    for sub, sup in sorted(m.subclass_axioms):
+        subs.setdefault(sub, []).append(sup)
     equivalents: dict[str, list[str]] = {}
-    for a, b in m.sorted_equivalences():
+    for a, b in sorted(m.equivalences):
         equivalents.setdefault(a, []).append(b)
 
-    for c in m.sorted_classes():
+    for name, iri in sorted(m.classes.items()):
         children = [
             f"    <rdfs:subClassOf rdf:resource={quoteattr('#' + sup)}/>"
-            for sup in subs.get(c.name, ())
+            for sup in subs.get(name, ())
         ]
         children += [
             f"    <owl:equivalentClass rdf:resource={quoteattr('#' + other)}/>"
-            for other in equivalents.get(c.name, ())
+            for other in equivalents.get(name, ())
         ]
-        opener = f"  <owl:Class rdf:about={quoteattr(_about(m, c.name))}"
+        about = iri if iri is not None else f"#{name}"  # an empty IRI is kept as-is
+        opener = f"  <owl:Class rdf:about={quoteattr(about)}"
         if children:
             lines.append(opener + ">")
             lines.extend(children)
@@ -140,16 +129,11 @@ def emit_normalized_rdf(m: OntologyModel) -> bytes:
         else:
             lines.append(opener + "/>")
 
-    datatype_blocks: list[tuple[str, str]] = []  # (property, holder or "")
-    object_blocks: list[tuple[str, str, str]] = []
-    emitted_props: set[str] = set()
-    for h in m.sorted_holdings():
-        datatype_blocks.append((h.property, h.holder))
-        emitted_props.add(h.property)
-    for r in m.sorted_relations():
-        object_blocks.append((r.predicate, r.subject, r.object))
-        emitted_props.add(r.predicate)
-    for name, kind in m.sorted_properties():
+    datatype_blocks = list(m.holdings)  # (property, holder or "")
+    object_blocks = list(m.relations)  # (predicate, subject or "", object or "")
+    emitted_props = {prop for prop, _ in datatype_blocks}
+    emitted_props.update(pred for pred, _, _ in object_blocks)
+    for name, kind in sorted(m.properties.items()):
         if name in emitted_props:
             continue
         if kind == DATATYPE:

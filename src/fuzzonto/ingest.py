@@ -462,19 +462,19 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                 )
             )
 
-    for h in model.sorted_holdings():
-        check_class(h.holder, f"holding {h.property}/{h.holder}")
-        check_property(h.property, f"holding {h.property}/{h.holder}")
-    for r in model.sorted_relations():
-        where = f"relation {r.predicate}({r.subject}, {r.object})"
-        check_class(r.subject, where)
-        check_class(r.object, where)
-        check_property(r.predicate, where)
-    for a in model.sorted_subclass_axioms():
-        where = f"subclass {a.sub} -> {a.sup}"
-        check_class(a.sub, where)
-        check_class(a.sup, where)
-    for a, b in model.sorted_equivalences():
+    for prop, holder in sorted(model.holdings):
+        check_class(holder, f"holding {prop}/{holder}")
+        check_property(prop, f"holding {prop}/{holder}")
+    for pred, subject, obj in sorted(model.relations):
+        where = f"relation {pred}({subject}, {obj})"
+        check_class(subject, where)
+        check_class(obj, where)
+        check_property(pred, where)
+    for sub, sup in sorted(model.subclass_axioms):
+        where = f"subclass {sub} -> {sup}"
+        check_class(sub, where)
+        check_class(sup, where)
+    for a, b in sorted(model.equivalences):
         where = f"equivalence ({a}, {b})"
         check_class(a, where)
         check_class(b, where)
@@ -507,8 +507,8 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                     )
                 )
 
-    used = {h.property for h in model.holdings.values()}
-    used |= {r.predicate for r in model.relations.values()}
+    used = {prop for prop, _ in model.holdings}
+    used |= {pred for pred, _, _ in model.relations}
     used |= modifier_props
     for name in sorted(model.properties):
         if name not in used:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import KeyAbsent, NotNormalized
 from .model import ASSERTED, OntologyModel
@@ -49,7 +50,10 @@ class ComplexKey:
     def relation(cls, predicate: str, resulting_class: str) -> ComplexKey:
         return cls(RELATION, predicate, resulting_class)
 
-    def render(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The premise as rules print it; rendered once per key, however many
+        rules share the key."""
         if self.kind == PART_OF:
             return f"part_of {self.resulting_class}"
         return f"{self.predicate} {self.resulting_class}"
@@ -114,17 +118,13 @@ class AnnotatedOntology:
 
 
 def build_equivalence_groups(m: OntologyModel) -> EquivalenceGroups:
-    uf = UnionFind()
-    for name in m.classes:
-        uf.add(name)
+    uf = UnionFind(m.classes)
     for a, b in m.equivalences:
-        uf.add(a)
-        uf.add(b)
         uf.union(a, b)
     rep_of: dict[str, str] = {}
     members_of: dict[str, tuple[str, ...]] = {}
-    for _, group in uf.groups().items():
-        members = tuple(sorted(group))
+    for group in uf.groups():
+        members = tuple(group)
         rep = members[0]
         members_of[rep] = members
         for name in members:
@@ -137,12 +137,13 @@ def _determiner_index(m: OntologyModel, kind: str, asserted_only: bool) -> dict:
     property -> holders, superclass -> subclasses, or (predicate, object) ->
     subjects."""
     if kind == PROPERTY:
-        rows = ((h.property, h.holder, h.origin) for h in m.holdings.values())
+        rows = ((prop, holder, origin) for (prop, holder), origin in m.holdings.items())
     elif kind == PART_OF:
-        rows = ((a.sup, a.sub, a.origin) for a in m.subclass_axioms.values())
+        rows = ((sup, sub, origin) for (sub, sup), origin in m.subclass_axioms.items())
     else:
         rows = (
-            ((r.predicate, r.object), r.subject, r.origin) for r in m.relations.values()
+            ((pred, obj), subject, origin)
+            for (pred, subject, obj), origin in m.relations.items()
         )
     index: dict = {}
     for key, determiner, origin in rows:
@@ -167,7 +168,7 @@ def count_determiners(
         kind, lookup = RELATION, (key.predicate, key.resulting_class)
     determiners = _determiner_index(m, kind, asserted_only).get(lookup)
     if not determiners:
-        label = key if isinstance(key, str) else key.render()
+        label = key if isinstance(key, str) else key.text
         raise KeyAbsent(f"no occurrence of {label!r} in the model")
     return len(groups.representatives(determiners)), determiners
 

@@ -1,10 +1,11 @@
 """In-memory ontology model: classes, property holdings, relation assertions,
 subclass/equivalence axioms and raw OWL modifiers.
 
-Element collections behave as sets keyed by element identity; the identity of
-a holding/relation/axiom excludes its origin tag, so re-deriving an existing
-element is a no-op and the first origin wins.  Models are treated as immutable
-once built: the rewrite passes copy before mutating.
+An element is its identity tuple: a holding is (property, holder), a relation
+is (predicate, subject, object) and a subclass axiom is (sub, sup).  Each
+element collection maps that tuple to the element's origin tag, so
+re-deriving an existing element is a no-op and the first origin wins.  Models
+are treated as immutable once built: the rewrite passes copy before mutating.
 """
 
 from __future__ import annotations
@@ -22,43 +23,6 @@ SYMMETRIC = "symmetric"
 TRANSITIVE = "transitive"
 INVERSE = "inverse"
 INTERSECTION = "intersection"
-
-
-@dataclass(frozen=True)
-class ClassRef:
-    name: str
-    iri: str | None = None
-
-
-@dataclass(frozen=True)
-class PropertyHolding:
-    property: str
-    holder: str
-    origin: str = ASSERTED
-
-    def key(self) -> tuple[str, str]:
-        return (self.property, self.holder)
-
-
-@dataclass(frozen=True)
-class RelationAssertion:
-    predicate: str
-    subject: str
-    object: str
-    origin: str = ASSERTED
-
-    def key(self) -> tuple[str, str, str]:
-        return (self.predicate, self.subject, self.object)
-
-
-@dataclass(frozen=True)
-class SubclassAxiom:
-    sub: str
-    sup: str
-    origin: str = ASSERTED
-
-    def key(self) -> tuple[str, str]:
-        return (self.sub, self.sup)
 
 
 @dataclass(frozen=True)
@@ -94,16 +58,17 @@ class Diagnostic:
 class OntologyModel:
     """Graph of one ontology.
 
-    classes maps name -> ClassRef; properties maps declared property name ->
-    DATATYPE or OBJECT.  holdings / relations / subclass_axioms are dicts
-    keyed by element identity (insertion keeps the first derivation).
+    classes maps name -> IRI or None; properties maps declared property name
+    -> DATATYPE or OBJECT.  holdings maps (property, holder), relations maps
+    (predicate, subject, object) and subclass_axioms maps (sub, sup) to the
+    element's origin (insertion keeps the first derivation).
     """
 
-    classes: dict[str, ClassRef] = field(default_factory=dict)
+    classes: dict[str, str | None] = field(default_factory=dict)
     properties: dict[str, str] = field(default_factory=dict)
-    holdings: dict[tuple, PropertyHolding] = field(default_factory=dict)
-    relations: dict[tuple, RelationAssertion] = field(default_factory=dict)
-    subclass_axioms: dict[tuple, SubclassAxiom] = field(default_factory=dict)
+    holdings: dict[tuple[str, str], str] = field(default_factory=dict)
+    relations: dict[tuple[str, str, str], str] = field(default_factory=dict)
+    subclass_axioms: dict[tuple[str, str], str] = field(default_factory=dict)
     equivalences: set[tuple[str, str]] = field(default_factory=set)
     modifiers: set[RawModifier] = field(default_factory=set)
     normalized: bool = False
@@ -112,11 +77,8 @@ class OntologyModel:
     # -- construction ---------------------------------------------------
 
     def touch_class(self, name: str, iri: str | None = None) -> None:
-        existing = self.classes.get(name)
-        if existing is None:
-            self.classes[name] = ClassRef(name, iri)
-        elif existing.iri is None and iri is not None:
-            self.classes[name] = ClassRef(name, iri)
+        if self.classes.get(name) is None:
+            self.classes[name] = iri  # the first non-None IRI sticks
 
     def declare_property(self, name: str, kind: str) -> None:
         existing = self.properties.get(name)
@@ -130,7 +92,7 @@ class OntologyModel:
         key = (prop, holder)
         if key in self.holdings:
             return False
-        self.holdings[key] = PropertyHolding(prop, holder, origin)
+        self.holdings[key] = origin
         return True
 
     def add_relation(
@@ -139,14 +101,14 @@ class OntologyModel:
         key = (predicate, subject, object_)
         if key in self.relations:
             return False
-        self.relations[key] = RelationAssertion(predicate, subject, object_, origin)
+        self.relations[key] = origin
         return True
 
     def add_subclass(self, sub: str, sup: str, origin: str = ASSERTED) -> bool:
         key = (sub, sup)
         if key in self.subclass_axioms:
             return False
-        self.subclass_axioms[key] = SubclassAxiom(sub, sup, origin)
+        self.subclass_axioms[key] = origin
         return True
 
     def add_equivalence(self, a: str, b: str) -> bool:
@@ -169,24 +131,6 @@ class OntologyModel:
         self.modifiers.discard(modifier)
 
     # -- views ------------------------------------------------------------
-
-    def sorted_classes(self) -> list[ClassRef]:
-        return [self.classes[name] for name in sorted(self.classes)]
-
-    def sorted_properties(self) -> list[tuple[str, str]]:
-        return sorted(self.properties.items())
-
-    def sorted_holdings(self) -> list[PropertyHolding]:
-        return [self.holdings[k] for k in sorted(self.holdings)]
-
-    def sorted_relations(self) -> list[RelationAssertion]:
-        return [self.relations[k] for k in sorted(self.relations)]
-
-    def sorted_subclass_axioms(self) -> list[SubclassAxiom]:
-        return [self.subclass_axioms[k] for k in sorted(self.subclass_axioms)]
-
-    def sorted_equivalences(self) -> list[tuple[str, str]]:
-        return sorted(self.equivalences)
 
     def sorted_modifiers(self) -> list[RawModifier]:
         return sorted(self.modifiers, key=RawModifier.key)
@@ -229,19 +173,16 @@ class OntologyModel:
         )
 
     def canonical(self, with_origins: bool = True) -> tuple:
-        def tag(origin):
-            return origin if with_origins else ""
+        def elements(origin_of: dict) -> tuple:
+            return tuple(sorted(origin_of.items() if with_origins else origin_of))
 
         return (
-            tuple((c.name, c.iri) for c in self.sorted_classes()),
-            tuple(self.sorted_properties()),
-            tuple((h.property, h.holder, tag(h.origin)) for h in self.sorted_holdings()),
-            tuple(
-                (r.predicate, r.subject, r.object, tag(r.origin))
-                for r in self.sorted_relations()
-            ),
-            tuple((a.sub, a.sup, tag(a.origin)) for a in self.sorted_subclass_axioms()),
-            tuple(self.sorted_equivalences()),
+            tuple(sorted(self.classes.items())),
+            tuple(sorted(self.properties.items())),
+            elements(self.holdings),
+            elements(self.relations),
+            elements(self.subclass_axioms),
+            tuple(sorted(self.equivalences)),
             tuple(m.key() for m in self.sorted_modifiers()),
             self.normalized,
         )
@@ -256,6 +197,3 @@ class OntologyModel:
         if not isinstance(other, OntologyModel):
             return NotImplemented
         return self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())

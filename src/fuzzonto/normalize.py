@@ -148,7 +148,7 @@ def _equivalence_groups(m: OntologyModel) -> list[list[str]]:
     uf = UnionFind()
     for a, b in m.equivalences:
         uf.union(a, b)
-    return sorted(sorted(g) for g in uf.groups().values())
+    return uf.groups()
 
 
 def _propagate_equivalents(m: OntologyModel, tracer: Tracer) -> bool:
@@ -226,6 +226,18 @@ class _Reach:
         return (common & -common).bit_length() - 1
 
 
+def _close(edges, bound: int, tracer: Tracer):
+    """Transitive closure of a graph given as (name, name) edges: the sorted
+    node names, the reachable index pairs and, only when tracing, their
+    witness rows."""
+    names = sorted({n for edge in edges for n in edge})
+    index = {n: i for i, n in enumerate(names)}
+    pairs = closure.reachable_pairs(
+        len(names), [(index[a], index[b]) for a, b in edges], limit=bound
+    )
+    return names, pairs, _Reach(len(names), pairs) if tracer.enabled else None
+
+
 def _cycle_groups(names: list[str], pairs: list[tuple[int, int]]) -> list[list[str]]:
     """Classes that reach themselves, grouped by mutual reachability; each
     group sorted, groups ordered by their members."""
@@ -237,7 +249,8 @@ def _cycle_groups(names: list[str], pairs: list[tuple[int, int]]) -> list[list[s
     for u, v in among:
         if u < v and (v, u) in among:
             uf.union(u, v)
-    return sorted(sorted(names[u] for u in g) for g in uf.groups().values())
+    # names is sorted, so index order is name order
+    return [[names[u] for u in group] for group in uf.groups()]
 
 
 def _merge_cycles(
@@ -299,16 +312,12 @@ def _close_subclass_hierarchy(
 ) -> bool:
     if not m.subclass_axioms or m.subclass_axioms.keys() == progress.closed:
         return False  # nothing to close, or closed already by the last run
-    old = {key: axiom.origin for key, axiom in m.subclass_axioms.items()}
-    names = sorted({n for pair in old for n in pair})
-    index = {n: i for i, n in enumerate(names)}
-    edges = [(index[sub], index[sup]) for sub, sup in old]
-    pairs = closure.reachable_pairs(len(names), edges, limit=bound)
+    old = dict(m.subclass_axioms)
+    names, pairs, reach = _close(old, bound, tracer)
     changed = _merge_cycles(
         m, tracer, warnings, progress.warned, _cycle_groups(names, pairs)
     )
 
-    reach = _Reach(len(names), pairs) if tracer.enabled else None
     m.subclass_axioms.clear()
     added = 0
     for u, v in pairs:
@@ -489,12 +498,11 @@ def _rewrite_transitive(m: OntologyModel, tracer: Tracer, bound: int) -> bool:
     for mod in m.sorted_modifiers():
         if mod.kind != TRANSITIVE:
             continue
-        existing = _relations_with(m, mod.target)
-        names = sorted({n for _, subject, obj in existing for n in (subject, obj)})
-        index = {n: i for i, n in enumerate(names)}
-        edges = [(index[subject], index[obj]) for _, subject, obj in existing]
-        pairs = closure.reachable_pairs(len(names), edges, limit=bound)
-        reach = _Reach(len(names), pairs) if tracer.enabled else None
+        names, pairs, reach = _close(
+            [(subject, obj) for _, subject, obj in _relations_with(m, mod.target)],
+            bound,
+            tracer,
+        )
         for u, v in pairs:
             subject, obj = names[u], names[v]
             if not m.add_relation(mod.target, subject, obj, RULE_TRANSITIVE):

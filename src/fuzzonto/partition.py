@@ -1,4 +1,4 @@
-"""Union-find partition over class names."""
+"""Union-find partition over class names (or any sortable items)."""
 
 from __future__ import annotations
 
@@ -36,8 +36,10 @@ class UnionFind:
         self._size[ra] += self._size[rb]
         return True
 
-    def groups(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = {}
+    def groups(self) -> list[list[str]]:
+        """Every set, sorted, in the order of their sorted members; so the
+        result depends neither on the union order nor on the hash seed."""
+        out: dict[str, list[str]] = {}
         for item in self._parent:
-            out.setdefault(self.find(item), set()).add(item)
-        return out
+            out.setdefault(self.find(item), []).append(item)
+        return sorted(sorted(group) for group in out.values())

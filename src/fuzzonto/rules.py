@@ -28,7 +28,7 @@ class FuzzyRule:
     def premise_text(self) -> str:
         if isinstance(self.premise, str):
             return self.premise
-        return self.premise.render()
+        return self.premise.text
 
 
 def generate_rules(annotated: AnnotatedOntology) -> list[FuzzyRule]:

@@ -149,24 +149,28 @@ def brute_table(m: OntologyModel, asserted_only: bool = False) -> dict:
         return len({min(group_of(c)) for c in determiners}), widened
 
     def kept(elements):
-        return [e for e in elements if not asserted_only or e.origin == "asserted"]
+        return [
+            key
+            for key, origin in elements.items()
+            if not asserted_only or origin == "asserted"
+        ]
 
     table = {}
     holders: dict = {}
-    for h in kept(m.holdings.values()):
-        holders.setdefault(h.property, set()).add(h.holder)
+    for prop, holder in kept(m.holdings):
+        holders.setdefault(prop, set()).add(holder)
     for prop, ds in holders.items():
         table[("property", prop)] = entry(ds)
 
     subs: dict = {}
-    for a in kept(m.subclass_axioms.values()):
-        subs.setdefault(a.sup, set()).add(a.sub)
+    for sub, sup in kept(m.subclass_axioms):
+        subs.setdefault(sup, set()).add(sub)
     for sup, ds in subs.items():
         table[("part_of", sup)] = entry(ds)
 
     rels: dict = {}
-    for r in kept(m.relations.values()):
-        rels.setdefault((r.predicate, r.object), set()).add(r.subject)
+    for pred, subject, obj in kept(m.relations):
+        rels.setdefault((pred, obj), set()).add(subject)
     for (pred, obj), ds in rels.items():
         table[("relation", pred, obj)] = entry(ds)
     return table
@@ -199,18 +203,18 @@ def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
     for group in _equivalence_groups(m):
         members = set(group)
         by_property: dict = {}
-        for h in m.sorted_holdings():
-            if h.holder in members:
-                by_property.setdefault(h.property, []).append(h.holder)
+        for prop, holder in sorted(m.holdings):
+            if holder in members:
+                by_property.setdefault(prop, []).append(holder)
         for prop in sorted(by_property):
             source = el_holding(prop, min(by_property[prop]))
             for member in group:
                 if m.add_holding(prop, member, RULE_EQUIV_PROPERTY):
                     tracer.emit(RULE_EQUIV_PROPERTY, el_holding(prop, member), (source,))
         by_pattern: dict = {}
-        for r in m.sorted_relations():
-            if r.subject in members:
-                by_pattern.setdefault((r.predicate, r.object), []).append(r.subject)
+        for pred, subject, obj in sorted(m.relations):
+            if subject in members:
+                by_pattern.setdefault((pred, obj), []).append(subject)
         for pred, obj in sorted(by_pattern):
             source = el_relation(pred, min(by_pattern[(pred, obj)]), obj)
             for member in group:
@@ -223,15 +227,15 @@ def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
 def _reference_lift(m: OntologyModel, tracer: Tracer) -> None:
     """Lift every relation over every axiom, in one sorted sweep."""
     supers: dict = {}
-    for axiom in m.sorted_subclass_axioms():
-        supers.setdefault(axiom.sub, []).append(axiom.sup)
-    for r in m.sorted_relations():
-        for sup in supers.get(r.object, ()):
-            if m.add_relation(r.predicate, r.subject, sup, RULE_RELATION_LIFT):
+    for sub, sup in sorted(m.subclass_axioms):
+        supers.setdefault(sub, []).append(sup)
+    for pred, subject, obj in sorted(m.relations):
+        for sup in supers.get(obj, ()):
+            if m.add_relation(pred, subject, sup, RULE_RELATION_LIFT):
                 tracer.emit(
                     RULE_RELATION_LIFT,
-                    el_relation(r.predicate, r.subject, sup),
-                    (el_relation(r.predicate, r.subject, r.object), el_subclass(r.object, sup)),
+                    el_relation(pred, subject, sup),
+                    (el_relation(pred, subject, obj), el_subclass(obj, sup)),
                 )
 
 

@@ -212,8 +212,7 @@ def test_criterion_6_closure_matches_reachability_oracle():
                 hierarchy.add_subclass(names[a], names[b])
             closed = normalize(hierarchy).model
             got_axioms = {
-                (int(x.sub[1:]), int(x.sup[1:]))
-                for x in closed.subclass_axioms.values()
+                (int(sub[1:]), int(sup[1:])) for sub, sup in closed.subclass_axioms
             }
             assert got_axioms == {(a, b) for a, b in reach if a != b}, f"seed {seed}"
             mutual = {
@@ -234,8 +233,8 @@ def test_criterion_6_closure_matches_reachability_oracle():
             graph.add_modifier(RawModifier(TRANSITIVE, "p"))
             closed_relations = normalize(graph).model
             got_pairs = {
-                (int(r.subject[1:]), int(r.object[1:]))
-                for r in closed_relations.relations.values()
+                (int(subject[1:]), int(obj[1:]))
+                for _, subject, obj in closed_relations.relations
             }
             assert got_pairs == reach, f"seed {seed}: transitive predicate"
 

@@ -1,9 +1,11 @@
-"""Output digest gate: rules JSON, rules text and rewrite traces stay byte-identical.
+"""Output digest gate: rules JSON, rules text, rewrite traces, the normalized
+model (JSON and RDF/XML) and the assign JSON stay byte-identical.
 
-The pinned values were recorded from the pipeline before its hot loops were
-rewritten (witness lookup, determiner index, rules JSON writer).  A change
-that alters any of these bytes on purpose says so in CHANGES.md and records
-the new values here.
+The rules and trace values were recorded from the pipeline before its hot
+loops were rewritten (witness lookup, determiner index, rules JSON writer);
+the model and assign values before the model's element classes gave way to
+key -> origin maps.  A change that alters any of these bytes on purpose says
+so in CHANGES.md and records the new values here.
 """
 
 import hashlib
@@ -17,6 +19,9 @@ PINNED = {
     "rules_json": "b66121bd7d4d25ad38b387728e2b23a88af5df25260259f26f983d93a89da718",
     "rules_text": "f6ae2ed8ee98bfc2446f4d4dc237f566b79b73a9e5a87224978685980efc39e4",
     "traces": "0da5189821f97583c063509f0addf258135e1b0cb4237b8f8185c8518f7060f4",
+    "model_json": "72b0ce1883ba8e521083e8ac3cb02384586cc15888585e4d4cbdbacb7f184558",
+    "model_rdfxml": "94e559194de8e8cc2e3715ee9e0d5bd16665eb5b107ff5eefd409b2a3031c0cb",
+    "assign_json": "c70aa1113b3ceb1ce165b515e2b7f2e0ee0deddd8405f1553f8e64e8b85e7023",
 }
 
 
@@ -61,11 +66,15 @@ def _digests() -> dict:
     hashes = {name: hashlib.sha256() for name in PINNED}
     for label, model in _inputs():
         result = normalize(model, trace=True)
-        rules = generate_rules(assign_all(result.model))
+        annotated = assign_all(result.model)
+        rules = generate_rules(annotated)
         outputs = {
             "rules_json": emit.rules_to_json(rules),
             "rules_text": emit.rules_to_text(rules).encode("utf-8"),
             "traces": emit.dump_json(emit.traces_to_obj(result.traces)),
+            "model_json": emit.emit_json(result.model),
+            "model_rdfxml": emit.emit_normalized_rdf(result.model),
+            "assign_json": emit.annotated_to_json(annotated),
         }
         for name, data in outputs.items():
             hashes[name].update(f"{label}:{len(data)}:".encode())

@@ -40,9 +40,53 @@ def test_decimal6(fraction, text):
     assert decimal6(fraction) == text
 
 
+IRI_MODEL = json.dumps(
+    {
+        "schema": "fuzzonto/1",
+        "classes": [
+            {"name": "A", "iri": "http://example.org/ns#A"},
+            {"name": "B", "iri": ""},
+            {"name": "C"},
+        ],
+        "subclass": [{"sub": "B", "super": "C"}],
+        "normalized": True,
+    }
+)
+
+
 def test_emit_json_round_trips_normalized_fixture():
-    model = normalize_fixture("symmetric_equivalent_combo.owl").model
-    assert load_json(emit_json(model)) == model  # origins included
+    """Every fixture and 200 random models, normalized: the reloaded model has
+    the same elements with the same origins and the same class IRIs."""
+    models = [normalize_fixture(name).model for name in FIXTURE_NAMES]
+    models += [normalize(random_model(seed)).model for seed in range(200)]
+    models.append(load_json(IRI_MODEL))
+    derived = 0
+    for model in models:
+        again = load_json(emit_json(model))
+        assert again == model
+        assert again.classes == model.classes  # name -> IRI
+        assert again.holdings == model.holdings  # key -> origin
+        assert again.relations == model.relations
+        assert again.subclass_axioms == model.subclass_axioms
+        derived += sum(origin != "asserted" for origin in model.relations.values())
+    assert derived > 0  # derived origins were compared, not only "asserted"
+
+
+def test_emit_rdf_about_is_the_class_iri_when_it_has_one():
+    text = emit_normalized_rdf(load_json(IRI_MODEL)).decode()
+    assert '<owl:Class rdf:about="http://example.org/ns#A"/>' in text
+    # an empty-string IRI loaded from JSON is an IRI, emitted as it is
+    assert '<owl:Class rdf:about="">' in text
+    assert '<owl:Class rdf:about="#C"/>' in text
+
+    parsed = parse_document(
+        b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+        b' xmlns:owl="http://www.w3.org/2002/07/owl#">'
+        b'<owl:Class rdf:about="http://example.org/ns#Town"/></rdf:RDF>',
+        "rdfxml",
+    )
+    text = emit_normalized_rdf(normalize(parsed).model).decode()
+    assert '<owl:Class rdf:about="http://example.org/ns#Town"/>' in text
 
 
 def test_emit_json_is_byte_stable():

@@ -33,7 +33,7 @@ def test_symmetric_snippet():
     assert m.properties == {"colleagueOf": "object"}
     assert m.modifiers == {RawModifier(SYMMETRIC, "colleagueOf")}
     assert list(m.relations) == [("colleagueOf", "Programmer", "Engineer")]
-    assert m.relations[("colleagueOf", "Programmer", "Engineer")].origin == "asserted"
+    assert m.relations[("colleagueOf", "Programmer", "Engineer")] == "asserted"
     assert not m.normalized
 
 
@@ -77,7 +77,7 @@ def test_full_iri_reference():
     m = parse_document(
         doc('<owl:Class rdf:about="http://example.org/ns#Town"/>'), "rdfxml"
     )
-    assert m.classes["Town"].iri == "http://example.org/ns#Town"
+    assert m.classes["Town"] == "http://example.org/ns#Town"
 
 
 def test_malformed_xml():

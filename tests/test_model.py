@@ -1,3 +1,4 @@
+import fuzzonto
 from fuzzonto.model import OntologyModel, RawModifier
 
 
@@ -14,9 +15,9 @@ def build_small():
 def test_first_derivation_wins():
     m = build_small()
     assert not m.add_holding("p", "A", "something-derived")
-    assert m.holdings[("p", "A")].origin == "asserted"
+    assert m.holdings[("p", "A")] == "asserted"
     assert m.add_holding("p", "B", "something-derived")
-    assert m.holdings[("p", "B")].origin == "something-derived"
+    assert m.holdings[("p", "B")] == "something-derived"
 
 
 def test_equivalence_pairs_are_canonical_and_self_free():
@@ -30,11 +31,11 @@ def test_equivalence_pairs_are_canonical_and_self_free():
 def test_touch_class_upgrades_iri_once():
     m = OntologyModel()
     m.touch_class("X")
-    assert m.classes["X"].iri is None
+    assert m.classes["X"] is None
     m.touch_class("X", "http://a#X")
-    assert m.classes["X"].iri == "http://a#X"
+    assert m.classes["X"] == "http://a#X"
     m.touch_class("X", "http://b#X")
-    assert m.classes["X"].iri == "http://a#X"
+    assert m.classes["X"] == "http://a#X"
 
 
 def test_copy_is_independent():
@@ -51,7 +52,7 @@ def test_equality_includes_origins_same_elements_does_not():
     a = build_small()
     b = build_small()
     assert a == b
-    b.holdings[("p", "A")] = b.holdings[("p", "A")].__class__("p", "A", "derived-tag")
+    b.holdings[("p", "A")] = "derived-tag"
     assert a != b
     assert a.same_elements(b)
 
@@ -70,3 +71,8 @@ def test_counts():
     assert counts["holdings"] == 1
     assert counts["subclass"] == 1
     assert counts["total"] == 4
+
+
+def test_every_public_name_resolves():
+    assert len(set(fuzzonto.__all__)) == len(fuzzonto.__all__)
+    assert [name for name in fuzzonto.__all__ if not hasattr(fuzzonto, name)] == []

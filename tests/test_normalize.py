@@ -50,7 +50,7 @@ def test_rewrite_symmetric_swaps_subject_and_object():
         ("colleagueOf", "Engineer", "Programmer"),
     }
     assert not out.modifiers
-    assert out.relations[("colleagueOf", "Engineer", "Programmer")].origin == RULE_SYMMETRIC
+    assert out.relations[("colleagueOf", "Engineer", "Programmer")] == RULE_SYMMETRIC
 
 
 def test_rewrite_symmetric_self_relation_dedupes():
@@ -107,7 +107,7 @@ def test_rewrite_intersection_produces_subclass_axioms():
     out = rewrite_intersection(m)
     assert set(out.subclass_axioms) == {("Man", "Male"), ("Man", "Human")}
     assert not out.modifiers
-    assert out.subclass_axioms[("Man", "Male")].origin == RULE_INTERSECTION
+    assert out.subclass_axioms[("Man", "Male")] == RULE_INTERSECTION
 
 
 def test_rewrite_intersection_single_member():
@@ -138,7 +138,7 @@ def test_rewrite_transitive_closes_chain():
         ("subAreaOf", "Latvia", "EU"),
         ("subAreaOf", "Latgale", "EU"),
     }
-    assert out.relations[("subAreaOf", "Latgale", "EU")].origin == RULE_TRANSITIVE
+    assert out.relations[("subAreaOf", "Latgale", "EU")] == RULE_TRANSITIVE
     assert not out.modifiers
 
 
@@ -173,8 +173,8 @@ def test_close_subclass_hierarchy_adds_transitive_axiom():
         ("City", "Country"),
         ("House", "Country"),
     }
-    assert out.subclass_axioms[("House", "Country")].origin == RULE_SUBCLASS_CLOSURE
-    assert out.subclass_axioms[("House", "City")].origin == "asserted"
+    assert out.subclass_axioms[("House", "Country")] == RULE_SUBCLASS_CLOSURE
+    assert out.subclass_axioms[("House", "City")] == "asserted"
 
 
 def test_close_subclass_hierarchy_single_axiom_unchanged():
@@ -213,8 +213,8 @@ def test_propagate_equivalents_copies_holdings():
     m = parse_fixture("equivalent_property_copy.owl")
     out = propagate_equivalents(m)
     assert set(out.holdings) == {("hasAge", "Person"), ("hasAge", "Human")}
-    assert out.holdings[("hasAge", "Human")].origin == RULE_EQUIV_PROPERTY
-    assert out.holdings[("hasAge", "Person")].origin == "asserted"
+    assert out.holdings[("hasAge", "Human")] == RULE_EQUIV_PROPERTY
+    assert out.holdings[("hasAge", "Person")] == "asserted"
 
 
 def test_propagate_equivalents_copies_subject_relations_across_group():
@@ -231,7 +231,7 @@ def test_propagate_equivalents_copies_subject_relations_across_group():
         ("owns", "B", "Plane"),
         ("owns", "C", "Plane"),
     }
-    assert out.relations[("owns", "B", "Plane")].origin == RULE_EQUIV_RELATION
+    assert out.relations[("owns", "B", "Plane")] == RULE_EQUIV_RELATION
 
 
 def test_propagate_equivalents_identity_without_equivalences():
@@ -246,7 +246,7 @@ def test_lift_relations_walks_object_up_the_hierarchy():
         ("livesIn", "Man", "House"),
         ("livesIn", "Man", "City"),
     }
-    assert out.relations[("livesIn", "Man", "City")].origin == RULE_RELATION_LIFT
+    assert out.relations[("livesIn", "Man", "City")] == RULE_RELATION_LIFT
 
 
 def test_lift_relations_uses_closed_hierarchy():
@@ -334,13 +334,9 @@ def test_traces_are_one_per_derived_element():
         produced = [t.produced for t in result.traces]
         assert len(produced) == len(set(produced)), name
         derived = (
-            sum(1 for h in result.model.holdings.values() if h.origin != "asserted")
-            + sum(1 for r in result.model.relations.values() if r.origin != "asserted")
-            + sum(
-                1
-                for a in result.model.subclass_axioms.values()
-                if a.origin != "asserted"
-            )
+            sum(1 for o in result.model.holdings.values() if o != "asserted")
+            + sum(1 for o in result.model.relations.values() if o != "asserted")
+            + sum(1 for o in result.model.subclass_axioms.values() if o != "asserted")
         )
         equivalence_traces = sum(
             1 for t in result.traces if t.produced.startswith("equivalence")
@@ -393,7 +389,7 @@ def test_transitive_closure_matches_oracle_through_normalize():
             m.add_relation("p", f"N{a}", f"N{b}")
         m.add_modifier(RawModifier(TRANSITIVE, "p"))
         out = normalize(m).model
-        got = {(int(r.subject[1:]), int(r.object[1:])) for r in out.relations.values()}
+        got = {(int(subject[1:]), int(obj[1:])) for _, subject, obj in out.relations}
         assert got == brute_reachable(edges), f"seed {seed}"
 
 
