@@ -17,7 +17,6 @@ from .errors import (
     DuplicateIdentifier,
     FixpointOverflow,
     FuzzontoError,
-    KeyAbsent,
     MalformedDocument,
     NotNormalized,
     UnsupportedConstruct,
@@ -35,21 +34,9 @@ from .membership import (
     assign_relation_mu,
     build_equivalence_groups,
     copy_to_equivalents,
-    count_determiners,
 )
 from .model import Diagnostic, OntologyModel, RawModifier
-from .normalize import (
-    NormalizeResult,
-    RewriteTrace,
-    close_subclass_hierarchy,
-    lift_relations,
-    normalize,
-    propagate_equivalents,
-    rewrite_intersection,
-    rewrite_inverse,
-    rewrite_symmetric,
-    rewrite_transitive,
-)
+from .normalize import NormalizeResult, RewriteTrace, normalize
 from .rules import FuzzyRule, check_consistency, generate_rules
 
 __version__ = "0.1.0"
@@ -63,7 +50,6 @@ __all__ = [
     "FixpointOverflow",
     "FuzzontoError",
     "FuzzyRule",
-    "KeyAbsent",
     "MalformedDocument",
     "MembershipEntry",
     "MembershipTable",
@@ -80,22 +66,14 @@ __all__ = [
     "assign_relation_mu",
     "build_equivalence_groups",
     "check_consistency",
-    "close_subclass_hierarchy",
     "copy_to_equivalents",
-    "count_determiners",
     "decimal6",
     "emit_json",
     "emit_normalized_rdf",
     "generate_rules",
-    "lift_relations",
     "load_json",
     "normalize",
     "parse_document",
-    "propagate_equivalents",
-    "rewrite_intersection",
-    "rewrite_inverse",
-    "rewrite_symmetric",
-    "rewrite_transitive",
     "rules_to_json",
     "rules_to_text",
     "validate_model",

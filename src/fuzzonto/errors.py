@@ -28,7 +28,3 @@ class FixpointOverflow(FuzzontoError):
 
 class NotNormalized(FuzzontoError):
     """An operation requiring a normalized model received a raw one."""
-
-
-class KeyAbsent(FuzzontoError):
-    """A membership key has no occurrence in the model."""

@@ -311,6 +311,8 @@ def load_json(data) -> OntologyModel:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"JSON syntax error: {exc}") from exc
+    except RecursionError:
+        raise MalformedDocument("JSON nesting too deep") from None
     if not isinstance(doc, dict):
         raise MalformedDocument("top-level JSON value must be an object")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import KeyAbsent, NotNormalized
+from .errors import NotNormalized
 from .model import ASSERTED, OntologyModel
 from .partition import UnionFind
 
@@ -83,9 +83,6 @@ class EquivalenceGroups:
 
     def representatives(self, names) -> set[str]:
         return {self.rep(n) for n in names}
-
-    def groups(self) -> list[tuple[str, ...]]:
-        return [self._members_of[rep] for rep in sorted(self._members_of)]
 
 
 @dataclass
@@ -150,27 +147,6 @@ def _determiner_index(m: OntologyModel, kind: str, asserted_only: bool) -> dict:
         if not asserted_only or origin == ASSERTED:
             index.setdefault(key, set()).add(determiner)
     return index
-
-
-def count_determiners(
-    m: OntologyModel,
-    groups: EquivalenceGroups,
-    key,
-    asserted_only: bool = False,
-) -> tuple[int, set[str]]:
-    """Determining classes for a property name or ComplexKey, and their count
-    collapsed to equivalence-group representatives."""
-    if isinstance(key, str):
-        kind, lookup = PROPERTY, key
-    elif key.kind == PART_OF:
-        kind, lookup = PART_OF, key.resulting_class
-    else:
-        kind, lookup = RELATION, (key.predicate, key.resulting_class)
-    determiners = _determiner_index(m, kind, asserted_only).get(lookup)
-    if not determiners:
-        label = key if isinstance(key, str) else key.text
-        raise KeyAbsent(f"no occurrence of {label!r} in the model")
-    return len(groups.representatives(determiners)), determiners
 
 
 def _entry(groups: EquivalenceGroups, determiners: set[str]) -> MembershipEntry:

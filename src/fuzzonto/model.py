@@ -127,9 +127,6 @@ class OntologyModel:
         self.modifiers.add(modifier)
         return True
 
-    def remove_modifier(self, modifier: RawModifier) -> None:
-        self.modifiers.discard(modifier)
-
     # -- views ------------------------------------------------------------
 
     def sorted_modifiers(self) -> list[RawModifier]:

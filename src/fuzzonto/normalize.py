@@ -1,17 +1,21 @@
 """Normalization to standard form: classes, properties, plain relations.
 
-Two stages are applied per pass, in a fixed order:
+normalize() is the only entry point.  Each pass applies two stages in a fixed
+order:
 
-* stage 1 (add implied elements): propagate_equivalents,
-  close_subclass_hierarchy, lift_relations;
-* stage 2 (replace modifier constructs): rewrite_symmetric, rewrite_inverse,
-  rewrite_intersection, rewrite_transitive.
+* stage 1 adds implied elements: equivalence copies of holdings and
+  subject-position relations, the subclass closure (cycles become
+  equivalences), and the lift of relations up the subclass hierarchy;
+* stage 2 replaces the modifiers by plain elements, kind by kind: symmetric
+  and inverse properties mirror relations, an intersection becomes subclass
+  axioms and a transitive property is closed.  Then the modifiers are gone.
 
-The full sequence repeats until a pass leaves the model unchanged, so elements
-produced by stage 2 (say, a relation expanded from a symmetric property) still
-feed stage-1 rules on the next pass.  Every rule only ever adds elements or
-consumes a modifier, so the fixpoint exists; a configurable element budget
-guards against pathological blow-up.
+Passes repeat until one leaves the model unchanged, so elements produced by
+stage 2 (say, a relation expanded from a symmetric property) still feed
+stage-1 rules on the next pass.  Every rule only ever adds elements or drops
+the modifiers, so the fixpoint exists; a configurable element budget guards
+against pathological blow-up.  Every derived element is counted, and traced
+when asked for, through Tracer.record.
 
 Passes after the first only redo what the previous pass's additions call for
 (semi-naive evaluation): the subclass closure reruns only when the axiom set
@@ -23,6 +27,7 @@ removed an element, and the fixpoint ends on the first pass where none did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import closure
 from .errors import FixpointOverflow
@@ -100,20 +105,21 @@ class RewriteTrace:
 
 
 class Tracer:
-    """Counts every derivation per rule; keeps its trace only when enabled.
-
-    Rules check ``enabled`` before rendering elements or looking up a
-    witness, so a disabled tracer costs one counter increment per element.
-    """
+    """Counts every derivation per rule; keeps its trace only when enabled."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.traces: list[RewriteTrace] = []
         self.tally: dict[str, int] = {rule: 0 for rule in ALL_RULES}
 
-    def emit(self, rule: str, produced: str, sources: tuple[str, ...] = ()) -> None:
-        self.traces.append(RewriteTrace(rule, produced, sources))
+    def record(self, rule: str, derivation) -> None:
+        """Count one element derived by rule.  derivation() returns the
+        element and its sources as rendered strings; it is called only when
+        tracing, so a disabled tracer renders nothing and finds no witness."""
         self.tally[rule] += 1
+        if self.enabled:
+            produced, sources = derivation()
+            self.traces.append(RewriteTrace(rule, produced, sources))
 
 
 @dataclass
@@ -127,10 +133,9 @@ class NormalizeResult:
 
 @dataclass
 class _Progress:
-    """What one normalize run carries from pass to pass.
-
-    A fresh instance makes every rule start from scratch, which is what the
-    public single-step operations use.
+    """What one normalize run carries from pass to pass, so that a pass redoes
+    only what the previous pass's additions call for.  A fresh instance makes
+    every rule start from scratch.
     """
 
     closed: set | None = None  # subclass keys the last closure produced
@@ -176,28 +181,26 @@ def _propagate_equivalents(m: OntologyModel, tracer: Tracer) -> bool:
             for member in group:
                 if m.add_holding(prop, member, RULE_EQUIV_PROPERTY):
                     changed = True
-                    if tracer.enabled:
-                        tracer.emit(
-                            RULE_EQUIV_PROPERTY,
+                    tracer.record(
+                        RULE_EQUIV_PROPERTY,
+                        lambda: (
                             el_holding(prop, member),
                             (el_holding(prop, min(found)),),
-                        )
-                    else:
-                        tracer.tally[RULE_EQUIV_PROPERTY] += 1
+                        ),
+                    )
 
         # subject-position relations likewise
         for (pred, obj), found in sorted(by_pattern.items()):
             for member in group:
                 if m.add_relation(pred, member, obj, RULE_EQUIV_RELATION):
                     changed = True
-                    if tracer.enabled:
-                        tracer.emit(
-                            RULE_EQUIV_RELATION,
+                    tracer.record(
+                        RULE_EQUIV_RELATION,
+                        lambda: (
                             el_relation(pred, member, obj),
                             (el_relation(pred, min(found), obj),),
-                        )
-                    else:
-                        tracer.tally[RULE_EQUIV_RELATION] += 1
+                        ),
+                    )
     return changed
 
 
@@ -224,6 +227,14 @@ class _Reach:
         if not common:
             return None
         return (common & -common).bit_length() - 1
+
+    def sources(self, names: list[str], u: int, v: int, render) -> tuple[str, ...]:
+        """The two edges through the witness of (u, v), rendered by
+        render(a, b); empty when there is no witness."""
+        w = self.witness(u, v)
+        if w is None:
+            return ()
+        return (render(names[u], names[w]), render(names[w], names[v]))
 
 
 def _close(edges, bound: int, tracer: Tracer):
@@ -292,14 +303,13 @@ def _merge_cycles(
         for other in cycle[1:]:
             if m.add_equivalence(head, other):
                 changed = True
-                if tracer.enabled:
-                    tracer.emit(
-                        RULE_SUBCLASS_CLOSURE,
+                tracer.record(
+                    RULE_SUBCLASS_CLOSURE,
+                    lambda: (
                         el_equivalence(head, other),
                         (el_subclass(head, other), el_subclass(other, head)),
-                    )
-                else:
-                    tracer.tally[RULE_SUBCLASS_CLOSURE] += 1
+                    ),
+                )
     return changed
 
 
@@ -319,7 +329,6 @@ def _close_subclass_hierarchy(
     )
 
     m.subclass_axioms.clear()
-    added = 0
     for u, v in pairs:
         if u == v:
             continue  # self-axioms are dropped
@@ -329,20 +338,15 @@ def _close_subclass_hierarchy(
             m.add_subclass(sub, sup, origin)
             continue
         m.add_subclass(sub, sup, RULE_SUBCLASS_CLOSURE)
-        added += 1
-        if reach is not None:
-            witness = reach.witness(u, v)
-            sources = ()
-            if witness is not None:
-                w = names[witness]
-                sources = (el_subclass(sub, w), el_subclass(w, sup))
-            tracer.emit(RULE_SUBCLASS_CLOSURE, el_subclass(sub, sup), sources)
-    if reach is None:
-        tracer.tally[RULE_SUBCLASS_CLOSURE] += added
+        changed = True
+        tracer.record(
+            RULE_SUBCLASS_CLOSURE,
+            lambda: (el_subclass(sub, sup), reach.sources(names, u, v, el_subclass)),
+        )
     progress.closed = set(m.subclass_axioms)
     # every old non-self axiom is a pair, so the count differs only when a
     # self-axiom from the input was dropped
-    return changed or added > 0 or len(m.subclass_axioms) != len(old)
+    return changed or len(m.subclass_axioms) != len(old)
 
 
 def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bool:
@@ -381,25 +385,28 @@ def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bo
         ]
     found.sort()
 
-    added = 0
+    changed = False
     for pred, subject, obj, sup in found:
         if not m.add_relation(pred, subject, sup, RULE_RELATION_LIFT):
             continue  # a lesser producer came first
-        added += 1
-        if tracer.enabled:
-            tracer.emit(
-                RULE_RELATION_LIFT,
+        changed = True
+        tracer.record(
+            RULE_RELATION_LIFT,
+            lambda: (
                 el_relation(pred, subject, sup),
                 (el_relation(pred, subject, obj), el_subclass(obj, sup)),
-            )
-    if not tracer.enabled:
-        tracer.tally[RULE_RELATION_LIFT] += added
+            ),
+        )
     progress.lifted = len(relations)
     progress.lift_axioms = set(m.subclass_axioms)
-    return added > 0
+    return changed
 
 
 # -- stage 2 -------------------------------------------------------------------
+
+# the order in which stage 2 applies the modifier kinds; not RawModifier.key
+# order, which would put intersection first and change origins and traces
+_STAGE2_ORDER = {SYMMETRIC: 0, INVERSE: 1, INTERSECTION: 2, TRANSITIVE: 3}
 
 
 def _relations_with(m: OntologyModel, predicate: str) -> list[tuple[str, str, str]]:
@@ -407,182 +414,85 @@ def _relations_with(m: OntologyModel, predicate: str) -> list[tuple[str, str, st
     return sorted(key for key in m.relations if key[0] == predicate)
 
 
-def _rewrite_symmetric(m: OntologyModel, tracer: Tracer) -> bool:
-    changed = False
-    for mod in m.sorted_modifiers():
-        if mod.kind != SYMMETRIC:
-            continue
-        for pred, subject, obj in _relations_with(m, mod.target):
-            if m.add_relation(pred, obj, subject, RULE_SYMMETRIC):
-                if tracer.enabled:
-                    tracer.emit(
-                        RULE_SYMMETRIC,
-                        el_relation(pred, obj, subject),
-                        (el_relation(pred, subject, obj), el_modifier(mod)),
-                    )
-                else:
-                    tracer.tally[RULE_SYMMETRIC] += 1
-        m.remove_modifier(mod)
-        changed = True
-    return changed
-
-
-def _rewrite_inverse(
-    m: OntologyModel, tracer: Tracer, warnings: list[Diagnostic]
-) -> bool:
-    changed = False
-    for mod in m.sorted_modifiers():
-        if mod.kind != INVERSE:
-            continue
-        counterpart = mod.counterpart or mod.target
-        if counterpart not in m.properties:
-            warnings.append(
-                Diagnostic(
-                    "undeclared-inverse",
-                    "warning",
-                    f"inverse property {counterpart} was not declared; created",
-                    el_modifier(mod),
-                )
+def _mirror(
+    m: OntologyModel, tracer: Tracer, rule: str, mod: RawModifier, counterpart: str
+) -> None:
+    """Add counterpart(o, s) for every target(s, o); a symmetric property is
+    its own counterpart."""
+    for pred, subject, obj in _relations_with(m, mod.target):
+        if m.add_relation(counterpart, obj, subject, rule):
+            tracer.record(
+                rule,
+                lambda: (
+                    el_relation(counterpart, obj, subject),
+                    (el_relation(pred, subject, obj), el_modifier(mod)),
+                ),
             )
-            m.declare_property(counterpart, OBJECT)
-        for pred, subject, obj in _relations_with(m, mod.target):
-            if m.add_relation(counterpart, obj, subject, RULE_INVERSE):
-                if tracer.enabled:
-                    tracer.emit(
-                        RULE_INVERSE,
-                        el_relation(counterpart, obj, subject),
-                        (el_relation(pred, subject, obj), el_modifier(mod)),
-                    )
-                else:
-                    tracer.tally[RULE_INVERSE] += 1
-        m.remove_modifier(mod)
-        changed = True
-    return changed
 
 
-def _rewrite_intersection(
-    m: OntologyModel, tracer: Tracer, warnings: list[Diagnostic]
+def _rewrite_modifiers(
+    m: OntologyModel, tracer: Tracer, warnings: list[Diagnostic], bound: int
 ) -> bool:
-    changed = False
-    for mod in m.sorted_modifiers():
-        if mod.kind != INTERSECTION:
-            continue
-        if not mod.members:
-            warnings.append(
-                Diagnostic(
-                    "empty-intersection",
-                    "warning",
-                    f"intersection for {mod.target} lists no members; dropped",
-                    el_modifier(mod),
+    """Replace every modifier by the plain elements it implies, then drop
+    them all.  Kinds go in _STAGE2_ORDER, so a transitive closure sees the
+    relations that mirroring added; within a kind, modifiers go in
+    RawModifier.key order."""
+    if not m.modifiers:
+        return False
+    for mod in sorted(m.modifiers, key=lambda mod: (_STAGE2_ORDER[mod.kind], mod.key())):
+        if mod.kind == SYMMETRIC:
+            _mirror(m, tracer, RULE_SYMMETRIC, mod, mod.target)
+        elif mod.kind == INVERSE:
+            counterpart = mod.counterpart or mod.target
+            if counterpart not in m.properties:
+                warnings.append(
+                    Diagnostic(
+                        "undeclared-inverse",
+                        "warning",
+                        f"inverse property {counterpart} was not declared; created",
+                        el_modifier(mod),
+                    )
                 )
-            )
-        for member in mod.members:
-            if member == mod.target:
-                continue  # vacuous C <= C
-            if m.add_subclass(mod.target, member, RULE_INTERSECTION):
-                if tracer.enabled:
-                    tracer.emit(
+                m.declare_property(counterpart, OBJECT)
+            _mirror(m, tracer, RULE_INVERSE, mod, counterpart)
+        elif mod.kind == INTERSECTION:
+            if not mod.members:
+                warnings.append(
+                    Diagnostic(
+                        "empty-intersection",
+                        "warning",
+                        f"intersection for {mod.target} lists no members; dropped",
+                        el_modifier(mod),
+                    )
+                )
+            for member in mod.members:
+                # member == target would be the vacuous C <= C
+                if member != mod.target and m.add_subclass(
+                    mod.target, member, RULE_INTERSECTION
+                ):
+                    tracer.record(
                         RULE_INTERSECTION,
-                        el_subclass(mod.target, member),
-                        (el_modifier(mod),),
+                        lambda: (el_subclass(mod.target, member), (el_modifier(mod),)),
                     )
-                else:
-                    tracer.tally[RULE_INTERSECTION] += 1
-        m.remove_modifier(mod)
-        changed = True
-    return changed
-
-
-def _rewrite_transitive(m: OntologyModel, tracer: Tracer, bound: int) -> bool:
-    changed = False
-    for mod in m.sorted_modifiers():
-        if mod.kind != TRANSITIVE:
-            continue
-        names, pairs, reach = _close(
-            [(subject, obj) for _, subject, obj in _relations_with(m, mod.target)],
-            bound,
-            tracer,
-        )
-        for u, v in pairs:
-            subject, obj = names[u], names[v]
-            if not m.add_relation(mod.target, subject, obj, RULE_TRANSITIVE):
-                continue
-            if reach is None:
-                tracer.tally[RULE_TRANSITIVE] += 1
-                continue
-            witness = reach.witness(u, v)
-            sources = ()
-            if witness is not None:
-                w = names[witness]
-                sources = (
-                    el_relation(mod.target, subject, w),
-                    el_relation(mod.target, w, obj),
-                )
-            tracer.emit(RULE_TRANSITIVE, el_relation(mod.target, subject, obj), sources)
-        m.remove_modifier(mod)
-        changed = True
-    return changed
-
-
-# -- public single-step operations ----------------------------------------------
-
-
-def propagate_equivalents(m: OntologyModel, tracer: Tracer | None = None) -> OntologyModel:
-    out = m.copy()
-    _propagate_equivalents(out, tracer or Tracer())
-    return out
-
-
-def close_subclass_hierarchy(
-    m: OntologyModel,
-    tracer: Tracer | None = None,
-    warnings: list[Diagnostic] | None = None,
-) -> OntologyModel:
-    out = m.copy()
-    _close_subclass_hierarchy(
-        out, tracer or Tracer(), warnings if warnings is not None else [], 0, _Progress()
-    )
-    return out
-
-
-def lift_relations(m: OntologyModel, tracer: Tracer | None = None) -> OntologyModel:
-    out = m.copy()
-    _lift_relations(out, tracer or Tracer(), _Progress())
-    return out
-
-
-def rewrite_symmetric(m: OntologyModel, tracer: Tracer | None = None) -> OntologyModel:
-    out = m.copy()
-    _rewrite_symmetric(out, tracer or Tracer())
-    return out
-
-
-def rewrite_inverse(
-    m: OntologyModel,
-    tracer: Tracer | None = None,
-    warnings: list[Diagnostic] | None = None,
-) -> OntologyModel:
-    out = m.copy()
-    _rewrite_inverse(out, tracer or Tracer(), warnings if warnings is not None else [])
-    return out
-
-
-def rewrite_intersection(
-    m: OntologyModel,
-    tracer: Tracer | None = None,
-    warnings: list[Diagnostic] | None = None,
-) -> OntologyModel:
-    out = m.copy()
-    _rewrite_intersection(
-        out, tracer or Tracer(), warnings if warnings is not None else []
-    )
-    return out
-
-
-def rewrite_transitive(m: OntologyModel, tracer: Tracer | None = None) -> OntologyModel:
-    out = m.copy()
-    _rewrite_transitive(out, tracer or Tracer(), 0)
-    return out
+        else:
+            pred = mod.target
+            names, pairs, reach = _close(
+                [(subject, obj) for _, subject, obj in _relations_with(m, pred)],
+                bound,
+                tracer,
+            )
+            render = partial(el_relation, pred)
+            for u, v in pairs:
+                if m.add_relation(pred, names[u], names[v], RULE_TRANSITIVE):
+                    tracer.record(
+                        RULE_TRANSITIVE,
+                        lambda: (
+                            render(names[u], names[v]),
+                            reach.sources(names, u, v, render),
+                        ),
+                    )
+    m.modifiers.clear()
+    return True
 
 
 # -- fixpoint driver -------------------------------------------------------------
@@ -610,10 +520,7 @@ def normalize(
             changed = _propagate_equivalents(work, tracer)
             changed |= _close_subclass_hierarchy(work, tracer, warnings, bound, progress)
             changed |= _lift_relations(work, tracer, progress)
-            changed |= _rewrite_symmetric(work, tracer)
-            changed |= _rewrite_inverse(work, tracer, warnings)
-            changed |= _rewrite_intersection(work, tracer, warnings)
-            changed |= _rewrite_transitive(work, tracer, bound)
+            changed |= _rewrite_modifiers(work, tracer, warnings, bound)
         except OverflowError:
             raise FixpointOverflow(work.element_count(), bound) from None
         passes += 1

@@ -46,24 +46,26 @@ def check_consistency(
 ) -> list[Diagnostic]:
     """Violations of the reciprocity identity; empty on generator output."""
     out: list[Diagnostic] = []
-    by_premise: dict[str, list[FuzzyRule]] = {}
+    # by key, not by text: a predicate named part_of gives relation keys that
+    # print like the part_of keys of the same class
+    by_premise: dict[str | ComplexKey, list[FuzzyRule]] = {}
     for rule in rules:
-        by_premise.setdefault(rule.premise_text, []).append(rule)
+        by_premise.setdefault(rule.premise, []).append(rule)
 
-    for premise in sorted(by_premise):
-        bucket = by_premise[premise]
-        values = {rule.mu for rule in bucket}
-        if len(values) > 1:
+    for bucket in sorted(by_premise.values(), key=lambda b: b[0].premise_text):
+        premise = bucket[0].premise_text
+        mu = bucket[0].mu
+        if any(rule.mu != mu for rule in bucket):
+            values = len({rule.mu for rule in bucket})
             out.append(
                 Diagnostic(
                     "mixed-mu",
                     "error",
-                    f"premise {premise!r} carries {len(values)} distinct mu values",
+                    f"premise {premise!r} carries {values} distinct mu values",
                     premise,
                 )
             )
             continue
-        mu = bucket[0].mu
         reps = annotated.groups.representatives(r.conclusion for r in bucket)
         if mu * len(reps) != 1:
             out.append(

@@ -27,10 +27,7 @@ from fuzzonto.normalize import (
     _close_subclass_hierarchy,
     _equivalence_groups,
     _Progress,
-    _rewrite_intersection,
-    _rewrite_inverse,
-    _rewrite_symmetric,
-    _rewrite_transitive,
+    _rewrite_modifiers,
     el_holding,
     el_relation,
     el_subclass,
@@ -210,7 +207,9 @@ def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
             source = el_holding(prop, min(by_property[prop]))
             for member in group:
                 if m.add_holding(prop, member, RULE_EQUIV_PROPERTY):
-                    tracer.emit(RULE_EQUIV_PROPERTY, el_holding(prop, member), (source,))
+                    tracer.record(
+                        RULE_EQUIV_PROPERTY, lambda: (el_holding(prop, member), (source,))
+                    )
         by_pattern: dict = {}
         for pred, subject, obj in sorted(m.relations):
             if subject in members:
@@ -219,8 +218,9 @@ def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
             source = el_relation(pred, min(by_pattern[(pred, obj)]), obj)
             for member in group:
                 if m.add_relation(pred, member, obj, RULE_EQUIV_RELATION):
-                    tracer.emit(
-                        RULE_EQUIV_RELATION, el_relation(pred, member, obj), (source,)
+                    tracer.record(
+                        RULE_EQUIV_RELATION,
+                        lambda: (el_relation(pred, member, obj), (source,)),
                     )
 
 
@@ -232,10 +232,12 @@ def _reference_lift(m: OntologyModel, tracer: Tracer) -> None:
     for pred, subject, obj in sorted(m.relations):
         for sup in supers.get(obj, ()):
             if m.add_relation(pred, subject, sup, RULE_RELATION_LIFT):
-                tracer.emit(
+                tracer.record(
                     RULE_RELATION_LIFT,
-                    el_relation(pred, subject, sup),
-                    (el_relation(pred, subject, obj), el_subclass(obj, sup)),
+                    lambda: (
+                        el_relation(pred, subject, sup),
+                        (el_relation(pred, subject, obj), el_subclass(obj, sup)),
+                    ),
                 )
 
 
@@ -244,8 +246,8 @@ def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
     copies, reruns the subclass closure from scratch, re-lifts every relation
     and compares canonical() before and after to decide whether to go on.
 
-    Unlike the oracles above it shares the subclass closure and the modifier
-    rewrites with the production code; what it checks is the delta-driven
+    Unlike the oracles above it shares the subclass closure and the stage-2
+    modifier rewrite with the production code; what it checks is the delta-driven
     driver, lift and change detection.  Because the closure starts fresh on
     every pass, its cycle warnings repeat once per pass.
 
@@ -261,10 +263,7 @@ def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
         _reference_propagate(work, tracer)
         _close_subclass_hierarchy(work, tracer, warnings, bound, _Progress())
         _reference_lift(work, tracer)
-        _rewrite_symmetric(work, tracer)
-        _rewrite_inverse(work, tracer, warnings)
-        _rewrite_intersection(work, tracer, warnings)
-        _rewrite_transitive(work, tracer, bound)
+        _rewrite_modifiers(work, tracer, warnings, bound)
         passes += 1
         if work.canonical() == before:
             break

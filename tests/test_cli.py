@@ -76,6 +76,16 @@ def test_exit_1_on_malformed_input(tmp_path, capsys):
     assert "error[parse]" in err
 
 
+def test_exit_1_on_deeply_nested_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "rules", str(deep))
+    assert code == 1
+    assert err.startswith("error[parse]")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_exit_1_on_missing_file(capsys):
     code, _, err = run(capsys, "rules", "/nonexistent/input.owl")
     assert code == 1

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import normalize_fixture
 from fuzzonto import (
-    KeyAbsent,
     NotNormalized,
     OntologyModel,
     assign_all,
@@ -14,7 +13,6 @@ from fuzzonto import (
     assign_relation_mu,
     build_equivalence_groups,
     copy_to_equivalents,
-    count_determiners,
     normalize,
 )
 from fuzzonto.membership import (
@@ -56,10 +54,11 @@ def test_groups_close_transitively():
 
 def test_groups_are_singletons_without_equivalences():
     groups = build_equivalence_groups(blank_normalized("X", "Y"))
-    assert groups.groups() == [("X",), ("Y",)]
+    assert [groups.members(name) for name in ("X", "Y")] == [("X",), ("Y",)]
+    assert groups.representatives(["X", "Y"]) == {"X", "Y"}
 
 
-# -- count_determiners ---------------------------------------------------------
+# -- determiner counts ---------------------------------------------------------
 
 
 def test_count_property_holders():
@@ -67,9 +66,9 @@ def test_count_property_holders():
     m.declare_property("hasAge", "datatype")
     for holder in ("Man", "Woman", "Child"):
         m.add_holding("hasAge", holder)
-    n, classes = count_determiners(m, build_equivalence_groups(m), "hasAge")
-    assert n == 3
-    assert classes == {"Man", "Woman", "Child"}
+    entry = assign_property_mu(m, build_equivalence_groups(m))["hasAge"]
+    assert entry.mu == Fraction(1, 3)
+    assert entry.determiners == ("Child", "Man", "Woman")
 
 
 def test_count_collapses_equivalent_holders():
@@ -78,30 +77,25 @@ def test_count_collapses_equivalent_holders():
     m.add_holding("hasAge", "A")
     m.add_holding("hasAge", "B")
     m.add_equivalence("A", "B")
-    n, classes = count_determiners(m, build_equivalence_groups(m), "hasAge")
-    assert n == 1
-    assert classes == {"A", "B"}
+    entry = assign_property_mu(m, build_equivalence_groups(m))["hasAge"]
+    assert entry.mu == Fraction(1)
+    assert entry.determiners == ("A", "B")
 
 
 def test_count_partof_complex():
     m = blank_normalized("Paris", "France")
     m.add_subclass("Paris", "France")
-    n, classes = count_determiners(
-        m, build_equivalence_groups(m), ComplexKey.part_of("France")
-    )
-    assert n == 1
-    assert classes == {"Paris"}
+    entry = assign_partof_mu(m, build_equivalence_groups(m))[ComplexKey.part_of("France")]
+    assert entry.mu == Fraction(1)
+    assert entry.determiners == ("Paris",)
 
 
-def test_count_missing_key_raises():
+def test_absent_key_has_no_entry():
     m = blank_normalized("A")
-    groups = build_equivalence_groups(m)
-    with pytest.raises(KeyAbsent):
-        count_determiners(m, groups, "ghost")
-    with pytest.raises(KeyAbsent):
-        count_determiners(m, groups, ComplexKey.relation("r", "A"))
-    with pytest.raises(KeyAbsent):
-        count_determiners(m, groups, ComplexKey.part_of("A"))
+    table = assign_all(m).table
+    assert "ghost" not in table.property_mu
+    assert ComplexKey.relation("r", "A") not in table.complex_mu
+    assert ComplexKey.part_of("A") not in table.complex_mu
 
 
 # -- assignment -----------------------------------------------------------------
@@ -226,8 +220,6 @@ def test_assign_all_totality_matches_brute_enumeration():
         expected = brute_table(model, asserted_only=asserted_only)
         got = {}
         for kind, key, entry in annotated.table.entries():
-            n, _ = count_determiners(model, annotated.groups, key, asserted_only)
-            assert Fraction(1, n) == entry.mu, f"{where}: {key}"
             if kind == PROPERTY:
                 got[(PROPERTY, key)] = entry
             elif kind == PART_OF:

@@ -93,6 +93,32 @@ def test_consistency_flags_mixed_mu():
     assert [v.code for v in check_consistency(rules, annotated)] == ["mixed-mu"]
 
 
+def test_consistency_tells_apart_premises_that_print_alike():
+    """A predicate named part_of gives the relation key "part_of X", which
+    prints like the subclass key "part_of X"; the two keys carry different mu
+    values and neither is mixed."""
+    m = OntologyModel()
+    for name in ("A", "B", "C", "X"):
+        m.touch_class(name)
+    m.declare_property("part_of", "object")
+    m.add_subclass("A", "X")
+    m.add_relation("part_of", "B", "X")
+    m.add_relation("part_of", "C", "X")
+    annotated = assign_all(normalize(m).model)
+    rules = generate_rules(annotated)
+    assert [(r.premise_text, r.conclusion, r.mu) for r in rules] == [
+        ("part_of X", "A", Fraction(1)),
+        ("part_of X", "B", Fraction(1, 2)),
+        ("part_of X", "C", Fraction(1, 2)),
+    ]
+    assert check_consistency(rules, annotated) == []
+
+    # a wrong mu under either key is still caught, and reported by its text
+    wrong = [rules[0], rules[1], FuzzyRule(rules[2].premise, "C", Fraction(1, 3))]
+    violations = check_consistency(wrong, annotated)
+    assert [(v.code, v.location) for v in violations] == [("mixed-mu", "part_of X")]
+
+
 def test_consistency_collapses_equivalent_conclusions():
     m = OntologyModel()
     for name in ("A", "B", "C"):
