@@ -37,6 +37,16 @@ EXIT_UNSUPPORTED = 3
 EXIT_OVERFLOW = 4
 
 
+def _element_budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzonto",
@@ -62,10 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", metavar="PATH", help="write a run report to PATH")
         p.add_argument(
             "--max-elements",
-            type=int,
+            type=_element_budget,
             default=DEFAULT_BOUND,
             metavar="N",
-            help=f"element budget for normalization (default {DEFAULT_BOUND})",
+            help=f"element budget for normalization, 0 for none (default {DEFAULT_BOUND})",
         )
         p.add_argument("--out", metavar="PATH", help="write output to PATH, not stdout")
 
@@ -186,7 +196,7 @@ def run_pipeline(args: list[str]) -> int:
     _emit_output(output, options.out)
 
     if options.trace and not options.report:
-        sys.stderr.buffer.write(emit.dump_json(emit.traces_to_obj(result.traces)))
+        sys.stderr.buffer.write(emit.traces_to_json(result.traces))
     if options.report:
         report = _build_report(options, model, result, diagnostics, timings)
         write_atomic(options.report, emit.dump_json(report))

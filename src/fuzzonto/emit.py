@@ -17,7 +17,7 @@ from .errors import NotNormalized
 from .ingest import OWL_NS, RDF_NS, RDFS_NS, SCHEMA_VERSION
 from .membership import PART_OF, PROPERTY, AnnotatedOntology
 from .model import DATATYPE, INTERSECTION, INVERSE, OntologyModel
-from .rules import FuzzyRule
+from .rules import FuzzyRule, premise_text, rule_runs
 
 _SIX_PLACES = Decimal("0.000001")
 
@@ -198,64 +198,70 @@ def annotated_to_json(annotated: AnnotatedOntology) -> bytes:
     )
 
 
-def _premise_to_obj(premise) -> dict:
+def _premise_block(premise) -> str:
+    """A rule's premise object as dump_json renders it, from one template per
+    kind."""
     if isinstance(premise, str):
-        return {"kind": PROPERTY, "property": premise}
+        return (
+            '{\n        "kind": "property",\n'
+            f'        "property": {_quote(premise)}\n      }}'
+        )
     if premise.kind == PART_OF:
-        return {"kind": PART_OF, "class": premise.resulting_class}
-    return {
-        "kind": premise.kind,
-        "predicate": premise.predicate,
-        "class": premise.resulting_class,
-    }
-
-
-def _rule_field_block(obj: dict) -> str:
-    """A flat dict of scalars as dump_json renders it as a field of a rule."""
-    fields = ",\n".join(
-        f"        {_quote(key)}: "
-        + (_quote(value) if isinstance(value, str) else json.dumps(value))
-        for key, value in sorted(obj.items())
+        return (
+            f'{{\n        "class": {_quote(premise.resulting_class)},\n'
+            '        "kind": "part_of"\n      }'
+        )
+    return (
+        f'{{\n        "class": {_quote(premise.resulting_class)},\n'
+        f'        "kind": {_quote(premise.kind)},\n'
+        f'        "predicate": {_quote(premise.predicate)}\n      }}'
     )
-    return "{\n" + fields + "\n      }"
+
+
+def _mu_block(mu: Fraction) -> str:
+    return (
+        f'{{\n        "decimal": "{decimal6(mu)}",\n'
+        f'        "den": {mu.denominator},\n        "num": {mu.numerator}\n      }}'
+    )
 
 
 def rules_to_json(rules: list[FuzzyRule]) -> bytes:
-    """The bytes dump_json gives for {"schema", "rules": [...]}, written
-    record by record.
+    """The bytes dump_json gives for {"schema", "rules": [...]}, written run
+    by run.
 
     The stdlib encodes indented JSON in pure Python.  Every rule record has
-    the same shape, so it is written here directly, with C string escaping,
-    and each distinct premise and mu block is rendered once.
+    the same shape, so it is written here directly, with C string escaping.
+    The records of a run differ only in their conclusion: the text around it
+    is built once per run and the quoted conclusions are joined with it.
+    Each run is encoded on its own, so the document is copied whole once.
     """
-    premise_blocks: dict = {}
     mu_blocks: dict = {}
-    records = []
-    for r in rules:
-        premise = premise_blocks.get(r.premise)
-        if premise is None:
-            premise = premise_blocks[r.premise] = _rule_field_block(
-                _premise_to_obj(r.premise)
-            )
-        mu_key = (r.mu.numerator, r.mu.denominator)  # cheaper to hash than a Fraction
-        mu = mu_blocks.get(mu_key)
-        if mu is None:
-            mu = mu_blocks[mu_key] = _rule_field_block(mu_to_obj(r.mu))
-        records.append(
-            f'    {{\n      "category": {_quote(r.category)},\n'
-            f'      "conclusion": {_quote(r.conclusion)},\n'
-            f'      "mu": {mu},\n      "premise": {premise}\n    }}'
+    chunks = [b'{\n  "rules": [']
+    sep = "\n"
+    for (premise, mu, category), conclusions in rule_runs(rules):
+        mu_key = (mu.numerator, mu.denominator)  # cheaper to hash than a Fraction
+        mu_block = mu_blocks.get(mu_key)
+        if mu_block is None:
+            mu_block = mu_blocks[mu_key] = _mu_block(mu)
+        head = f'    {{\n      "category": {_quote(category)},\n      "conclusion": '
+        tail = (
+            f',\n      "mu": {mu_block},\n'
+            f'      "premise": {_premise_block(premise)}\n    }}'
         )
-    body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
-    return (
-        f'{{\n  "rules": {body},\n  "schema": {_quote(SCHEMA_VERSION)}\n}}\n'
-    ).encode("utf-8")
+        run = (tail + ",\n" + head).join(map(_quote, conclusions))
+        chunks.append((sep + head + run + tail).encode("utf-8"))
+        sep = ",\n"
+    chunks.append(b"\n  ]" if len(chunks) > 1 else b"]")
+    chunks.append(f',\n  "schema": {_quote(SCHEMA_VERSION)}\n}}\n'.encode("utf-8"))
+    return b"".join(chunks)
 
 
 def rules_to_text(rules: list[FuzzyRule]) -> str:
-    return "".join(
-        f"IF {r.premise_text} (mu={decimal6(r.mu)}) THEN {r.conclusion}\n" for r in rules
-    )
+    lines = []
+    for (premise, mu, _), conclusions in rule_runs(rules):
+        prefix = f"IF {premise_text(premise)} (mu={decimal6(mu)}) THEN "
+        lines.append(prefix + ("\n" + prefix).join(conclusions) + "\n")
+    return "".join(lines)
 
 
 def traces_to_obj(traces) -> list[dict]:
@@ -263,3 +269,24 @@ def traces_to_obj(traces) -> list[dict]:
         {"rule": t.rule, "produced": t.produced, "sources": list(t.sources)}
         for t in traces
     ]
+
+
+def traces_to_json(traces) -> bytes:
+    """The bytes dump_json(traces_to_obj(traces)) gives, written record by
+    record like rules_to_json."""
+    chunks = [b"["]
+    sep = "\n"
+    for t in traces:
+        sources = (
+            "[\n      " + ",\n      ".join(map(_quote, t.sources)) + "\n    ]"
+            if t.sources
+            else "[]"
+        )
+        record = (
+            f'{sep}  {{\n    "produced": {_quote(t.produced)},\n'
+            f'    "rule": {_quote(t.rule)},\n    "sources": {sources}\n  }}'
+        )
+        chunks.append(record.encode("utf-8"))
+        sep = ",\n"
+    chunks.append(b"\n]\n" if len(chunks) > 1 else b"]\n")
+    return b"".join(chunks)

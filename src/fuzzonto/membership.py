@@ -9,17 +9,23 @@ one per equivalence group:
 * any other relation complex (one per distinct predicate/object pair) is
   determined by the subjects pointing at its resulting class.
 
-Values are exact rationals; rendering to decimals happens at serialization
-only.  After assignment, determining sets are widened so that every member of
-an equivalence group appears wherever its representative does — mu itself
-never changes, because n is counted over representatives.
+Values are exact rationals, one ``Fraction`` per distinct n; rendering to
+decimals happens at serialization only.  After assignment, determining sets
+are widened so that every member of an equivalence group appears wherever
+its representative does — mu itself never changes, because n is counted over
+representatives.
+
+Only groups of two or more classes are stored: a class outside them is its
+own representative, so counting and widening look up just the determiners
+that sit in a shared group, and an entry with none is kept as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import NotNormalized
 from .model import ASSERTED, OntologyModel
@@ -30,17 +36,13 @@ RELATION = "relation"
 PROPERTY = "property"
 
 
-@dataclass(frozen=True)
-class ComplexKey:
+class ComplexKey(namedtuple("ComplexKey", "kind predicate resulting_class")):
     """A relation bundled with its resulting class, acting as one premise.
 
     kind PART_OF keys on subclass axioms (predicate is None); kind RELATION
-    keys on ordinary predicates.
+    keys on ordinary predicates.  A named tuple, so keys hash and compare in
+    C; the rendered ``text`` is cached in the instance dict.
     """
-
-    kind: str
-    predicate: str | None
-    resulting_class: str
 
     @classmethod
     def part_of(cls, resulting_class: str) -> ComplexKey:
@@ -69,20 +71,29 @@ class MembershipEntry:
 
 
 class EquivalenceGroups:
-    """Partition of all class names; representative = least member name."""
+    """Equivalence groups of two or more classes; representative = least
+    member name.  Any other class is its own representative and sole member.
+
+    ``rep_of`` maps exactly the classes in such groups to their representative.
+    """
 
     def __init__(self, rep_of: dict[str, str], members_of: dict[str, tuple[str, ...]]):
-        self._rep_of = rep_of
+        self.rep_of = rep_of
         self._members_of = members_of
 
     def rep(self, name: str) -> str:
-        return self._rep_of.get(name, name)
+        return self.rep_of.get(name, name)
 
     def members(self, name: str) -> tuple[str, ...]:
         return self._members_of.get(self.rep(name), (name,))
 
     def representatives(self, names) -> set[str]:
-        return {self.rep(n) for n in names}
+        reps = set(names)
+        shared = self.rep_of.keys() & reps
+        if shared:
+            reps -= shared
+            reps.update(self.rep_of[name] for name in shared)
+        return reps
 
 
 @dataclass
@@ -115,12 +126,12 @@ class AnnotatedOntology:
 
 
 def build_equivalence_groups(m: OntologyModel) -> EquivalenceGroups:
-    uf = UnionFind(m.classes)
+    uf = UnionFind()
     for a, b in m.equivalences:
         uf.union(a, b)
     rep_of: dict[str, str] = {}
     members_of: dict[str, tuple[str, ...]] = {}
-    for group in uf.groups():
+    for group in uf.groups():  # each has two or more members: no self-pairs
         members = tuple(group)
         rep = members[0]
         members_of[rep] = members
@@ -149,9 +160,16 @@ def _determiner_index(m: OntologyModel, kind: str, asserted_only: bool) -> dict:
     return index
 
 
+@lru_cache(maxsize=4096)
+def _unit_fraction(n: int) -> Fraction:
+    """1/n, one shared object per n: a Fraction is immutable, and the bound
+    caps what a long-lived process keeps."""
+    return Fraction(1, n)
+
+
 def _entry(groups: EquivalenceGroups, determiners: set[str]) -> MembershipEntry:
     n = len(groups.representatives(determiners))
-    return MembershipEntry(Fraction(1, n), tuple(sorted(determiners)))
+    return MembershipEntry(_unit_fraction(n), tuple(sorted(determiners)))
 
 
 def assign_property_mu(
@@ -187,10 +205,13 @@ def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
     groups = annotated.groups
 
     def widen(entry: MembershipEntry) -> MembershipEntry:
-        widened: set[str] = set()
-        for name in entry.determiners:
+        shared = groups.rep_of.keys() & entry.determiners
+        if not shared:
+            return entry
+        widened = set(entry.determiners)
+        for name in shared:
             widened.update(groups.members(name))
-        return replace(entry, determiners=tuple(sorted(widened)))
+        return MembershipEntry(entry.mu, tuple(sorted(widened)))
 
     table = MembershipTable(
         property_mu={k: widen(v) for k, v in annotated.table.property_mu.items()},

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import fixture_path
 from fuzzonto import load_json, parse_document
 from fuzzonto.cli import run_pipeline
@@ -131,6 +133,23 @@ def test_exit_4_on_fixpoint_overflow(capsys):
     )
     assert code == 4
     assert "fixpoint-overflow" in err
+
+
+def test_negative_element_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_pipeline(["rules", str(fixture_path("paris_france.owl")), "--max-elements=-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-elements: must be 0 or more, got -1" in err
+    assert "fixpoint-overflow" not in err
+
+
+def test_zero_element_budget_disables_the_bound(capsys):
+    code, out, _ = run(
+        capsys, "rules", str(fixture_path("subclass_chain.owl")), "--max-elements", "0"
+    )
+    assert code == 0
+    assert json.loads(out)["rules"]
 
 
 def test_out_writes_file_and_keeps_stdout_clean(tmp_path, capsys):

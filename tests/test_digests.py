@@ -71,7 +71,7 @@ def _digests() -> dict:
         outputs = {
             "rules_json": emit.rules_to_json(rules),
             "rules_text": emit.rules_to_text(rules).encode("utf-8"),
-            "traces": emit.dump_json(emit.traces_to_obj(result.traces)),
+            "traces": emit.traces_to_json(result.traces),
             "model_json": emit.emit_json(result.model),
             "model_rdfxml": emit.emit_normalized_rdf(result.model),
             "assign_json": emit.annotated_to_json(annotated),

@@ -16,8 +16,15 @@ from fuzzonto import (
     rules_to_json,
     rules_to_text,
 )
-from fuzzonto.emit import annotated_to_json, decimal6, dump_json, traces_to_obj
+from fuzzonto.emit import (
+    annotated_to_json,
+    decimal6,
+    dump_json,
+    traces_to_json,
+    traces_to_obj,
+)
 from fuzzonto.membership import ComplexKey
+from fuzzonto.normalize import RewriteTrace
 from fuzzonto.rules import FuzzyRule
 from randmodels import random_model
 
@@ -191,18 +198,43 @@ def test_rules_json_equals_generic_encoding_on_random_models():
         assert rules_to_json(rules) == generic_rules_json(rules), f"seed {seed}"
 
 
+def generic_rules_text(rules) -> str:
+    return "".join(
+        f"IF {r.premise_text} (mu={decimal6(r.mu)}) THEN {r.conclusion}\n"
+        for r in rules
+    )
+
+
 def test_rules_json_equals_generic_encoding_on_awkward_strings():
+    """Single rules and runs of two or more that share premise, mu and
+    category; a run also ends where only the mu or only the category
+    changes, and one premise comes back after another's run."""
     awkward = ['q"uote', "back\\slash", "\u00c4rger", "line\u2028sep", "tab\tnl\n\x00\x1f"]
     rules = []
     for i, name in enumerate(awkward):
         mu = Fraction(1, i + 1)
+        part_of = ComplexKey.part_of(name)
         rules += [
             FuzzyRule(name, name, mu),
-            FuzzyRule(ComplexKey.part_of(name), "C", mu, category=name),
+            FuzzyRule(part_of, "C", mu, category=name),
+            FuzzyRule(part_of, name, mu, category=name),
+            FuzzyRule(part_of, "D", Fraction(1, i + 1), category=name),
+            FuzzyRule(part_of, "E", mu),  # category changes
+            FuzzyRule(part_of, "F", Fraction(1, 9)),  # mu changes
             FuzzyRule(ComplexKey.relation(name, name), name, Fraction(1, 7)),
+            FuzzyRule(ComplexKey.relation(name, name), "C", Fraction(1, 7)),
+            FuzzyRule(name, "G", mu),  # back after other premises
         ]
     assert rules_to_json(rules) == generic_rules_json(rules)
+    assert rules_to_text(rules) == generic_rules_text(rules)
     assert rules_to_json([]) == generic_rules_json([])
+    assert rules_to_text([]) == ""
+
+
+def test_rules_text_equals_generic_rendering_on_random_models():
+    for seed in range(200):
+        rules = generate_rules(assign_all(normalize(random_model(seed)).model))
+        assert rules_to_text(rules) == generic_rules_text(rules), f"seed {seed}"
 
 
 def test_traces_serialize_to_plain_objects():
@@ -216,3 +248,16 @@ def test_traces_serialize_to_plain_objects():
         }
     ]
     dump_json(objs)  # must be JSON-serializable as-is
+
+
+def test_traces_json_equals_generic_encoding():
+    awkward = RewriteTrace('q"uote', "\u00c4rger\\", ("line\u2028sep", "\x00"))
+    cases = [
+        [],
+        [RewriteTrace("r", "x")],  # empty sources print []
+        [awkward, RewriteTrace("r", "x", ("one",)), RewriteTrace("r", "y")],
+    ]
+    cases += [list(normalize_fixture(name).traces) for name in FIXTURE_NAMES]
+    cases += [normalize(random_model(seed), trace=True).traces for seed in range(50)]
+    for traces in cases:
+        assert traces_to_json(traces) == dump_json(traces_to_obj(traces))

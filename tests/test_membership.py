@@ -172,6 +172,54 @@ def test_copy_to_equivalents_widens_determiners_not_mu():
     assert entry.determiners == ("Human", "Person")
 
 
+def test_copy_widens_every_shared_determiner():
+    """Determiners from two groups and one outside any group: both groups
+    are widened in full, and n counts one representative per group."""
+    m = blank_normalized("A", "B", "C", "D", "E", "F")
+    m.add_equivalence("A", "B")
+    m.add_equivalence("D", "E")
+    m.add_equivalence("E", "F")
+    m.declare_property("p", "datatype")
+    for holder in ("B", "C", "F"):
+        m.add_holding("p", holder)
+    m.declare_property("q", "datatype")
+    m.add_holding("q", "C")
+    table = assign_all(m).table.property_mu
+    assert table["p"].mu == Fraction(1, 3)
+    assert table["p"].determiners == ("A", "B", "C", "D", "E", "F")
+    assert table["q"].determiners == ("C",)
+
+
+def test_groups_keep_only_shared_classes():
+    m = blank_normalized("A", "B", "C")
+    m.add_equivalence("A", "B")
+    groups = build_equivalence_groups(m)
+    assert groups.rep_of == {"A": "A", "B": "A"}
+    assert groups.members("C") == ("C",)
+    assert groups.representatives(["A", "B", "C"]) == {"A", "C"}
+
+
+def test_copy_keeps_entries_without_shared_determiners():
+    m = normalized("equivalent_property_copy.owl")
+    m.touch_class("Loner")
+    m.declare_property("solo", "datatype")
+    m.add_holding("solo", "Loner")
+    annotated = assign_all(m)
+    entry = annotated.table.property_mu["solo"]
+    assert copy_to_equivalents(annotated).table.property_mu["solo"] is entry
+
+
+def test_equal_denominators_share_one_fraction():
+    m = blank_normalized("A", "B", "C", "D")
+    for prop, holders in (("p", "AB"), ("q", "CD"), ("r", "A")):
+        m.declare_property(prop, "datatype")
+        for holder in holders:
+            m.add_holding(prop, holder)
+    table = assign_all(m).table.property_mu
+    assert table["p"].mu is table["q"].mu
+    assert table["r"].mu == Fraction(1)
+
+
 def test_copy_without_equivalences_is_identity():
     m = normalized("relation_lift.owl")
     annotated = assign_all(m)

@@ -145,3 +145,118 @@ def test_each_premise_is_rendered_once_per_run():
         assert len({id(text) for text in texts}) == len(
             {r.premise for r in complex_rules}
         ), seed
+
+
+def sorted_entries_rules(annotated):
+    """The plain definition: one rule per (key, determiner) from entries(),
+    sorted by (premise text, conclusion)."""
+    rules = [
+        FuzzyRule(premise=key, conclusion=conclusion, mu=entry.mu)
+        for _, key, entry in annotated.table.entries()
+        for conclusion in entry.determiners
+    ]
+    return sorted(rules, key=lambda r: (r.premise_text, r.conclusion))
+
+
+def alike_premises_model() -> OntologyModel:
+    """Premises that print alike across and within kinds: the property
+    "part_of X", the part_of key of X, the relation key of a predicate named
+    part_of, and the relation keys ("a b", "c") and ("a", "b c")."""
+    m = OntologyModel()
+    for name in ("A", "B", "C", "D", "E", "X", "c", "b c"):
+        m.touch_class(name)
+    m.declare_property("part_of X", "datatype")
+    m.add_holding("part_of X", "B")
+    m.add_holding("part_of X", "E")
+    m.add_subclass("C", "X")
+    m.add_subclass("A", "X")
+    m.declare_property("part_of", "object")
+    m.add_relation("part_of", "D", "X")
+    m.add_relation("part_of", "B", "X")
+    m.declare_property("a b", "object")
+    m.declare_property("a", "object")
+    m.add_relation("a b", "E", "c")
+    m.add_relation("a b", "A", "c")
+    m.add_relation("a", "A", "b c")
+    m.add_relation("a", "D", "b c")
+    m.add_equivalence("D", "E")
+    return m
+
+
+def test_generate_rules_equals_sorted_entries_on_random_models():
+    for seed in range(300):
+        model = normalize(random_model(seed)).model
+        for asserted_only in (False, True):
+            annotated = assign_all(model, asserted_only=asserted_only)
+            assert generate_rules(annotated) == sorted_entries_rules(annotated), (
+                f"seed {seed} asserted_only={asserted_only}"
+            )
+
+
+def test_generate_rules_merges_premises_that_print_alike():
+    annotated = assign_all(normalize(alike_premises_model()).model)
+    rules = generate_rules(annotated)
+    assert rules == sorted_entries_rules(annotated)
+
+    def described(rule):
+        if isinstance(rule.premise, str):
+            return (rule.premise_text, rule.conclusion, "property")
+        key = rule.premise
+        return (rule.premise_text, rule.conclusion, key.kind, key.predicate)
+
+    # merged by conclusion; a tie keeps the table order: property, part_of,
+    # then relations by predicate
+    assert [described(r) for r in rules] == [
+        ("a b c", "A", "relation", "a"),
+        ("a b c", "A", "relation", "a b"),
+        ("a b c", "D", "relation", "a"),
+        ("a b c", "D", "relation", "a b"),
+        ("a b c", "E", "relation", "a"),
+        ("a b c", "E", "relation", "a b"),
+        ("part_of X", "A", "part_of", None),
+        ("part_of X", "B", "property"),
+        ("part_of X", "B", "relation", "part_of"),
+        ("part_of X", "C", "part_of", None),
+        ("part_of X", "D", "property"),
+        ("part_of X", "D", "relation", "part_of"),
+        ("part_of X", "E", "property"),
+        ("part_of X", "E", "relation", "part_of"),
+    ]
+    assert check_consistency(rules, annotated) == []
+
+
+def test_consistency_merges_a_premise_split_over_non_adjacent_runs():
+    annotated = annotated_fixture("empty.owl")
+    half = Fraction(1, 2)
+    split = [
+        FuzzyRule("p", "A", half),
+        FuzzyRule("q", "B", Fraction(1)),
+        FuzzyRule("p", "C", Fraction(1, 2)),  # equal to half, not identical
+    ]
+    assert check_consistency(split, annotated) == []  # p has two conclusions
+
+    mixed = split[:2] + [FuzzyRule("p", "C", Fraction(1, 3))]
+    violations = check_consistency(mixed, annotated)
+    assert [(v.code, v.location) for v in violations] == [("mixed-mu", "p")]
+
+
+def test_consistency_merges_equal_but_not_identical_keys():
+    annotated = annotated_fixture("empty.owl")
+    first, second = ComplexKey.part_of("X"), ComplexKey.part_of("X")
+    assert first == second and first is not second
+    rules = [
+        FuzzyRule(first, "A", Fraction(1, 2)),
+        FuzzyRule(second, "B", Fraction(1, 3)),
+    ]
+    violations = check_consistency(rules, annotated)
+    assert [(v.code, v.location) for v in violations] == [("mixed-mu", "part_of X")]
+    agreeing = [rules[0], FuzzyRule(second, "B", Fraction(1, 2))]
+    assert check_consistency(agreeing, annotated) == []
+
+
+def test_fuzzy_rule_is_a_named_tuple_with_a_default_category():
+    rule = FuzzyRule("p", "A", Fraction(1, 2))
+    assert rule == ("p", "A", Fraction(1, 2), "identifying")
+    assert rule._fields == ("premise", "conclusion", "mu", "category")
+    keyed = FuzzyRule(ComplexKey.relation("r", "X"), "A", Fraction(1))
+    assert keyed.premise_text == "r X"
