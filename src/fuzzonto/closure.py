@@ -1,42 +1,183 @@
 """Reachability kernel for the subclass and transitive closures.
 
-tests/test_closure.py checks it against a brute-force oracle.  The kernel is
-a small share of a pipeline run, so timing it alone says little about
-pipeline speed; perfbench/run.py measures the whole `rules` run.
+reachable_pairs condenses the graph into its strongly connected components
+(an iterative Tarjan search), which are finished in reverse topological
+order: every component that a component reaches is finished before it.  One
+sweep in that order then gives each component its row, an int bitset over
+the nodes it reaches, as the OR of its successors' rows and members: O(E)
+big-int ORs, not one search per source (Nuutila, "Efficient transitive
+closure computation in large digraphs", 1995).  The members of a component
+share one row object, and so does a component with a single successor and
+that successor's closed row, so a wide shallow hierarchy keeps few rows.
+
+Callers read the rows, not a pair list: Reachability.derived() hands out
+only the bits that are not input edges, which is what a closure adds.
+tests/test_closure.py checks the kernel against a brute-force oracle.
 """
 
 from __future__ import annotations
 
 
-def reachable_pairs(n: int, edges, limit: int = 0) -> list[tuple[int, int]]:
-    """All pairs (u, v) such that v is reachable from u by a path of length >= 1.
+def bits(row: int) -> list[int]:
+    """The set bits of row, ascending."""
+    found = []
+    while row:
+        top = row.bit_length() - 1
+        found.append(top)
+        row ^= 1 << top
+    found.reverse()
+    return found
 
-    Nodes are 0..n-1.  A pair (u, u) appears exactly when u lies on a cycle.
-    Output is sorted.  When limit > 0 and the result would exceed limit pairs,
-    OverflowError is raised.
+
+class Reachability:
+    """The closure of a graph on nodes 0..n-1 as one int bitset row per node.
+
+    Bit v of rows[u] is set exactly when v is reachable from u by a path of
+    length >= 1, so bit u is set exactly when u lies on a cycle.  cycles
+    lists the strongly connected components that lie on a cycle, each sorted.
+    len() is the number of pairs; iterating yields them in sorted order.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
+
+    __slots__ = ("rows", "cycles", "_counts", "_successors", "_total")
+
+    def __init__(self, rows, counts, cycles, successors):
+        self.rows = rows
+        self.cycles = cycles
+        self._counts = counts  # set bits per row
+        self._successors = successors  # deduplicated input edges, per node
+        self._total = sum(counts)
+
+    def __len__(self) -> int:
+        return self._total
+
+    def __iter__(self):
+        for u, row in enumerate(self.rows):
+            for v in bits(row):
+                yield u, v
+
+    def derived(self):
+        """(u, targets) for every u that reaches a node it has no input edge
+        to, targets ascending; u in ascending order."""
+        for u, successors in enumerate(self._successors):
+            # every direct successor is reachable: equal counts leave nothing new
+            if self._counts[u] == len(successors):
+                continue
+            row = self.rows[u]
+            for v in successors:
+                row ^= 1 << v
+            yield u, bits(row)
+
+
+def _components(successors: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components in the order Tarjan's search finishes
+    them, which is reverse topological order."""
+    n = len(successors)
+    finished = n + 1  # the order of a node whose component is done
+    order = [0] * n  # discovery number from 1; 0 = not seen yet
+    low = [0] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        counter += 1
+        order[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            u, edges = work[-1]
+            for v in edges:
+                if not order[v]:
+                    if not successors[v]:  # a sink is a component of its own
+                        order[v] = finished
+                        components.append([v])
+                        continue
+                    counter += 1
+                    order[v] = low[v] = counter
+                    stack.append(v)
+                    work.append((v, iter(successors[v])))
+                    break
+                if order[v] < low[u]:  # v is on the stack: finished nodes never are
+                    low[u] = order[v]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                if low[u] == order[u]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        order[w] = finished
+                        component.append(w)
+                        if w == u:
+                            break
+                    components.append(component)
+    return components
+
+
+def reachable_pairs(n: int, edges, limit: int = 0) -> Reachability:
+    """Everything reachable by a path of length >= 1, as a Reachability.
+
+    Nodes are 0..n-1; duplicate edges count once.  When limit > 0 and the
+    closure would exceed limit pairs, OverflowError is raised.
+    """
+    successors: list[list[int]] = [[] for _ in range(n)]
     seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if (u, v) not in seen:
             seen.add((u, v))
-            adj[u].append(v)
+            successors[u].append(v)
 
-    pairs: list[tuple[int, int]] = []
-    mark = [-1] * n  # mark[v] == s: v already reached from source s
-    for s in range(n):
-        reached = []
-        stack = list(adj[s])
-        while stack:
-            v = stack.pop()
-            if mark[v] != s:
-                mark[v] = s
-                reached.append(v)
-                stack.extend(adj[v])
-        reached.sort()
-        pairs.extend([(s, v) for v in reached])
-        if limit and len(pairs) > limit:
+    rows = [0] * n
+    counts = [0] * n
+    component_of = [-1] * n
+    closed: dict[int, tuple[int, int]] = {}  # v -> v's row with v added, and its count
+    cycles = []
+    total = 0
+    for c, component in enumerate(_components(successors)):
+        for u in component:
+            component_of[u] = c
+        row = None
+        count = 0
+        cyclic = False
+        for u in component:
+            for v in successors[u]:
+                if component_of[v] == c:
+                    cyclic = True
+                    continue
+                reach = closed.get(v)
+                if reach is None:
+                    # a node on a cycle is in its own row already
+                    if rows[v] >> v & 1:
+                        reach = rows[v], counts[v]
+                    else:
+                        reach = rows[v] | 1 << v, counts[v] + 1
+                    closed[v] = reach
+                if row is None:
+                    row, count = reach  # one successor: share its row
+                else:
+                    row |= reach[0]
+                    count = -1
+        if cyclic:  # a cycle reaches itself
+            mask = 0
+            for u in component:
+                mask |= 1 << u
+            row = mask if row is None else row | mask
+            count = -1
+            cycles.append(sorted(component))
+        if row is None:
+            continue
+        if count < 0:
+            count = row.bit_count()
+        for u in component:
+            rows[u] = row
+            counts[u] = count
+        total += count * len(component)
+        if limit and total > limit:
             raise OverflowError(f"reachable pair count exceeds limit {limit}")
-    return pairs
+    return Reachability(rows, counts, cycles, successors)

@@ -271,22 +271,42 @@ def traces_to_obj(traces) -> list[dict]:
     ]
 
 
-def traces_to_json(traces) -> bytes:
-    """The bytes dump_json(traces_to_obj(traces)) gives, written record by
-    record like rules_to_json."""
+def _traces_chunks(traces, pad: str) -> list[bytes]:
+    """The traces array as dump_json renders it with every line after the
+    first indented by pad, in chunks, without a trailing newline."""
     chunks = [b"["]
     sep = "\n"
     for t in traces:
         sources = (
-            "[\n      " + ",\n      ".join(map(_quote, t.sources)) + "\n    ]"
+            f"[\n{pad}      "
+            + f",\n{pad}      ".join(map(_quote, t.sources))
+            + f"\n{pad}    ]"
             if t.sources
             else "[]"
         )
         record = (
-            f'{sep}  {{\n    "produced": {_quote(t.produced)},\n'
-            f'    "rule": {_quote(t.rule)},\n    "sources": {sources}\n  }}'
+            f'{sep}{pad}  {{\n{pad}    "produced": {_quote(t.produced)},\n'
+            f'{pad}    "rule": {_quote(t.rule)},\n{pad}    "sources": {sources}\n{pad}  }}'
         )
         chunks.append(record.encode("utf-8"))
         sep = ",\n"
-    chunks.append(b"\n]\n" if len(chunks) > 1 else b"]\n")
-    return b"".join(chunks)
+    chunks.append(f"\n{pad}]".encode("utf-8") if len(chunks) > 1 else b"]")
+    return chunks
+
+
+def traces_to_json(traces) -> bytes:
+    """The bytes dump_json(traces_to_obj(traces)) gives, written record by
+    record like rules_to_json."""
+    return b"".join(_traces_chunks(traces, "") + [b"\n"])
+
+
+def report_to_json(report: dict, traces) -> bytes:
+    """The bytes dump_json gives for report with "traces" set to
+    traces_to_obj(traces).  The traces go through the fixed-shape writer and
+    the rest through dump_json; sorted, "traces" comes right before the
+    "warnings" key that every report has, and a JSON string holds no raw
+    newline, so the first top-level "warnings" line is where they go."""
+    head, sep, tail = dump_json(report).partition(b',\n  "warnings": ')
+    if "traces" in report or not sep:
+        raise ValueError('a report needs "warnings" and no "traces" of its own')
+    return b"".join([head, b',\n  "traces": ', *_traces_chunks(traces, "  "), sep, tail])

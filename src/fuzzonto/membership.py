@@ -145,18 +145,36 @@ def _determiner_index(m: OntologyModel, kind: str, asserted_only: bool) -> dict:
     property -> holders, superclass -> subclasses, or (predicate, object) ->
     subjects."""
     if kind == PROPERTY:
-        rows = ((prop, holder, origin) for (prop, holder), origin in m.holdings.items())
+        elements = m.holdings
     elif kind == PART_OF:
-        rows = ((sup, sub, origin) for (sub, sup), origin in m.subclass_axioms.items())
+        elements = m.subclass_axioms
     else:
-        rows = (
-            ((pred, obj), subject, origin)
-            for (pred, subject, obj), origin in m.relations.items()
-        )
+        elements = m.relations
+    if asserted_only:
+        elements = [key for key, origin in elements.items() if origin == ASSERTED]
     index: dict = {}
-    for key, determiner, origin in rows:
-        if not asserted_only or origin == ASSERTED:
-            index.setdefault(key, set()).add(determiner)
+    if kind == PROPERTY:
+        for prop, holder in elements:
+            found = index.get(prop)
+            if found is None:
+                index[prop] = {holder}
+            else:
+                found.add(holder)
+    elif kind == PART_OF:
+        for sub, sup in elements:
+            found = index.get(sup)
+            if found is None:
+                index[sup] = {sub}
+            else:
+                found.add(sub)
+    else:
+        for pred, subject, obj in elements:
+            key = (pred, obj)
+            found = index.get(key)
+            if found is None:
+                index[key] = {subject}
+            else:
+                found.add(subject)
     return index
 
 

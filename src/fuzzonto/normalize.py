@@ -19,17 +19,30 @@ when asked for, through Tracer.record.
 
 Passes after the first only redo what the previous pass's additions call for
 (semi-naive evaluation): the subclass closure reruns only when the axiom set
-changed, and the relation lift only pairs new relations with every axiom and
-old relations with new axioms.  Each rule reports whether it inserted or
-removed an element, and the fixpoint ends on the first pass where none did.
+changed, the relation lift only pairs new relations with every axiom and
+old relations with new axioms, and the equivalence copy only buckets
+elements added since its last run unless the groups changed.  Each rule
+reports whether it inserted or removed an element, and the fixpoint ends on
+the first pass where none did.
+
+Each rule computes the keys it adds, all of them absent so far, inserts them
+with one dict update and records them as one batch.  Only with tracing on
+are a rule's producers sorted, so that each element's trace names its least
+producer and traces come in a fixed order; without it, keys go in in the
+order the rule's scan meets them, which is deterministic but not sorted.
+Either way the element set and every origin are the same.  The closures read
+the kernel's bitset rows (see closure.py) and take only the bits that are
+not edges already.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice, repeat
 
 from . import closure
+from .closure import bits
 from .errors import FixpointOverflow
 from .model import (
     INTERSECTION,
@@ -112,14 +125,14 @@ class Tracer:
         self.traces: list[RewriteTrace] = []
         self.tally: dict[str, int] = {rule: 0 for rule in ALL_RULES}
 
-    def record(self, rule: str, derivation) -> None:
-        """Count one element derived by rule.  derivation() returns the
-        element and its sources as rendered strings; it is called only when
-        tracing, so a disabled tracer renders nothing and finds no witness."""
-        self.tally[rule] += 1
+    def record(self, rule: str, batch, render) -> None:
+        """Count the elements of one batch that rule inserted.  render(item)
+        returns one element and its sources as rendered strings; it is called
+        only when tracing, so a disabled tracer renders nothing and finds no
+        witness."""
+        self.tally[rule] += len(batch)
         if self.enabled:
-            produced, sources = derivation()
-            self.traces.append(RewriteTrace(rule, produced, sources))
+            self.traces.extend([RewriteTrace(rule, *render(item)) for item in batch])
 
 
 @dataclass
@@ -138,10 +151,21 @@ class _Progress:
     every rule start from scratch.
     """
 
-    closed: set | None = None  # subclass keys the last closure produced
+    closed: int | None = None  # len(subclass_axioms) after the last closure
     lifted: int = 0  # len(relations) when the last lift ended
     lift_axioms: set = field(default_factory=set)  # subclass keys that lift used
     warned: set = field(default_factory=set)  # cycle groups already reported
+    equivalences: int = 0  # len(equivalences) that groups was built from
+    groups: list = field(default_factory=list)  # equivalence groups, sorted
+    copied: tuple[int, int] = (0, 0)  # len(holdings), len(relations) after the last copy
+
+
+def _insert(elements: dict, rule: str, keys):
+    """Insert keys with origin rule in one update and return them as the
+    batch to record.  The keys are distinct and none is present yet, so no
+    origin is overwritten and the batch's length is the number inserted."""
+    elements.update(zip(keys, repeat(rule)))
+    return keys
 
 
 # -- stage 1 -------------------------------------------------------------------
@@ -156,20 +180,32 @@ def _equivalence_groups(m: OntologyModel) -> list[list[str]]:
     return uf.groups()
 
 
-def _propagate_equivalents(m: OntologyModel, tracer: Tracer) -> bool:
-    groups = _equivalence_groups(m)
-    if not groups:
+def _propagate_equivalents(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bool:
+    """Copy holdings and subject-position relations to every member of the
+    holder's or subject's equivalence group.
+
+    A copy completes its (group, property) or (group, predicate, object)
+    bucket, so while the groups stay the same only elements added since the
+    last copy can need copying; new groups make every element a candidate.
+    """
+    if not m.equivalences:
         return False
+    if len(m.equivalences) != progress.equivalences:
+        progress.equivalences = len(m.equivalences)
+        progress.groups = _equivalence_groups(m)
+        progress.copied = (0, 0)
+    groups = progress.groups
     group_of = {name: i for i, group in enumerate(groups) for name in group}
-    # one unsorted pass buckets every holding and relation by its group;
-    # groups are disjoint, so one group's copies never land in another's bucket
+    holdings, relations = m.holdings, m.relations
+    # one unsorted pass buckets the candidates by their group; groups are
+    # disjoint, so one group's copies never land in another's bucket
     holders: list[dict[str, list[str]]] = [{} for _ in groups]
-    for prop, holder in m.holdings:
+    for prop, holder in islice(holdings, progress.copied[0], None):
         i = group_of.get(holder)
         if i is not None:
             holders[i].setdefault(prop, []).append(holder)
     subjects: list[dict[tuple[str, str], list[str]]] = [{} for _ in groups]
-    for pred, subject, obj in m.relations:
+    for pred, subject, obj in islice(relations, progress.copied[1], None):
         i = group_of.get(subject)
         if i is not None:
             subjects[i].setdefault((pred, obj), []).append(subject)
@@ -177,44 +213,63 @@ def _propagate_equivalents(m: OntologyModel, tracer: Tracer) -> bool:
     changed = False
     for group, by_property, by_pattern in zip(groups, holders, subjects):
         # datatype-property holdings: any member's property goes to the whole group
-        for prop, found in sorted(by_property.items()):
-            for member in group:
-                if m.add_holding(prop, member, RULE_EQUIV_PROPERTY):
-                    changed = True
-                    tracer.record(
-                        RULE_EQUIV_PROPERTY,
-                        lambda: (
-                            el_holding(prop, member),
-                            (el_holding(prop, min(found)),),
-                        ),
-                    )
+        found = sorted(by_property) if tracer.enabled else by_property
+        batch = _insert(
+            holdings,
+            RULE_EQUIV_PROPERTY,
+            [
+                key
+                for prop in found
+                for member in group
+                if (key := (prop, member)) not in holdings
+            ],
+        )
+        changed |= bool(batch)
+        tracer.record(
+            RULE_EQUIV_PROPERTY,
+            batch,
+            lambda key: (
+                el_holding(*key),
+                (el_holding(key[0], min(by_property[key[0]])),),
+            ),
+        )
 
         # subject-position relations likewise
-        for (pred, obj), found in sorted(by_pattern.items()):
-            for member in group:
-                if m.add_relation(pred, member, obj, RULE_EQUIV_RELATION):
-                    changed = True
-                    tracer.record(
-                        RULE_EQUIV_RELATION,
-                        lambda: (
-                            el_relation(pred, member, obj),
-                            (el_relation(pred, min(found), obj),),
-                        ),
-                    )
+        found = sorted(by_pattern) if tracer.enabled else by_pattern
+        batch = _insert(
+            relations,
+            RULE_EQUIV_RELATION,
+            [
+                key
+                for pred, obj in found
+                for member in group
+                if (key := (pred, member, obj)) not in relations
+            ],
+        )
+        changed |= bool(batch)
+        tracer.record(
+            RULE_EQUIV_RELATION,
+            batch,
+            lambda key: (
+                el_relation(*key),
+                (el_relation(key[0], min(by_pattern[key[0], key[2]]), key[2]),),
+            ),
+        )
+    progress.copied = (len(holdings), len(relations))
     return changed
 
 
 class _Reach:
-    """One reachable_pairs result as forward and backward rows of int bitsets.
+    """Witness lookup over one reachable_pairs result: its rows are the
+    forward rows, and the backward rows are built here.
 
     Bit v of fwd[u] and bit u of bwd[v] are set exactly when (u, v) is a pair.
     """
 
-    def __init__(self, n: int, pairs: list[tuple[int, int]]) -> None:
-        fwd = [0] * n
-        bwd = [0] * n
-        for u, v in pairs:
-            fwd[u] |= 1 << v
+    def __init__(self, reach: closure.Reachability) -> None:
+        fwd = reach.rows
+        bwd = [0] * len(fwd)
+        for u, v in reach:
             bwd[v] |= 1 << u
         self.fwd = fwd
         self.bwd = bwd
@@ -239,29 +294,14 @@ class _Reach:
 
 def _close(edges, bound: int, tracer: Tracer):
     """Transitive closure of a graph given as (name, name) edges: the sorted
-    node names, the reachable index pairs and, only when tracing, their
-    witness rows."""
+    node names, their index, the kernel's Reachability and, only when
+    tracing, its witness rows."""
     names = sorted({n for edge in edges for n in edge})
     index = {n: i for i, n in enumerate(names)}
-    pairs = closure.reachable_pairs(
+    reach = closure.reachable_pairs(
         len(names), [(index[a], index[b]) for a, b in edges], limit=bound
     )
-    return names, pairs, _Reach(len(names), pairs) if tracer.enabled else None
-
-
-def _cycle_groups(names: list[str], pairs: list[tuple[int, int]]) -> list[list[str]]:
-    """Classes that reach themselves, grouped by mutual reachability; each
-    group sorted, groups ordered by their members."""
-    cyclic = {u for u, v in pairs if u == v}
-    if not cyclic:
-        return []
-    among = {(u, v) for u, v in pairs if u in cyclic and v in cyclic}
-    uf = UnionFind(cyclic)
-    for u, v in among:
-        if u < v and (v, u) in among:
-            uf.union(u, v)
-    # names is sorted, so index order is name order
-    return [[names[u] for u in group] for group in uf.groups()]
+    return names, index, reach, _Reach(reach) if tracer.enabled else None
 
 
 def _merge_cycles(
@@ -299,17 +339,18 @@ def _merge_cycles(
                     el_subclass(cycle[0], cycle[1]),
                 )
             )
-        head = cycle[0]
-        for other in cycle[1:]:
-            if m.add_equivalence(head, other):
-                changed = True
-                tracer.record(
-                    RULE_SUBCLASS_CLOSURE,
-                    lambda: (
-                        el_equivalence(head, other),
-                        (el_subclass(head, other), el_subclass(other, head)),
-                    ),
-                )
+        head = cycle[0]  # the least member, so (head, other) is the stored order
+        batch = [(head, other) for other in cycle[1:] if (head, other) not in m.equivalences]
+        m.equivalences.update(batch)
+        changed |= bool(batch)
+        tracer.record(
+            RULE_SUBCLASS_CLOSURE,
+            batch,
+            lambda pair: (
+                el_equivalence(*pair),
+                (el_subclass(*pair), el_subclass(pair[1], pair[0])),
+            ),
+        )
     return changed
 
 
@@ -320,33 +361,85 @@ def _close_subclass_hierarchy(
     bound: int,
     progress: _Progress,
 ) -> bool:
-    if not m.subclass_axioms or m.subclass_axioms.keys() == progress.closed:
+    axioms = m.subclass_axioms
+    # only the closure drops axioms, so an unchanged count means an unchanged set
+    if not axioms or len(axioms) == progress.closed:
         return False  # nothing to close, or closed already by the last run
-    old = dict(m.subclass_axioms)
-    names, pairs, reach = _close(old, bound, tracer)
-    changed = _merge_cycles(
-        m, tracer, warnings, progress.warned, _cycle_groups(names, pairs)
-    )
+    names, index, reach, witness = _close(axioms, bound, tracer)
+    # components are sorted and names is sorted, so index order is name order
+    cycles = [[names[u] for u in cycle] for cycle in sorted(reach.cycles)]
+    changed = _merge_cycles(m, tracer, warnings, progress.warned, cycles)
 
-    m.subclass_axioms.clear()
-    for u, v in pairs:
-        if u == v:
-            continue  # self-axioms are dropped
-        sub, sup = names[u], names[v]
-        origin = old.get((sub, sup))
-        if origin is not None:
-            m.add_subclass(sub, sup, origin)
-            continue
-        m.add_subclass(sub, sup, RULE_SUBCLASS_CLOSURE)
-        changed = True
-        tracer.record(
-            RULE_SUBCLASS_CLOSURE,
-            lambda: (el_subclass(sub, sup), reach.sources(names, u, v, el_subclass)),
-        )
-    progress.closed = set(m.subclass_axioms)
-    # every old non-self axiom is a pair, so the count differs only when a
-    # self-axiom from the input was dropped
-    return changed or len(m.subclass_axioms) != len(old)
+    dropped = [(name, name) for cycle in cycles for name in cycle if (name, name) in axioms]
+    for key in dropped:
+        del axioms[key]  # self-axioms are dropped
+    batch = _insert(
+        axioms,
+        RULE_SUBCLASS_CLOSURE,
+        [
+            (names[u], names[v])
+            for u, targets in reach.derived()
+            for v in targets
+            if v != u
+        ],
+    )
+    tracer.record(
+        RULE_SUBCLASS_CLOSURE,
+        batch,
+        lambda key: (
+            el_subclass(*key),
+            witness.sources(names, index[key[0]], index[key[1]], el_subclass),
+        ),
+    )
+    progress.closed = len(axioms)
+    return changed or bool(batch) or bool(dropped)
+
+
+def _missing_lifts(scans, relations: dict) -> list[tuple[str, str, str]]:
+    """The lifts that the scanned (relations, superclass lists) pairs call for
+    and that are not relations yet, in the order the scan meets them; a key
+    can repeat.
+
+    A relation whose object has one superclass gives its one candidate.
+    Relations whose objects have more are grouped by (predicate, subject),
+    and a group's candidates are the OR of its objects' superclass rows, so a
+    superclass that many of the group's objects share is tested once.  Where
+    objects have one superclass, as in a wide shallow hierarchy, grouping
+    would cost more than it saves.
+    """
+    found = []
+    slot: dict[str, int] = {}  # superclass -> its bit in the rows
+    by_slot: list[str] = []
+    groups: dict[tuple[str, str], int] = {}
+    for scanned, ups in scans:
+        rows: dict[str, int] = {}  # object -> its row over these superclass lists
+        for pred, subject, obj in scanned:
+            sups = ups.get(obj)
+            if sups is None:
+                continue
+            if len(sups) == 1:
+                key = (pred, subject, sups[0])
+                if key not in relations:
+                    found.append(key)
+                continue
+            row = rows.get(obj)
+            if row is None:
+                row = 0
+                for sup in sups:
+                    bit = slot.get(sup)
+                    if bit is None:
+                        bit = slot[sup] = len(by_slot)
+                        by_slot.append(sup)
+                    row |= 1 << bit
+                rows[obj] = row
+            group = (pred, subject)
+            groups[group] = groups.get(group, 0) | row
+    for (pred, subject), row in groups.items():
+        for bit in bits(row):
+            key = (pred, subject, by_slot[bit])
+            if key not in relations:
+                found.append(key)
+    return found
 
 
 def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bool:
@@ -356,50 +449,49 @@ def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bo
     present then, and what that lift added needs no lift of its own, because
     the axiom set it used was closed.  So only two kinds of pair can produce
     a missing element: a newer relation with any axiom, and an older relation
-    with a newer axiom.  Their producers (predicate, subject, object, sup)
-    are added in sorted order, so each element keeps its least producer, as
-    in one sorted sweep over every pair.
+    with a newer axiom.  When tracing, their producers (predicate, subject,
+    object, sup) are sorted first, so each element keeps its least producer,
+    as in one sorted sweep over every pair; otherwise the elements go in in
+    the order the scan meets them.
     """
     relations = m.relations
     keys = list(relations)
     supers: dict[str, list[str]] = {}
     for sub, sup in m.subclass_axioms:
         supers.setdefault(sub, []).append(sup)
-
-    found = [
-        (pred, subject, obj, sup)
-        for pred, subject, obj in keys[progress.lifted :]
-        for sup in supers.get(obj, ())
-        if (pred, subject, sup) not in relations
-    ]
+    scans = [(keys[progress.lifted :], supers)]
     fresh = [key for key in m.subclass_axioms if key not in progress.lift_axioms]
     if fresh and progress.lifted:
-        by_object: dict[str, list[tuple[str, str]]] = {}
-        for pred, subject, obj in keys[: progress.lifted]:
-            by_object.setdefault(obj, []).append((pred, subject))
-        found += [
-            (pred, subject, obj, sup)
-            for obj, sup in fresh
-            for pred, subject in by_object.get(obj, ())
-            if (pred, subject, sup) not in relations
-        ]
-    found.sort()
+        fresh_supers: dict[str, list[str]] = {}
+        for sub, sup in fresh:
+            fresh_supers.setdefault(sub, []).append(sup)
+        scans.append((keys[: progress.lifted], fresh_supers))
 
-    changed = False
-    for pred, subject, obj, sup in found:
-        if not m.add_relation(pred, subject, sup, RULE_RELATION_LIFT):
-            continue  # a lesser producer came first
-        changed = True
-        tracer.record(
-            RULE_RELATION_LIFT,
-            lambda: (
-                el_relation(pred, subject, sup),
-                (el_relation(pred, subject, obj), el_subclass(obj, sup)),
-            ),
-        )
+    if tracer.enabled:
+        producer: dict[tuple[str, str, str], str] = {}
+        for pred, subject, obj, sup in sorted(
+            (pred, subject, obj, sup)
+            for scanned, ups in scans
+            for pred, subject, obj in scanned
+            for sup in ups.get(obj, ())
+            if (pred, subject, sup) not in relations
+        ):
+            producer.setdefault((pred, subject, sup), obj)
+        found = producer
+    else:
+        found = dict.fromkeys(_missing_lifts(scans, relations))
+    batch = _insert(relations, RULE_RELATION_LIFT, found)
+    tracer.record(
+        RULE_RELATION_LIFT,
+        batch,
+        lambda key: (
+            el_relation(*key),
+            (el_relation(key[0], key[1], producer[key]), el_subclass(producer[key], key[2])),
+        ),
+    )
     progress.lifted = len(relations)
     progress.lift_axioms = set(m.subclass_axioms)
-    return changed
+    return bool(batch)
 
 
 # -- stage 2 -------------------------------------------------------------------
@@ -409,25 +501,28 @@ def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bo
 _STAGE2_ORDER = {SYMMETRIC: 0, INVERSE: 1, INTERSECTION: 2, TRANSITIVE: 3}
 
 
-def _relations_with(m: OntologyModel, predicate: str) -> list[tuple[str, str, str]]:
-    """Keys of one predicate's relations, sorted."""
-    return sorted(key for key in m.relations if key[0] == predicate)
-
-
 def _mirror(
     m: OntologyModel, tracer: Tracer, rule: str, mod: RawModifier, counterpart: str
 ) -> None:
     """Add counterpart(o, s) for every target(s, o); a symmetric property is
-    its own counterpart."""
-    for pred, subject, obj in _relations_with(m, mod.target):
-        if m.add_relation(counterpart, obj, subject, rule):
-            tracer.record(
-                rule,
-                lambda: (
-                    el_relation(counterpart, obj, subject),
-                    (el_relation(pred, subject, obj), el_modifier(mod)),
-                ),
-            )
+    its own counterpart.  The sources go in sorted order only when tracing."""
+    relations = m.relations
+    found = [key for key in relations if key[0] == mod.target]
+    if tracer.enabled:
+        found.sort()
+    batch = _insert(
+        relations,
+        rule,
+        [key for _, subject, obj in found if (key := (counterpart, obj, subject)) not in relations],
+    )
+    tracer.record(
+        rule,
+        batch,
+        lambda key: (
+            el_relation(*key),
+            (el_relation(mod.target, key[2], key[1]), el_modifier(mod)),
+        ),
+    )
 
 
 def _rewrite_modifiers(
@@ -465,32 +560,48 @@ def _rewrite_modifiers(
                         el_modifier(mod),
                     )
                 )
-            for member in mod.members:
-                # member == target would be the vacuous C <= C
-                if member != mod.target and m.add_subclass(
-                    mod.target, member, RULE_INTERSECTION
-                ):
-                    tracer.record(
-                        RULE_INTERSECTION,
-                        lambda: (el_subclass(mod.target, member), (el_modifier(mod),)),
-                    )
+            # member == target would be the vacuous C <= C
+            batch = _insert(
+                m.subclass_axioms,
+                RULE_INTERSECTION,
+                dict.fromkeys(
+                    key
+                    for member in mod.members
+                    if member != mod.target
+                    and (key := (mod.target, member)) not in m.subclass_axioms
+                ),
+            )
+            tracer.record(
+                RULE_INTERSECTION,
+                batch,
+                lambda key: (el_subclass(*key), (el_modifier(mod),)),
+            )
         else:
             pred = mod.target
-            names, pairs, reach = _close(
-                [(subject, obj) for _, subject, obj in _relations_with(m, pred)],
+            names, index, reach, witness = _close(
+                [(subject, obj) for p, subject, obj in m.relations if p == pred],
                 bound,
                 tracer,
             )
+            # only the pairs that are not relations yet, in sorted order
+            batch = _insert(
+                m.relations,
+                RULE_TRANSITIVE,
+                [
+                    (pred, names[u], names[v])
+                    for u, targets in reach.derived()
+                    for v in targets
+                ],
+            )
             render = partial(el_relation, pred)
-            for u, v in pairs:
-                if m.add_relation(pred, names[u], names[v], RULE_TRANSITIVE):
-                    tracer.record(
-                        RULE_TRANSITIVE,
-                        lambda: (
-                            render(names[u], names[v]),
-                            reach.sources(names, u, v, render),
-                        ),
-                    )
+            tracer.record(
+                RULE_TRANSITIVE,
+                batch,
+                lambda key: (
+                    el_relation(*key),
+                    witness.sources(names, index[key[1]], index[key[2]], render),
+                ),
+            )
     m.modifiers.clear()
     return True
 
@@ -517,7 +628,7 @@ def normalize(
     while changed:
         try:
             # every rule runs; |= does not short-circuit
-            changed = _propagate_equivalents(work, tracer)
+            changed = _propagate_equivalents(work, tracer, progress)
             changed |= _close_subclass_hierarchy(work, tracer, warnings, bound, progress)
             changed |= _lift_relations(work, tracer, progress)
             changed |= _rewrite_modifiers(work, tracer, warnings, bound)

@@ -208,7 +208,9 @@ def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
             for member in group:
                 if m.add_holding(prop, member, RULE_EQUIV_PROPERTY):
                     tracer.record(
-                        RULE_EQUIV_PROPERTY, lambda: (el_holding(prop, member), (source,))
+                        RULE_EQUIV_PROPERTY,
+                        [(prop, member)],
+                        lambda key: (el_holding(*key), (source,)),
                     )
         by_pattern: dict = {}
         for pred, subject, obj in sorted(m.relations):
@@ -220,7 +222,8 @@ def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
                 if m.add_relation(pred, member, obj, RULE_EQUIV_RELATION):
                     tracer.record(
                         RULE_EQUIV_RELATION,
-                        lambda: (el_relation(pred, member, obj), (source,)),
+                        [(pred, member, obj)],
+                        lambda key: (el_relation(*key), (source,)),
                     )
 
 
@@ -234,8 +237,9 @@ def _reference_lift(m: OntologyModel, tracer: Tracer) -> None:
             if m.add_relation(pred, subject, sup, RULE_RELATION_LIFT):
                 tracer.record(
                     RULE_RELATION_LIFT,
-                    lambda: (
-                        el_relation(pred, subject, sup),
+                    [(pred, subject, sup)],
+                    lambda key: (
+                        el_relation(*key),
                         (el_relation(pred, subject, obj), el_subclass(obj, sup)),
                     ),
                 )

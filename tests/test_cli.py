@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from conftest import fixture_path
 from fuzzonto import load_json, parse_document
 from fuzzonto.cli import run_pipeline
+from fuzzonto.emit import dump_json
 
 
 def run(capsys, *args):
@@ -200,6 +202,36 @@ def test_report_contents(tmp_path, capsys):
             ],
         }
     ]
+
+
+def test_traced_report_bytes_are_dump_json(tmp_path, capsys):
+    for name in ("transitive_areas.owl", "symmetric_equivalent_combo.owl", "empty.owl"):
+        report_path = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "rules", str(fixture_path(name)), "--trace", "--report", str(report_path)
+        )
+        assert code == 0
+        data = report_path.read_bytes()
+        report = json.loads(data)
+        assert "traces" in report, name
+        assert dump_json(report) == data, name
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored_on_every_exit(capsys, enabled):
+    runs = [
+        (0, ["rules", str(fixture_path("paris_france.owl"))]),
+        (1, ["rules", str(fixture_path("no_such_file.owl"))]),
+        (4, ["normalize", str(fixture_path("subclass_chain.owl")), "--max-elements", "2"]),
+    ]
+    was = gc.isenabled()
+    try:
+        for expected, args in runs:
+            gc.enable() if enabled else gc.disable()
+            assert run(capsys, *args)[0] == expected
+            assert gc.isenabled() is enabled, args
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_trace_without_report_goes_to_stderr(capsys):

@@ -7,39 +7,75 @@ from randmodels import brute_reachable, random_graph
 IMPLS = [pytest.param(closure, id="python")]
 
 
+def pairs(impl, n, edges, limit=0):
+    """The kernel's pairs as a sorted list, checked against its len()."""
+    reach = impl.reachable_pairs(n, edges, limit)
+    got = list(reach)
+    assert len(reach) == len(got)
+    return got
+
+
+def derived(reach):
+    return [(u, v) for u, targets in reach.derived() for v in targets]
+
+
 @pytest.mark.parametrize("impl", IMPLS)
 def test_empty_graph(impl):
-    assert impl.reachable_pairs(0, []) == []
-    assert impl.reachable_pairs(5, []) == []
+    assert pairs(impl, 0, []) == []
+    assert pairs(impl, 5, []) == []
 
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_single_edge(impl):
-    assert impl.reachable_pairs(2, [(0, 1)]) == [(0, 1)]
+    assert pairs(impl, 2, [(0, 1)]) == [(0, 1)]
 
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_chain(impl):
-    pairs = impl.reachable_pairs(4, [(0, 1), (1, 2), (2, 3)])
-    assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    got = pairs(impl, 4, [(0, 1), (1, 2), (2, 3)])
+    assert got == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_self_loop_is_kept(impl):
-    assert impl.reachable_pairs(1, [(0, 0)]) == [(0, 0)]
+    assert pairs(impl, 1, [(0, 0)]) == [(0, 0)]
+    reach = impl.reachable_pairs(3, [(1, 1), (1, 2)])
+    assert list(reach) == [(1, 1), (1, 2)]
+    assert reach.cycles == [[1]]
+    assert derived(reach) == []  # both pairs are input edges
 
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_cycle_members_reach_themselves(impl):
-    pairs = impl.reachable_pairs(3, [(0, 1), (1, 0), (1, 2)])
-    assert (0, 0) in pairs and (1, 1) in pairs
-    assert (2, 2) not in pairs
-    assert (0, 2) in pairs
+    got = pairs(impl, 3, [(0, 1), (1, 0), (1, 2)])
+    assert (0, 0) in got and (1, 1) in got
+    assert (2, 2) not in got
+    assert (0, 2) in got
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_two_cycle(impl):
+    reach = impl.reachable_pairs(2, [(1, 0), (0, 1)])
+    assert list(reach) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert reach.cycles == [[0, 1]]
+    assert reach.rows[0] is reach.rows[1]  # one row per component
+    assert derived(reach) == [(0, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_cycle_into_dag(impl):
+    # 0 <-> 1 -> 2 -> 4, 1 -> 3 -> 4, and 5 -> 0 feeding the cycle
+    edges = [(0, 1), (1, 0), (1, 2), (2, 4), (1, 3), (3, 4), (5, 0)]
+    reach = impl.reachable_pairs(6, edges)
+    assert list(reach) == sorted(brute_reachable(edges))
+    assert reach.cycles == [[0, 1]]
+    assert derived(reach) == sorted(brute_reachable(edges) - set(edges))
+    assert (5, 5) not in set(reach)
 
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_duplicate_edges_are_deduped(impl):
-    assert impl.reachable_pairs(2, [(0, 1), (0, 1), (0, 1)]) == [(0, 1)]
+    assert pairs(impl, 2, [(0, 1), (0, 1), (0, 1)]) == [(0, 1)]
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -56,11 +92,22 @@ def test_limit_overflow(impl):
     assert len(impl.reachable_pairs(6, edges, 15)) == 15
     with pytest.raises(OverflowError):
         impl.reachable_pairs(6, edges, 14)
+    # a cycle of 3 has 9 pairs, one shared row for 3 nodes
+    cycle = [(0, 1), (1, 2), (2, 0)]
+    assert len(impl.reachable_pairs(3, cycle, 9)) == 9
+    with pytest.raises(OverflowError):
+        impl.reachable_pairs(3, cycle, 8)
+    assert len(impl.reachable_pairs(3, cycle, 0)) == 9  # 0 means no limit
 
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_matches_brute_force_on_random_graphs(impl):
-    for seed in range(150):
+    for seed in range(300):
         n, edges = random_graph(seed)
-        got = impl.reachable_pairs(n, edges)
-        assert got == sorted(brute_reachable(edges)), f"seed {seed}"
+        reach = impl.reachable_pairs(n, edges)
+        expected = brute_reachable(edges)
+        assert list(reach) == sorted(expected), f"seed {seed}"
+        assert len(reach) == len(expected), f"seed {seed}"
+        assert derived(reach) == sorted(expected - set(edges)), f"seed {seed}"
+        cyclic = {u for u, v in expected if u == v}
+        assert sorted(u for cycle in reach.cycles for u in cycle) == sorted(cyclic)

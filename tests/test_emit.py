@@ -20,6 +20,7 @@ from fuzzonto.emit import (
     annotated_to_json,
     decimal6,
     dump_json,
+    report_to_json,
     traces_to_json,
     traces_to_obj,
 )
@@ -261,3 +262,21 @@ def test_traces_json_equals_generic_encoding():
     cases += [normalize(random_model(seed), trace=True).traces for seed in range(50)]
     for traces in cases:
         assert traces_to_json(traces) == dump_json(traces_to_obj(traces))
+
+
+def test_report_json_equals_generic_encoding():
+    awkward = RewriteTrace('q"uote', "\u00c4rger\\", ("line\u2028sep", "\x00"))
+    cases = [[], [awkward, RewriteTrace("r", "x")]]
+    cases += [list(normalize_fixture(name).traces) for name in FIXTURE_NAMES]
+    cases += [normalize(random_model(seed), trace=True).traces for seed in range(50)]
+    for traces in cases:
+        report = {
+            "command": "rules",
+            "counts": {"before": {"total": 1}, "after": {"total": 2}},
+            "timings_ms": {"normalize": 1.5},
+            "warnings": [{"code": "c", "message": 'a\n  "warnings": [', "location": None}],
+        }
+        expected = dump_json({**report, "traces": traces_to_obj(traces)})
+        assert report_to_json(report, traces) == expected
+    with pytest.raises(ValueError):
+        report_to_json({"schema": "x"}, [])  # no "warnings" key to place them before
