@@ -300,13 +300,16 @@ def traces_to_json(traces) -> bytes:
     return b"".join(_traces_chunks(traces, "") + [b"\n"])
 
 
+_TRACES_PLACEHOLDER = "\x00traces\x00"
+
+
 def report_to_json(report: dict, traces) -> bytes:
     """The bytes dump_json gives for report with "traces" set to
-    traces_to_obj(traces).  The traces go through the fixed-shape writer and
-    the rest through dump_json; sorted, "traces" comes right before the
-    "warnings" key that every report has, and a JSON string holds no raw
-    newline, so the first top-level "warnings" line is where they go."""
-    head, sep, tail = dump_json(report).partition(b',\n  "warnings": ')
-    if "traces" in report or not sep:
-        raise ValueError('a report needs "warnings" and no "traces" of its own')
-    return b"".join([head, b',\n  "traces": ', *_traces_chunks(traces, "  "), sep, tail])
+    traces_to_obj(traces): dump_json writes the report with a placeholder
+    there, which the fixed-shape writer's traces replace.  The placeholder
+    holds NUL characters, which XML text cannot, so its first match is the
+    one dump_json wrote."""
+    head, _, tail = dump_json({**report, "traces": _TRACES_PLACEHOLDER}).partition(
+        _quote(_TRACES_PLACEHOLDER).encode("utf-8")
+    )
+    return b"".join([head, *_traces_chunks(traces, "  "), tail])

@@ -442,6 +442,27 @@ def _missing_lifts(scans, relations: dict) -> list[tuple[str, str, str]]:
     return found
 
 
+def _least_producers(scans, found) -> dict[tuple[str, str, str], str]:
+    """For each found lift r(s, sup), the least object o of a scanned
+    r(s, o) whose superclass list holds sup."""
+    wanted: dict[tuple[str, str], set[str]] = {}
+    for pred, subject, sup in found:
+        wanted.setdefault((pred, subject), set()).add(sup)
+    producer: dict[tuple[str, str, str], str] = {}
+    for scanned, ups in scans:
+        for pred, subject, obj in scanned:
+            sups = wanted.get((pred, subject))
+            if sups is None:
+                continue
+            for sup in ups.get(obj, ()):
+                if sup in sups:
+                    key = (pred, subject, sup)
+                    least = producer.get(key)
+                    if least is None or obj < least:
+                        producer[key] = obj
+    return producer
+
+
 def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bool:
     """Add r(s, sup) for every r(s, o) and o -> sup.
 
@@ -449,10 +470,10 @@ def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bo
     present then, and what that lift added needs no lift of its own, because
     the axiom set it used was closed.  So only two kinds of pair can produce
     a missing element: a newer relation with any axiom, and an older relation
-    with a newer axiom.  When tracing, their producers (predicate, subject,
-    object, sup) are sorted first, so each element keeps its least producer,
-    as in one sorted sweep over every pair; otherwise the elements go in in
-    the order the scan meets them.
+    with a newer axiom.  Untraced, the elements go in in the order the scan
+    meets them.  When tracing, they go in sorted by their least producer
+    (predicate, subject, object, sup), the order one sorted sweep over every
+    producer would give, and each trace names that producer.
     """
     relations = m.relations
     keys = list(relations)
@@ -467,19 +488,11 @@ def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bo
             fresh_supers.setdefault(sub, []).append(sup)
         scans.append((keys[: progress.lifted], fresh_supers))
 
+    found = dict.fromkeys(_missing_lifts(scans, relations))
+    producer = {}
     if tracer.enabled:
-        producer: dict[tuple[str, str, str], str] = {}
-        for pred, subject, obj, sup in sorted(
-            (pred, subject, obj, sup)
-            for scanned, ups in scans
-            for pred, subject, obj in scanned
-            for sup in ups.get(obj, ())
-            if (pred, subject, sup) not in relations
-        ):
-            producer.setdefault((pred, subject, sup), obj)
-        found = producer
-    else:
-        found = dict.fromkeys(_missing_lifts(scans, relations))
+        producer = _least_producers(scans, found)
+        found = sorted(found, key=lambda key: (key[0], key[1], producer[key], key[2]))
     batch = _insert(relations, RULE_RELATION_LIFT, found)
     tracer.record(
         RULE_RELATION_LIFT,

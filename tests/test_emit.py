@@ -276,7 +276,6 @@ def test_report_json_equals_generic_encoding():
             "timings_ms": {"normalize": 1.5},
             "warnings": [{"code": "c", "message": 'a\n  "warnings": [', "location": None}],
         }
-        expected = dump_json({**report, "traces": traces_to_obj(traces)})
-        assert report_to_json(report, traces) == expected
-    with pytest.raises(ValueError):
-        report_to_json({"schema": "x"}, [])  # no "warnings" key to place them before
+        for report in (report, {"schema": "x"}):
+            expected = dump_json({**report, "traces": traces_to_obj(traces)})
+            assert report_to_json(report, traces) == expected
