@@ -101,6 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _sniff_format(data: bytes) -> str:
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte order mark
     return "rdfxml" if data.lstrip()[:1] == b"<" else "json"
 
 
@@ -186,15 +187,15 @@ def _run(args: list[str]) -> int:
 
     asserted_only = getattr(options, "asserted_only", False)
     annotated = None
-    rule_list = None
+    runs = None
     if options.command in ("assign", "rules"):
         started = time.perf_counter()
         annotated = membership.assign_all(result.model, asserted_only=asserted_only)
         timings["membership"] = time.perf_counter() - started
     if options.command == "rules":
         started = time.perf_counter()
-        rule_list = rulegen.generate_rules(annotated)
-        violations = rulegen.check_consistency(rule_list, annotated)
+        runs = rulegen.premise_runs(annotated)
+        violations = rulegen.check_runs(runs, annotated)
         _print_diagnostics(violations)
         diagnostics += violations
         timings["rules"] = time.perf_counter() - started
@@ -208,9 +209,9 @@ def _run(args: list[str]) -> int:
         output = emit.annotated_to_json(annotated)
     else:
         if options.format == "text":
-            output = emit.rules_to_text(rule_list).encode("utf-8")
+            output = emit.runs_to_text(runs).encode("utf-8")
         else:
-            output = emit.rules_to_json(rule_list)
+            output = emit.runs_to_json(runs)
     _emit_output(output, options.out)
 
     if options.trace and not options.report:

@@ -4,6 +4,11 @@ Everything here is byte-deterministic: collections are emitted in canonical
 sort order, JSON uses sorted keys and a fixed indent, and the RDF/XML writer
 builds the document textually from sorted blocks.  Exact rational mu values
 are rendered to six decimal places (banker's rounding) only at this layer.
+
+The rules writers work on runs of rules that share premise, mu and category
+(see rules.py): ``runs_to_json`` and ``runs_to_text`` take the runs, as the
+CLI does, and ``rules_to_json`` and ``rules_to_text`` take a rule list and
+group it into runs first.  Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -226,8 +231,13 @@ def _mu_block(mu: Fraction) -> str:
 
 
 def rules_to_json(rules: list[FuzzyRule]) -> bytes:
-    """The bytes dump_json gives for {"schema", "rules": [...]}, written run
-    by run.
+    """The bytes dump_json gives for {"schema", "rules": [...]}."""
+    return runs_to_json(rule_runs(rules))
+
+
+def runs_to_json(runs) -> bytes:
+    """rules_to_json over rules given as runs (see rules.rule_runs), written
+    run by run.
 
     The stdlib encodes indented JSON in pure Python.  Every rule record has
     the same shape, so it is written here directly, with C string escaping.
@@ -238,7 +248,7 @@ def rules_to_json(rules: list[FuzzyRule]) -> bytes:
     mu_blocks: dict = {}
     chunks = [b'{\n  "rules": [']
     sep = "\n"
-    for (premise, mu, category), conclusions in rule_runs(rules):
+    for (premise, mu, category), conclusions in runs:
         mu_key = (mu.numerator, mu.denominator)  # cheaper to hash than a Fraction
         mu_block = mu_blocks.get(mu_key)
         if mu_block is None:
@@ -257,9 +267,21 @@ def rules_to_json(rules: list[FuzzyRule]) -> bytes:
 
 
 def rules_to_text(rules: list[FuzzyRule]) -> str:
+    """One "IF premise (mu=...) THEN conclusion" line per rule."""
+    return runs_to_text(rule_runs(rules))
+
+
+def runs_to_text(runs) -> str:
+    """rules_to_text over rules given as runs; the line prefix is built once
+    per run."""
+    decimals: dict = {}
     lines = []
-    for (premise, mu, _), conclusions in rule_runs(rules):
-        prefix = f"IF {premise_text(premise)} (mu={decimal6(mu)}) THEN "
+    for (premise, mu, _), conclusions in runs:
+        mu_key = (mu.numerator, mu.denominator)
+        decimal = decimals.get(mu_key)
+        if decimal is None:
+            decimal = decimals[mu_key] = decimal6(mu)
+        prefix = f"IF {premise_text(premise)} (mu={decimal}) THEN "
         lines.append(prefix + ("\n" + prefix).join(conclusions) + "\n")
     return "".join(lines)
 

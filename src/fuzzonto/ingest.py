@@ -301,10 +301,11 @@ class _RdfXmlParser:
 
 
 def load_json(data) -> OntologyModel:
-    """Load the JSON interchange form; inverse of emit.emit_json."""
+    """Load the JSON interchange form; inverse of emit.emit_json.  Bytes may
+    start with a UTF-8 byte order mark."""
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise MalformedDocument(f"not UTF-8: {exc}") from exc
     try:
@@ -439,11 +440,17 @@ def _origin(item: dict, where: str) -> str:
 
 
 def validate_model(model: OntologyModel) -> list[Diagnostic]:
-    """Consistency diagnostics; never raises."""
+    """Consistency diagnostics; never raises.
+
+    Holdings, relations and subclass axioms are filtered by dictionary
+    lookups first; only the elements that fail a check are sorted and
+    rendered.
+    """
     out: list[Diagnostic] = []
+    classes, properties = model.classes, model.properties
 
     def check_class(name: str, location: str) -> None:
-        if name not in model.classes:
+        if name not in classes:
             out.append(
                 Diagnostic(
                     "undeclared-class",
@@ -454,7 +461,7 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
             )
 
     def check_property(name: str, location: str) -> None:
-        if name not in model.properties:
+        if name not in properties:
             out.append(
                 Diagnostic(
                     "undeclared-property",
@@ -464,15 +471,30 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                 )
             )
 
-    for prop, holder in sorted(model.holdings):
+    failing = [
+        (prop, holder)
+        for prop, holder in model.holdings
+        if holder not in classes or prop not in properties
+    ]
+    for prop, holder in sorted(failing):
         check_class(holder, f"holding {prop}/{holder}")
         check_property(prop, f"holding {prop}/{holder}")
-    for pred, subject, obj in sorted(model.relations):
+    failing = [
+        (pred, subject, obj)
+        for pred, subject, obj in model.relations
+        if subject not in classes or obj not in classes or pred not in properties
+    ]
+    for pred, subject, obj in sorted(failing):
         where = f"relation {pred}({subject}, {obj})"
         check_class(subject, where)
         check_class(obj, where)
         check_property(pred, where)
-    for sub, sup in sorted(model.subclass_axioms):
+    failing = [
+        (sub, sup)
+        for sub, sup in model.subclass_axioms
+        if sub not in classes or sup not in classes
+    ]
+    for sub, sup in sorted(failing):
         where = f"subclass {sub} -> {sup}"
         check_class(sub, where)
         check_class(sup, where)
@@ -512,16 +534,15 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
     used = {prop for prop, _ in model.holdings}
     used |= {pred for pred, _, _ in model.relations}
     used |= modifier_props
-    for name in sorted(model.properties):
-        if name not in used:
-            out.append(
-                Diagnostic(
-                    "property-unused",
-                    "warning",
-                    f"property {name} has no domain/range assertions",
-                    name,
-                )
+    for name in sorted(properties.keys() - used):
+        out.append(
+            Diagnostic(
+                "property-unused",
+                "warning",
+                f"property {name} has no domain/range assertions",
+                name,
             )
+        )
 
     if model.normalized and model.modifiers:
         out.append(

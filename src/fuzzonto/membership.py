@@ -23,7 +23,6 @@ that sit in a shared group, and an entry with none is kept as it is.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -41,7 +40,7 @@ class ComplexKey(namedtuple("ComplexKey", "kind predicate resulting_class")):
 
     kind PART_OF keys on subclass axioms (predicate is None); kind RELATION
     keys on ordinary predicates.  A named tuple, so keys hash and compare in
-    C; the rendered ``text`` is cached in the instance dict.
+    C; ``text``, the rendered key, is cached in the instance dict.
     """
 
     @classmethod
@@ -52,22 +51,25 @@ class ComplexKey(namedtuple("ComplexKey", "kind predicate resulting_class")):
     def relation(cls, predicate: str, resulting_class: str) -> ComplexKey:
         return cls(RELATION, predicate, resulting_class)
 
-    @cached_property
-    def text(self) -> str:
-        """The premise as rules print it; rendered once per key, however many
-        rules share the key."""
+    def render(self) -> str:
+        """The premise as rules print it."""
         if self.kind == PART_OF:
             return f"part_of {self.resulting_class}"
         return f"{self.predicate} {self.resulting_class}"
+
+    # rendered once per key, however many rules share the key; a sort over
+    # every key calls render() instead, which skips cached_property's lock
+    text = cached_property(render)
 
     def sort_key(self) -> tuple:
         return (self.kind, self.predicate or "", self.resulting_class)
 
 
-@dataclass(frozen=True)
-class MembershipEntry:
-    mu: Fraction
-    determiners: tuple[str, ...]  # sorted; widened by copy_to_equivalents
+class MembershipEntry(namedtuple("MembershipEntry", "mu determiners")):
+    """A key's mu (a Fraction) and its determining classes, sorted; widened
+    by copy_to_equivalents."""
+
+    __slots__ = ()
 
 
 class EquivalenceGroups:
@@ -89,17 +91,22 @@ class EquivalenceGroups:
 
     def representatives(self, names) -> set[str]:
         reps = set(names)
-        shared = self.rep_of.keys() & reps
-        if shared:
-            reps -= shared
-            reps.update(self.rep_of[name] for name in shared)
+        if self.rep_of:
+            shared = self.rep_of.keys() & reps
+            if shared:
+                reps -= shared
+                reps.update(self.rep_of[name] for name in shared)
         return reps
 
 
-@dataclass
 class MembershipTable:
-    property_mu: dict[str, MembershipEntry]
-    complex_mu: dict[ComplexKey, MembershipEntry]
+    def __init__(
+        self,
+        property_mu: dict[str, MembershipEntry],
+        complex_mu: dict[ComplexKey, MembershipEntry],
+    ) -> None:
+        self.property_mu = property_mu
+        self.complex_mu = complex_mu
 
     def entries(self):
         """(kind, key, entry) triples in canonical order: properties,
@@ -118,11 +125,13 @@ class MembershipTable:
             yield RELATION, key, self.complex_mu[key]
 
 
-@dataclass
 class AnnotatedOntology:
-    model: OntologyModel
-    table: MembershipTable
-    groups: EquivalenceGroups
+    def __init__(
+        self, model: OntologyModel, table: MembershipTable, groups: EquivalenceGroups
+    ) -> None:
+        self.model = model
+        self.table = table
+        self.groups = groups
 
 
 def build_equivalence_groups(m: OntologyModel) -> EquivalenceGroups:
@@ -218,16 +227,19 @@ def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
     """Widen every determining set with the equivalents of its members.
 
     mu values stay as computed: representatives of the widened set are the
-    representatives of the original set.
+    representatives of the original set.  With no groups, annotated itself
+    is returned.
     """
     groups = annotated.groups
+    in_groups = groups.rep_of.keys()
+    if not in_groups:
+        return annotated
 
     def widen(entry: MembershipEntry) -> MembershipEntry:
-        shared = groups.rep_of.keys() & entry.determiners
-        if not shared:
+        if in_groups.isdisjoint(entry.determiners):
             return entry
         widened = set(entry.determiners)
-        for name in shared:
+        for name in in_groups & widened:
             widened.update(groups.members(name))
         return MembershipEntry(entry.mu, tuple(sorted(widened)))
 

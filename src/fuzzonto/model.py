@@ -10,7 +10,7 @@ are treated as immutable once built: the rewrite passes copy before mutating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DuplicateIdentifier
 
@@ -25,54 +25,66 @@ INVERSE = "inverse"
 INTERSECTION = "intersection"
 
 
-@dataclass(frozen=True)
-class RawModifier:
+class RawModifier(
+    namedtuple("RawModifier", "kind target counterpart members", defaults=(None, ()))
+):
     """Pre-normalization construct consumed by the rewrite stage.
 
     kind is one of SYMMETRIC / TRANSITIVE / INVERSE / INTERSECTION; target is
     a property name except for INTERSECTION, where it is the defined class.
+    counterpart is set for INVERSE only, members (a tuple) for INTERSECTION
+    only.
     """
 
-    kind: str
-    target: str
-    counterpart: str | None = None  # INVERSE only
-    members: tuple[str, ...] = ()  # INTERSECTION only
+    __slots__ = ()
 
     def key(self):
         return (self.kind, self.target, self.counterpart or "", self.members)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    severity: str  # "error" | "warning"
-    message: str
-    location: str | None = None
+class Diagnostic(
+    namedtuple("Diagnostic", "code severity message location", defaults=(None,))
+):
+    """One finding; severity is "error" or "warning"."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         where = f" ({self.location})" if self.location else ""
         return f"{self.severity}[{self.code}]: {self.message}{where}"
 
 
-@dataclass(eq=False)
 class OntologyModel:
     """Graph of one ontology.
 
     classes maps name -> IRI or None; properties maps declared property name
     -> DATATYPE or OBJECT.  holdings maps (property, holder), relations maps
     (predicate, subject, object) and subclass_axioms maps (sub, sup) to the
-    element's origin (insertion keeps the first derivation).
+    element's origin (insertion keeps the first derivation).  A collection
+    left out starts empty.
     """
 
-    classes: dict[str, str | None] = field(default_factory=dict)
-    properties: dict[str, str] = field(default_factory=dict)
-    holdings: dict[tuple[str, str], str] = field(default_factory=dict)
-    relations: dict[tuple[str, str, str], str] = field(default_factory=dict)
-    subclass_axioms: dict[tuple[str, str], str] = field(default_factory=dict)
-    equivalences: set[tuple[str, str]] = field(default_factory=set)
-    modifiers: set[RawModifier] = field(default_factory=set)
-    normalized: bool = False
-    parse_warnings: tuple[Diagnostic, ...] = ()
+    def __init__(
+        self,
+        classes: dict[str, str | None] | None = None,
+        properties: dict[str, str] | None = None,
+        holdings: dict[tuple[str, str], str] | None = None,
+        relations: dict[tuple[str, str, str], str] | None = None,
+        subclass_axioms: dict[tuple[str, str], str] | None = None,
+        equivalences: set[tuple[str, str]] | None = None,
+        modifiers: set[RawModifier] | None = None,
+        normalized: bool = False,
+        parse_warnings: tuple[Diagnostic, ...] = (),
+    ) -> None:
+        self.classes = {} if classes is None else classes
+        self.properties = {} if properties is None else properties
+        self.holdings = {} if holdings is None else holdings
+        self.relations = {} if relations is None else relations
+        self.subclass_axioms = {} if subclass_axioms is None else subclass_axioms
+        self.equivalences = set() if equivalences is None else equivalences
+        self.modifiers = set() if modifiers is None else modifiers
+        self.normalized = normalized
+        self.parse_warnings = parse_warnings
 
     # -- construction ---------------------------------------------------
 

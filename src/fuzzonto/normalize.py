@@ -37,7 +37,7 @@ not edges already.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 from itertools import islice, repeat
 
@@ -108,13 +108,11 @@ def el_modifier(mod: RawModifier) -> str:
     return f"{mod.kind} {mod.target}"
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
-    """First derivation of one element: which rule produced it from what."""
+class RewriteTrace(namedtuple("RewriteTrace", "rule produced sources", defaults=((),))):
+    """First derivation of one element: which rule produced it from what
+    (a tuple of rendered source elements)."""
 
-    rule: str
-    produced: str
-    sources: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 class Tracer:
@@ -135,29 +133,45 @@ class Tracer:
             self.traces.extend([RewriteTrace(rule, *render(item)) for item in batch])
 
 
-@dataclass
 class NormalizeResult:
-    model: OntologyModel
-    traces: tuple[RewriteTrace, ...]
-    warnings: tuple[Diagnostic, ...]
-    passes: int
-    tally: dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        model: OntologyModel,
+        traces: tuple[RewriteTrace, ...],
+        warnings: tuple[Diagnostic, ...],
+        passes: int,
+        tally: dict[str, int] | None = None,
+    ) -> None:
+        self.model = model
+        self.traces = traces
+        self.warnings = warnings
+        self.passes = passes
+        self.tally = {} if tally is None else tally
 
 
-@dataclass
 class _Progress:
     """What one normalize run carries from pass to pass, so that a pass redoes
     only what the previous pass's additions call for.  A fresh instance makes
     every rule start from scratch.
     """
 
-    closed: int | None = None  # len(subclass_axioms) after the last closure
-    lifted: int = 0  # len(relations) when the last lift ended
-    lift_axioms: set = field(default_factory=set)  # subclass keys that lift used
-    warned: set = field(default_factory=set)  # cycle groups already reported
-    equivalences: int = 0  # len(equivalences) that groups was built from
-    groups: list = field(default_factory=list)  # equivalence groups, sorted
-    copied: tuple[int, int] = (0, 0)  # len(holdings), len(relations) after the last copy
+    def __init__(
+        self,
+        closed: int | None = None,  # len(subclass_axioms) after the last closure
+        lifted: int = 0,  # len(relations) when the last lift ended
+        lift_axioms: set | None = None,  # subclass keys that lift used
+        warned: set | None = None,  # cycle groups already reported
+        equivalences: int = 0,  # len(equivalences) that groups was built from
+        groups: list | None = None,  # equivalence groups, sorted
+        copied: tuple[int, int] = (0, 0),  # len(holdings), len(relations) at the last copy
+    ) -> None:
+        self.closed = closed
+        self.lifted = lifted
+        self.lift_axioms = set() if lift_axioms is None else lift_axioms
+        self.warned = set() if warned is None else warned
+        self.equivalences = equivalences
+        self.groups = [] if groups is None else groups
+        self.copied = copied
 
 
 def _insert(elements: dict, rule: str, keys):

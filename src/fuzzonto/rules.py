@@ -2,14 +2,18 @@
 
 Each table key becomes a premise; each class in its (widened) determining set
 becomes one conclusion.  Rules therefore satisfy, by construction,
-mu(premise) * |representative conclusions| = 1 — check_consistency re-verifies
-that identity from the finished rule list alone.
+mu(premise) * |representative conclusions| = 1 — the check re-verifies that
+identity from the rules alone.
 
-The work scales with the number of premises, not of rules: the keys are
-sorted once by premise text, and each key's determiners, already sorted,
-become its rules in order.  Consecutive rules that share premise, mu and
-category form a run (``rule_runs``); the check and the writers handle one
-run at a time.
+All rules of one key share its premise, mu and category, so the rules come
+as runs: ``((premise, mu, category), conclusions)`` pairs.  ``premise_runs``
+builds them straight from the table, one per key, with the keys sorted once
+by premise text and each key's sorted determiners as its conclusions; the
+CLI takes them from there to the check and the writers without building a
+rule object.  ``generate_rules`` expands the runs into ``FuzzyRule`` tuples,
+and ``rule_runs`` groups any rule list back into runs, so the list entry
+points (``check_consistency`` and the writers in emit.py) run the same
+run-level bodies.
 """
 
 from __future__ import annotations
@@ -41,18 +45,18 @@ class FuzzyRule(
         return premise_text(self.premise)
 
 
-_new_tuple = tuple.__new__  # FuzzyRule(...) would run namedtuple's Python __new__
-
-
-def generate_rules(annotated: AnnotatedOntology) -> list[FuzzyRule]:
-    """Rules sorted by (premise text, conclusion), one run per premise."""
+def premise_runs(annotated: AnnotatedOntology) -> list[tuple]:
+    """The rules as runs, sorted by (premise text, conclusion): one run per
+    key, except where premises print alike (say, a predicate named part_of):
+    their rules merge by conclusion, a tie keeping the table order, and split
+    into runs again where the key changes."""
     table = annotated.table
     # (text, rank, key, entry); the rank orders premises that print alike as
     # the table does: properties, part_of complexes, relation complexes
     premises = [(name, (0,), name, entry) for name, entry in table.property_mu.items()]
     premises += [
         (
-            key.text,
+            key.render(),
             (1,) if key.kind == PART_OF else (2, key.predicate, key.resulting_class),
             key,
             entry,
@@ -61,51 +65,71 @@ def generate_rules(annotated: AnnotatedOntology) -> list[FuzzyRule]:
     ]
     premises.sort(key=itemgetter(0, 1))
 
-    rules: list[FuzzyRule] = []
+    runs = []
     for _, alike in groupby(premises, itemgetter(0)):
         alike = list(alike)
-        start = len(rules)
-        for _, _, key, entry in alike:
-            mu = entry.mu
-            rules += [
-                _new_tuple(FuzzyRule, (key, conclusion, mu, IDENTIFYING))
-                for conclusion in entry.determiners
-            ]
-        if len(alike) > 1:  # e.g. a predicate named part_of; the sort is stable
-            rules[start:] = sorted(rules[start:], key=itemgetter(1))
-    return rules
+        if len(alike) == 1:
+            _, _, key, entry = alike[0]
+            runs.append(((key, entry.mu, IDENTIFYING), entry.determiners))
+            continue
+        merged = [
+            (key, conclusion, entry.mu, IDENTIFYING)
+            for _, _, key, entry in alike
+            for conclusion in entry.determiners
+        ]
+        merged.sort(key=itemgetter(1))  # stable
+        runs += rule_runs(merged)
+    return runs
+
+
+_new_tuple = tuple.__new__  # FuzzyRule(...) would run namedtuple's Python __new__
+
+
+def generate_rules(annotated: AnnotatedOntology) -> list[FuzzyRule]:
+    """The rules of premise_runs, one FuzzyRule each, in the same order."""
+    return [
+        _new_tuple(FuzzyRule, (premise, conclusion, mu, category))
+        for (premise, mu, category), conclusions in premise_runs(annotated)
+        for conclusion in conclusions
+    ]
 
 
 def rule_runs(rules):
     """Maximal runs of consecutive rules that share premise, mu and category,
-    as ((premise, mu, category), conclusions) pairs.
+    as ((premise, mu, category), conclusions) pairs, conclusions a tuple.
 
     Fields compare by identity first, so on generator output, where a
     premise's rules share one key and one mu object, only run boundaries
     reach ``__eq__``.
     """
     for shared, run in groupby(rules, itemgetter(0, 2, 3)):
-        yield shared, list(map(itemgetter(1), run))
+        yield shared, tuple(map(itemgetter(1), run))
 
 
 def check_consistency(
     rules: list[FuzzyRule], annotated: AnnotatedOntology
 ) -> list[Diagnostic]:
     """Violations of the reciprocity identity; empty on generator output."""
+    return check_runs(rule_runs(rules), annotated)
+
+
+def check_runs(runs, annotated: AnnotatedOntology) -> list[Diagnostic]:
+    """check_consistency over rules given as runs (see rule_runs)."""
     # by key, not by text: a predicate named part_of gives relation keys that
     # print like the part_of keys of the same class.  A premise may come in
     # several runs, adjacent or not; they merge here.
     by_premise: dict[str | ComplexKey, list] = {}
-    for (premise, mu, _), conclusions in rule_runs(rules):
+    for (premise, mu, _), conclusions in runs:
         by_premise.setdefault(premise, []).append((mu, conclusions))
 
+    representatives = annotated.groups.representatives
     out: list[Diagnostic] = []
-    for premise, runs in by_premise.items():
-        mu = runs[0][0]
-        if len(runs) > 1:
-            if any(other is not mu and other != mu for other, _ in runs):
+    for premise, parts in by_premise.items():
+        mu = parts[0][0]
+        if len(parts) > 1:
+            if any(other is not mu and other != mu for other, _ in parts):
                 text = premise_text(premise)
-                values = len({other for other, _ in runs})
+                values = len({other for other, _ in parts})
                 out.append(
                     Diagnostic(
                         "mixed-mu",
@@ -115,10 +139,10 @@ def check_consistency(
                     )
                 )
                 continue
-            conclusions = [c for _, run in runs for c in run]
+            conclusions = [c for _, part in parts for c in part]
         else:
-            conclusions = runs[0][1]
-        reps = len(annotated.groups.representatives(conclusions))
+            conclusions = parts[0][1]
+        reps = len(representatives(conclusions))
         if mu.numerator * reps != mu.denominator:
             text = premise_text(premise)
             out.append(

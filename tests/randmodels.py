@@ -4,12 +4,15 @@ The oracles re-derive results from first principles (repeat-until-fixed pair
 composition, naive set merging, direct comprehension over model collections)
 so they share no code with the production implementations they check.
 reference_normalize is the exception and says what it shares.
+reference_validate_model is the validator as it was before it filtered
+elements by lookups: it sorts and renders every element.
 """
 
 import random
 
 from fuzzonto.model import (
     DATATYPE,
+    Diagnostic,
     INTERSECTION,
     INVERSE,
     OBJECT,
@@ -273,3 +276,131 @@ def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
             break
     work.normalized = True
     return work, tuple(tracer.traces), warnings, passes, tracer.tally
+
+
+def undeclared_model(seed: int) -> OntologyModel:
+    """random_model(seed) with undeclared classes and properties injected
+    into holdings, relations, subclass axioms, equivalences and modifiers,
+    and properties left unused."""
+    rng = random.Random(f"undeclared/{seed}")
+    m = random_model(seed)
+    classes = sorted(m.classes)
+    ghosts = ["G0", "G1", "Z9"]
+    ghost_props = ["q0", "q1", "r9"]
+    anyclass = classes + ghosts
+    for _ in range(rng.randint(0, 4)):
+        m.add_holding(rng.choice(ghost_props + DT_POOL), rng.choice(anyclass))
+    for _ in range(rng.randint(0, 4)):
+        m.add_relation(
+            rng.choice(ghost_props + REL_POOL), rng.choice(anyclass), rng.choice(anyclass)
+        )
+    for _ in range(rng.randint(0, 3)):
+        m.add_subclass(rng.choice(anyclass), rng.choice(anyclass))
+    if rng.random() < 0.5:
+        m.add_equivalence(rng.choice(anyclass), rng.choice(ghosts))
+    if rng.random() < 0.3:
+        m.equivalences.add((classes[0], classes[0]))  # a self-pair from outside
+    if rng.random() < 0.5:
+        m.add_modifier(RawModifier(INVERSE, rng.choice(ghost_props), counterpart="q9"))
+    if rng.random() < 0.5:
+        m.add_modifier(RawModifier(INTERSECTION, rng.choice(anyclass), members=("G1",)))
+    for name in rng.sample(["u0", "u1", "u2"], rng.randint(0, 3)):
+        m.declare_property(name, rng.choice((DATATYPE, OBJECT)))
+    m.normalized = rng.random() < 0.2
+    return m
+
+
+def reference_validate_model(model: OntologyModel) -> list:
+    """Validation diagnostics, checking every element in sorted order."""
+    out: list = []
+
+    def check_class(name: str, location: str) -> None:
+        if name not in model.classes:
+            out.append(
+                Diagnostic(
+                    "undeclared-class",
+                    "error",
+                    f"class {name} referenced but not present",
+                    location,
+                )
+            )
+
+    def check_property(name: str, location: str) -> None:
+        if name not in model.properties:
+            out.append(
+                Diagnostic(
+                    "undeclared-property",
+                    "warning",
+                    f"property {name} used but not declared",
+                    location,
+                )
+            )
+
+    for prop, holder in sorted(model.holdings):
+        check_class(holder, f"holding {prop}/{holder}")
+        check_property(prop, f"holding {prop}/{holder}")
+    for pred, subject, obj in sorted(model.relations):
+        where = f"relation {pred}({subject}, {obj})"
+        check_class(subject, where)
+        check_class(obj, where)
+        check_property(pred, where)
+    for sub, sup in sorted(model.subclass_axioms):
+        where = f"subclass {sub} -> {sup}"
+        check_class(sub, where)
+        check_class(sup, where)
+    for a, b in sorted(model.equivalences):
+        where = f"equivalence ({a}, {b})"
+        check_class(a, where)
+        check_class(b, where)
+        if a == b:
+            out.append(
+                Diagnostic(
+                    "self-equivalence", "warning", f"self-equivalence dropped for {a}", where
+                )
+            )
+
+    modifier_props: set = set()
+    for m in model.sorted_modifiers():
+        where = f"{m.kind} modifier on {m.target}"
+        if m.kind == INTERSECTION:
+            check_class(m.target, where)
+            for member in m.members:
+                check_class(member, where)
+        else:
+            check_property(m.target, where)
+            modifier_props.add(m.target)
+        if m.kind == INVERSE and m.counterpart is not None:
+            modifier_props.add(m.counterpart)
+            if m.counterpart not in model.properties:
+                out.append(
+                    Diagnostic(
+                        "undeclared-inverse",
+                        "warning",
+                        f"inverseOf names undeclared property {m.counterpart}",
+                        where,
+                    )
+                )
+
+    used = {prop for prop, _ in model.holdings}
+    used |= {pred for pred, _, _ in model.relations}
+    used |= modifier_props
+    for name in sorted(model.properties):
+        if name not in used:
+            out.append(
+                Diagnostic(
+                    "property-unused",
+                    "warning",
+                    f"property {name} has no domain/range assertions",
+                    name,
+                )
+            )
+
+    if model.normalized and model.modifiers:
+        out.append(
+            Diagnostic(
+                "modifiers-in-normalized",
+                "error",
+                "normalized model still carries raw modifiers",
+            )
+        )
+    return out

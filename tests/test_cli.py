@@ -71,6 +71,24 @@ def test_asserted_only_flag(capsys):
     assert lifted not in keys(asserted)
 
 
+@pytest.mark.parametrize("fmt", ["rdfxml", "json"])
+def test_input_may_start_with_a_utf8_byte_order_mark(tmp_path, capsys, fmt):
+    if fmt == "rdfxml":
+        plain = fixture_path("transitive_areas.owl").read_bytes()
+    else:
+        code, out, _ = run(capsys, "normalize", str(fixture_path("transitive_areas.owl")))
+        assert code == 0
+        plain = out.encode("utf-8")
+    source = tmp_path / "plain"
+    source.write_bytes(plain)
+    marked = tmp_path / "marked"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain)
+    code, expected, _ = run(capsys, "rules", str(source))
+    assert code == 0 and json.loads(expected)["rules"]
+    code, out, err = run(capsys, "rules", str(marked))
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_exit_1_on_malformed_input(tmp_path, capsys):
     bad = tmp_path / "broken.owl"
     bad.write_text("<rdf:RDF")
@@ -315,3 +333,48 @@ def test_cli_import_leaves_the_network_stack_out():
         check=True,
     )
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which every run
+    # would pay for at start-up
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, fuzzonto.cli; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
+
+
+def test_rules_command_goes_from_runs_to_bytes(capsys, monkeypatch):
+    """The rules command writes from premise runs: the list entry points,
+    which build one FuzzyRule per rule and regroup them, are not called."""
+    from fuzzonto import emit, rules
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-rule path taken")
+
+    expected = {}
+    for fmt in ("json", "text"):
+        code, expected[fmt], _ = run(
+            capsys, "rules", str(fixture_path("transitive_areas.owl")), "--format", fmt
+        )
+        assert code == 0
+    for module, name in (
+        (rules, "generate_rules"),
+        (rules, "check_consistency"),
+        (emit, "rules_to_json"),
+        (emit, "rules_to_text"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    for fmt in ("json", "text"):
+        code, out, _ = run(
+            capsys, "rules", str(fixture_path("transitive_areas.owl")), "--format", fmt
+        )
+        assert (code, out) == (0, expected[fmt])

@@ -1,5 +1,7 @@
 """Output digest gate: rules JSON, rules text, rewrite traces, the normalized
-model (JSON and RDF/XML) and the assign JSON stay byte-identical.
+model (JSON and RDF/XML) and the assign JSON stay byte-identical.  The rules
+bytes are pinned for both writer entry points: from a rule list and from
+premise runs.
 
 The rules and trace values were recorded from the pipeline before its hot
 loops were rewritten (witness lookup, determiner index, rules JSON writer);
@@ -14,6 +16,7 @@ import random
 from conftest import FIXTURE_NAMES, parse_fixture
 from fuzzonto import OntologyModel, RawModifier, assign_all, generate_rules, normalize
 from fuzzonto import emit
+from fuzzonto.rules import premise_runs
 
 PINNED = {
     "rules_json": "b66121bd7d4d25ad38b387728e2b23a88af5df25260259f26f983d93a89da718",
@@ -62,12 +65,16 @@ def _inputs():
         yield name, parse_fixture(name)
 
 
-def _digests() -> dict:
+def _digests() -> tuple[dict, dict]:
+    """The pinned digests, and the rules digests of the writers that take
+    premise runs, which must match the same pins."""
     hashes = {name: hashlib.sha256() for name in PINNED}
+    run_hashes = {name: hashlib.sha256() for name in ("rules_json", "rules_text")}
     for label, model in _inputs():
         result = normalize(model, trace=True)
         annotated = assign_all(result.model)
         rules = generate_rules(annotated)
+        runs = premise_runs(annotated)
         outputs = {
             "rules_json": emit.rules_to_json(rules),
             "rules_text": emit.rules_to_text(rules).encode("utf-8"),
@@ -76,11 +83,21 @@ def _digests() -> dict:
             "model_rdfxml": emit.emit_normalized_rdf(result.model),
             "assign_json": emit.annotated_to_json(annotated),
         }
-        for name, data in outputs.items():
-            hashes[name].update(f"{label}:{len(data)}:".encode())
-            hashes[name].update(data)
-    return {name: h.hexdigest() for name, h in hashes.items()}
+        run_outputs = {
+            "rules_json": emit.runs_to_json(runs),
+            "rules_text": emit.runs_to_text(runs).encode("utf-8"),
+        }
+        for digests, produced in ((hashes, outputs), (run_hashes, run_outputs)):
+            for name, data in produced.items():
+                digests[name].update(f"{label}:{len(data)}:".encode())
+                digests[name].update(data)
+    return (
+        {name: h.hexdigest() for name, h in hashes.items()},
+        {name: h.hexdigest() for name, h in run_hashes.items()},
+    )
 
 
 def test_output_digests_are_pinned():
-    assert _digests() == PINNED
+    digests, run_digests = _digests()
+    assert digests == PINNED
+    assert run_digests == {name: PINNED[name] for name in run_digests}

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import parse_fixture
+from randmodels import reference_validate_model, undeclared_model
 from fuzzonto import (
     DuplicateIdentifier,
     MalformedDocument,
@@ -291,3 +292,22 @@ def test_validate_flags_modifiers_in_normalized_model():
     m.add_modifier(RawModifier(SYMMETRIC, "p"))
     m.normalized = True
     assert any(d.code == "modifiers-in-normalized" for d in validate_model(m))
+
+
+def test_validate_matches_the_sort_everything_oracle():
+    """Filtering before sorting keeps every diagnostic and its order, on
+    models with undeclared classes and properties in every position."""
+    codes = set()
+    for seed in range(300):
+        m = undeclared_model(seed)
+        diagnostics = validate_model(m)
+        assert diagnostics == reference_validate_model(m), f"seed {seed}"
+        codes.update(d.code for d in diagnostics)
+    assert codes == {
+        "undeclared-class",
+        "undeclared-property",
+        "undeclared-inverse",
+        "self-equivalence",
+        "property-unused",
+        "modifiers-in-normalized",
+    }

@@ -4,12 +4,17 @@ from conftest import normalize_fixture
 from fuzzonto import assign_all, check_consistency, generate_rules, normalize
 from fuzzonto.membership import ComplexKey
 from fuzzonto.model import OntologyModel
-from fuzzonto.rules import FuzzyRule
+from fuzzonto.rules import IDENTIFYING, FuzzyRule, check_runs, premise_runs, rule_runs
 from randmodels import random_model
 
 
 def annotated_fixture(name):
     return assign_all(normalize_fixture(name).model)
+
+
+def codes(*results):
+    """The diagnostic codes of each check result, as a tuple of lists."""
+    return tuple([d.code for d in result] for result in results)
 
 
 def test_property_premise_yields_one_rule_per_holder():
@@ -80,8 +85,12 @@ def test_consistency_flags_wrong_denominator():
     rules = [
         FuzzyRule(premise="p", conclusion=c, mu=Fraction(1, 2)) for c in ("A", "B", "C")
     ]
-    violations = check_consistency(rules, annotated)
-    assert [v.code for v in violations] == ["identity-violation"]
+    runs = [(("p", Fraction(1, 2), IDENTIFYING), ("A", "B", "C"))]
+    # the list entry point and the run entry point, side by side
+    assert codes(check_consistency(rules, annotated), check_runs(runs, annotated)) == (
+        ["identity-violation"],
+        ["identity-violation"],
+    )
 
 
 def test_consistency_flags_mixed_mu():
@@ -90,7 +99,17 @@ def test_consistency_flags_mixed_mu():
         FuzzyRule(premise="p", conclusion="A", mu=Fraction(1, 2)),
         FuzzyRule(premise="p", conclusion="B", mu=Fraction(1, 3)),
     ]
-    assert [v.code for v in check_consistency(rules, annotated)] == ["mixed-mu"]
+    # a mu change splits the premise's rules into two runs, which the run
+    # check merges again
+    runs = [
+        (("p", Fraction(1, 2), IDENTIFYING), ("A",)),
+        (("p", Fraction(1, 3), IDENTIFYING), ("B",)),
+    ]
+    assert codes(check_consistency(rules, annotated), check_runs(runs, annotated)) == (
+        ["mixed-mu"],
+        ["mixed-mu"],
+    )
+    assert list(rule_runs(rules)) == runs
 
 
 def test_consistency_tells_apart_premises_that_print_alike():
@@ -184,11 +203,17 @@ def alike_premises_model() -> OntologyModel:
 
 
 def test_generate_rules_equals_sorted_entries_on_random_models():
+    """generate_rules gives the plain definition's rules, and premise_runs
+    the maximal runs of those rules."""
     for seed in range(300):
         model = normalize(random_model(seed)).model
         for asserted_only in (False, True):
             annotated = assign_all(model, asserted_only=asserted_only)
-            assert generate_rules(annotated) == sorted_entries_rules(annotated), (
+            rules = generate_rules(annotated)
+            assert rules == sorted_entries_rules(annotated), (
+                f"seed {seed} asserted_only={asserted_only}"
+            )
+            assert premise_runs(annotated) == list(rule_runs(rules)), (
                 f"seed {seed} asserted_only={asserted_only}"
             )
 
@@ -197,6 +222,9 @@ def test_generate_rules_merges_premises_that_print_alike():
     annotated = assign_all(normalize(alike_premises_model()).model)
     rules = generate_rules(annotated)
     assert rules == sorted_entries_rules(annotated)
+    runs = premise_runs(annotated)
+    assert runs == list(rule_runs(rules))
+    assert check_runs(runs, annotated) == []
 
     def described(rule):
         if isinstance(rule.premise, str):
@@ -223,6 +251,16 @@ def test_generate_rules_merges_premises_that_print_alike():
         ("part_of X", "E", "relation", "part_of"),
     ]
     assert check_consistency(rules, annotated) == []
+
+    # consecutive conclusions of one key among alike premises share a run
+    m = alike_premises_model()
+    for name in ("Y1", "Y2"):
+        m.touch_class(name)
+        m.add_subclass(name, "X")
+    annotated = assign_all(normalize(m).model)
+    runs = premise_runs(annotated)
+    assert runs == list(rule_runs(generate_rules(annotated)))
+    assert runs[-1] == ((ComplexKey.part_of("X"), Fraction(1, 4), IDENTIFYING), ("Y1", "Y2"))
 
 
 def test_consistency_merges_a_premise_split_over_non_adjacent_runs():
