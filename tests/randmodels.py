@@ -6,11 +6,18 @@ so they share no code with the production implementations they check.
 reference_normalize is the exception and says what it shares.
 reference_validate_model is the validator as it was before it filtered
 elements by lookups: it sorts and renders every element.
+reference_parse_rdfxml is the RDF/XML reader as it was when it built an
+ElementTree and walked it; random_rdfxml writes documents for it.
 """
 
 import random
+import xml.etree.ElementTree as ET
+
+from fuzzonto.errors import DuplicateIdentifier, MalformedDocument, UnsupportedConstruct
+from fuzzonto.ingest import OWL_NS, RDF_NS, RDFS_NS
 
 from fuzzonto.model import (
+    ASSERTED,
     DATATYPE,
     Diagnostic,
     INTERSECTION,
@@ -404,3 +411,405 @@ def reference_validate_model(model: OntologyModel) -> list:
             )
         )
     return out
+
+
+# -- the RDF/XML reader over an ElementTree ---------------------------------------
+
+
+def reference_parse_rdfxml(data, strict: bool = False) -> OntologyModel:
+    """The model, warnings and errors of the RDF/XML reader that parsed the
+    whole document into an ElementTree before it walked the tree."""
+    return _ReferenceRdfXmlParser(strict).parse(data)
+
+
+def _split_tag(tag: str) -> tuple[str, str]:
+    if tag.startswith("{"):
+        ns, _, local = tag[1:].partition("}")
+        return ns, local
+    return "", tag
+
+
+def _ref_name(value: str) -> tuple[str, str | None]:
+    """Local name and optional full IRI for an rdf:about/rdf:resource value."""
+    if value.startswith("#"):
+        return value[1:], None
+    if "#" in value:
+        return value.rsplit("#", 1)[1], value
+    if "/" in value:
+        return value.rsplit("/", 1)[1], value
+    return value, None
+
+
+class _ReferenceRdfXmlParser:
+    def __init__(self, strict: bool):
+        self.strict = strict
+        self.model = OntologyModel()
+        self.warnings: list[Diagnostic] = []
+        self.declared: dict[str, str] = {}  # name -> class | datatype | object
+
+    # -- helpers ----------------------------------------------------------
+
+    def _warn(self, code: str, message: str, location: str | None = None) -> None:
+        self.warnings.append(Diagnostic(code, "warning", message, location))
+
+    def _unsupported(self, what: str, location: str | None = None) -> None:
+        if self.strict:
+            raise UnsupportedConstruct(f"{what}" + (f" ({location})" if location else ""))
+        self._warn("unsupported-construct", f"{what} skipped", location)
+
+    def _declare(self, name: str, kind: str, location: str) -> None:
+        existing = self.declared.get(name)
+        if existing is not None and existing != kind:
+            raise DuplicateIdentifier(
+                f"{name!r} declared both as {existing} and as {kind} ({location})"
+            )
+        self.declared[name] = kind
+        if kind == "class":
+            self.model.touch_class(name)
+        else:
+            self.model.declare_property(name, kind)
+
+    def _element_name(self, el, what: str) -> str | None:
+        ident = el.get(f"{{{RDF_NS}}}ID")
+        if ident is not None:
+            return ident
+        about = el.get(f"{{{RDF_NS}}}about")
+        if about is not None:
+            name, iri = _ref_name(about)
+            if iri and what == "class":
+                self.model.touch_class(name, iri)
+            return name
+        self._unsupported(f"anonymous {what}")
+        return None
+
+    def _resource(self, el) -> tuple[str, str | None] | None:
+        value = el.get(f"{{{RDF_NS}}}resource")
+        if value is None:
+            return None
+        return _ref_name(value)
+
+    def _class_target(self, el, location: str) -> str | None:
+        """Class named by rdf:resource or by a nested owl:Class child."""
+        res = self._resource(el)
+        if res is not None:
+            name, iri = res
+            self.model.touch_class(name, iri)
+            return name
+        for child in el:
+            ns, local = _split_tag(child.tag)
+            if (ns, local) == (OWL_NS, "Class"):
+                name = self._element_name(child, "class")
+                if name is not None:
+                    self.model.touch_class(name)
+                    return name
+            else:
+                self._unsupported(f"nested {local}", location)
+                return None
+        self._unsupported("empty class reference", location)
+        return None
+
+    # -- walk ---------------------------------------------------------------
+
+    def parse(self, data) -> OntologyModel:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        try:
+            root = ET.fromstring(data)
+        except ET.ParseError as exc:
+            raise MalformedDocument(f"XML syntax error: {exc}") from exc
+        ns, local = _split_tag(root.tag)
+        if (ns, local) != (RDF_NS, "RDF"):
+            raise MalformedDocument(f"root element must be rdf:RDF, got {local!r}")
+
+        for el in root:
+            ns, local = _split_tag(el.tag)
+            if (ns, local) == (OWL_NS, "Class"):
+                self._parse_class(el)
+            elif (ns, local) == (OWL_NS, "ObjectProperty"):
+                self._parse_property(el, OBJECT)
+            elif (ns, local) == (OWL_NS, "DatatypeProperty"):
+                self._parse_property(el, DATATYPE)
+            elif (ns, local) == (OWL_NS, "SymmetricProperty"):
+                self._parse_property(el, OBJECT, modifier_kind=SYMMETRIC)
+            elif (ns, local) == (OWL_NS, "TransitiveProperty"):
+                self._parse_property(el, OBJECT, modifier_kind=TRANSITIVE)
+            elif (ns, local) == (OWL_NS, "Ontology"):
+                self._parse_ontology_header(el)
+            else:
+                self._unsupported(f"top-level element {local}")
+
+        model = self.model
+        model.parse_warnings = tuple(self.warnings)
+        return model
+
+    def _parse_ontology_header(self, el) -> None:
+        for child in el:
+            ns, local = _split_tag(child.tag)
+            if (ns, local) == (OWL_NS, "imports"):
+                self._warn("imports-ignored", "owl:imports is ignored", "owl:Ontology")
+            else:
+                self._unsupported(f"ontology header element {local}", "owl:Ontology")
+
+    def _parse_class(self, el) -> None:
+        name = self._element_name(el, "class")
+        if name is None:
+            return
+        location = f"owl:Class {name}"
+        self._declare(name, "class", location)
+
+        for child in el:
+            ns, local = _split_tag(child.tag)
+            if (ns, local) == (RDFS_NS, "subClassOf"):
+                target = self._class_target(child, location)
+                if target is not None:
+                    self.model.add_subclass(name, target, ASSERTED)
+            elif (ns, local) == (OWL_NS, "equivalentClass"):
+                target = self._class_target(child, location)
+                if target is None:
+                    continue
+                if not self.model.add_equivalence(name, target) and name == target:
+                    self._warn(
+                        "self-equivalence",
+                        f"self-equivalence dropped for {name}",
+                        location,
+                    )
+            elif (ns, local) == (OWL_NS, "intersectionOf"):
+                self._parse_intersection(child, name, location)
+            elif (ns, local) == (RDF_NS, "type"):
+                pass
+            elif ns in (RDF_NS, RDFS_NS, OWL_NS):
+                self._unsupported(f"class element {local}", location)
+            else:
+                self._parse_nested_relation(child, name, local, location)
+
+    def _parse_intersection(self, el, name: str, location: str) -> None:
+        if el.get(f"{{{RDF_NS}}}parseType") != "Collection":
+            self._unsupported("intersectionOf without parseType Collection", location)
+            return
+        members = []
+        for child in el:
+            ns, local = _split_tag(child.tag)
+            if (ns, local) == (OWL_NS, "Class"):
+                member = self._element_name(child, "class")
+                if member is not None:
+                    self.model.touch_class(member)
+                    members.append(member)
+            else:
+                self._unsupported(f"intersection member {local}", location)
+        self.model.add_modifier(
+            RawModifier(INTERSECTION, name, members=tuple(members))
+        )
+
+    def _parse_nested_relation(self, el, subject: str, predicate: str, location: str) -> None:
+        res = self._resource(el)
+        if res is None:
+            self._unsupported(f"relation element {predicate} without rdf:resource", location)
+            return
+        obj, iri = res
+        self.model.touch_class(obj, iri)
+        self.model.add_relation(predicate, subject, obj, ASSERTED)
+
+    def _parse_property(self, el, kind: str, modifier_kind: str | None = None) -> None:
+        name = self._element_name(el, "property")
+        if name is None:
+            return
+        location = f"owl:{kind.capitalize()}Property {name}"
+        self._declare(name, kind, location)
+
+        domains: list[str] = []
+        ranges: list[str] = []
+        for child in el:
+            ns, local = _split_tag(child.tag)
+            if (ns, local) == (RDFS_NS, "domain"):
+                res = self._resource(child)
+                if res is None:
+                    self._unsupported("domain without rdf:resource", location)
+                    continue
+                self.model.touch_class(res[0], res[1])
+                domains.append(res[0])
+            elif (ns, local) == (RDFS_NS, "range"):
+                res = self._resource(child)
+                if res is None:
+                    self._unsupported("range without rdf:resource", location)
+                    continue
+                if kind == OBJECT:
+                    self.model.touch_class(res[0], res[1])
+                    ranges.append(res[0])
+                # datatype ranges (XSD types) carry no class information
+            elif (ns, local) == (OWL_NS, "inverseOf"):
+                res = self._resource(child)
+                if res is None:
+                    self._unsupported("inverseOf without rdf:resource", location)
+                    continue
+                counterpart = res[0]
+                # inverseOf implies the counterpart is an object property
+                self._declare(counterpart, OBJECT, location)
+                self.model.add_modifier(RawModifier(INVERSE, name, counterpart=counterpart))
+            elif (ns, local) == (RDF_NS, "type"):
+                pass
+            else:
+                self._unsupported(f"property element {local}", location)
+
+        if modifier_kind is not None:
+            self.model.add_modifier(RawModifier(modifier_kind, name))
+
+        if kind == OBJECT:
+            for d in domains:
+                for r in ranges:
+                    self.model.add_relation(name, d, r, ASSERTED)
+        else:
+            for d in domains:
+                self.model.add_holding(name, d, ASSERTED)
+
+
+_CLASS_NAMES = ["A", "B", "C", "D", "E"]
+_PROPERTY_NAMES = ["p", "q", "r", "s"]
+_DOC_OPEN = (
+    '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+    ' xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"'
+    ' xmlns:owl="http://www.w3.org/2002/07/owl#" xmlns:ex="http://example.org/ex#"'
+    ' xmlns="http://example.org/default#">'
+)
+
+
+def random_rdfxml(seed: int) -> bytes:
+    """An RDF/XML document with every construct the reader recognizes and
+    each one it skips, in random number and order.
+
+    Class and property names share no pool, except now and then, so some
+    documents declare one name with two kinds.  A few documents have a root
+    other than rdf:RDF, a syntax error (sometimes after a construct that
+    strict mode rejects), an internal entity or an undefined one.
+    """
+    rng = random.Random(f"rdfxml/{seed}")
+
+    def name(pool):
+        if rng.random() < 0.03:
+            pool = _CLASS_NAMES + _PROPERTY_NAMES
+        return rng.choice(pool)
+
+    def ref(pool=_CLASS_NAMES) -> str:
+        n = name(pool)
+        return rng.choice([f"#{n}", f"http://example.org/onto#{n}", f"http://example.org/{n}", n])
+
+    def ident(pool) -> str:
+        """rdf:ID, rdf:about or nothing (an anonymous element)."""
+        roll = rng.random()
+        if roll < 0.08:
+            return ""
+        if roll < 0.55:
+            return f' rdf:ID="{name(pool)}"'
+        return f' rdf:about="{ref(pool)}"'
+
+    def junk() -> str:
+        return rng.choice(["", "text", "<rdfs:label>deep<ex:x/></rdfs:label>", "<owl:Class/>"])
+
+    def class_member() -> str:
+        return rng.choice(
+            [
+                f'<owl:Class rdf:about="{ref()}"/>',
+                f"<owl:Class{ident(_CLASS_NAMES)}>{junk()}</owl:Class>",
+                "<owl:Class/>",
+                "<owl:Restriction><owl:onProperty/></owl:Restriction>",
+            ]
+        )
+
+    def members(most: int) -> str:
+        return "".join(class_member() for _ in range(rng.randint(0, most)))
+
+    def class_child() -> str:
+        tag = rng.choice(["rdfs:subClassOf", "owl:equivalentClass"])
+        roll = rng.randrange(12)
+        if roll < 3:
+            return f'<{tag} rdf:resource="{ref()}">{junk()}</{tag}>'
+        if roll < 5:
+            return f"<{tag}>{members(3)}</{tag}>"
+        if roll == 5:
+            parse_type = rng.choice([' rdf:parseType="Collection"'] * 3 + [' rdf:parseType="Resource"', ""])
+            return f"<owl:intersectionOf{parse_type}>{members(4)}</owl:intersectionOf>"
+        if roll == 6:
+            return '<rdf:type rdf:resource="http://www.w3.org/2002/07/owl#Class"/>'
+        if roll == 7:
+            return rng.choice(
+                ["<rdfs:label>x</rdfs:label>", '<owl:unionOf rdf:parseType="Collection"/>', "<rdf:value/>"]
+            )
+        if roll < 11:
+            tag = rng.choice(["ex:", "", "ex:"]) + name(_PROPERTY_NAMES)
+            return f'<{tag} rdf:resource="{ref()}"/>'
+        return rng.choice(["<ex:p>text</ex:p>", "<q><owl:Class/></q>"])
+
+    def property_child(kind_range: str) -> str:
+        roll = rng.randrange(10)
+        if roll < 3:
+            return f'<rdfs:domain rdf:resource="{ref()}"/>'
+        if roll < 6:
+            return f'<rdfs:range rdf:resource="{rng.choice([ref(), kind_range])}"/>'
+        if roll == 6:
+            return f'<owl:inverseOf rdf:resource="{ref(_PROPERTY_NAMES)}"/>'
+        if roll == 7:
+            return '<rdf:type rdf:resource="http://www.w3.org/2002/07/owl#FunctionalProperty"/>'
+        return rng.choice(
+            [
+                "<rdfs:domain/>",
+                "<rdfs:range><owl:Class/></rdfs:range>",
+                "<owl:inverseOf/>",
+                "<rdfs:label>x</rdfs:label>",
+                '<rdfs:subPropertyOf rdf:resource="#p"/>',
+            ]
+        )
+
+    def top_level() -> str:
+        roll = rng.randrange(20)
+        if roll < 8:
+            body = "".join(class_child() for _ in range(rng.randint(0, 4)))
+            return f"<owl:Class{ident(_CLASS_NAMES)}>{body}</owl:Class>"
+        if roll < 15:
+            tag = rng.choice(
+                [
+                    "owl:ObjectProperty",
+                    "owl:DatatypeProperty",
+                    "owl:SymmetricProperty",
+                    "owl:TransitiveProperty",
+                ]
+            )
+            xsd = "http://www.w3.org/2001/XMLSchema#string"
+            body = "".join(property_child(xsd) for _ in range(rng.randint(0, 4)))
+            return f"<{tag}{ident(_PROPERTY_NAMES)}>{body}</{tag}>"
+        if roll < 17:
+            body = "".join(
+                rng.choice(
+                    [
+                        '<owl:imports rdf:resource="http://example.org/other"/>',
+                        "<rdfs:comment>c</rdfs:comment>",
+                        "<owl:versionInfo>1</owl:versionInfo>",
+                    ]
+                )
+                for _ in range(rng.randint(0, 3))
+            )
+            return f'<owl:Ontology rdf:about="">{body}</owl:Ontology>'
+        return rng.choice(
+            [
+                '<owl:Restriction rdf:ID="R"/>',
+                f'<rdf:Description rdf:about="{ref()}"><ex:p rdf:resource="#A"/></rdf:Description>',
+                "<ex:Thing><owl:Class rdf:ID=\"A\"/></ex:Thing>",
+                "<owl:AllDisjointClasses><owl:members/></owl:AllDisjointClasses>",
+            ]
+        )
+
+    items = [top_level() for _ in range(rng.randint(0, 12))]
+    prolog = '<?xml version="1.0"?>\n'
+    roll = rng.random()
+    if roll < 0.05:
+        prolog += '<!DOCTYPE rdf:RDF [<!ENTITY n "A">]>\n'
+        items.append('<owl:Class rdf:ID="&n;"><ex:p rdf:resource="#&n;"/></owl:Class>')
+    elif roll < 0.08:
+        items.insert(rng.randint(0, len(items)), "<owl:Class>&undefined;</owl:Class>")
+    text = prolog + _DOC_OPEN + "\n".join(items) + "</rdf:RDF>"
+    roll = rng.random()
+    if roll < 0.05:
+        text = text.replace("<rdf:RDF", "<rdf:Description", 1)
+        text = text[: -len("rdf:RDF>")] + "rdf:Description>"
+    elif roll < 0.10:
+        cut = rng.randint(len(prolog) + len(_DOC_OPEN), len(text))
+        text = text[:cut] + rng.choice(["<", "</wrong>", "&", ""])
+    return text.encode("utf-8")

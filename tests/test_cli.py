@@ -378,3 +378,74 @@ def test_rules_command_goes_from_runs_to_bytes(capsys, monkeypatch):
             capsys, "rules", str(fixture_path("transitive_areas.owl")), "--format", fmt
         )
         assert (code, out) == (0, expected[fmt])
+
+
+RDF_OPEN = (
+    '<?xml version="1.0"?>\n{doctype}'
+    '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+    ' xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"'
+    ' xmlns:owl="http://www.w3.org/2002/07/owl#">\n'
+)
+
+
+def hostile(tmp_path, body: str, doctype: str = "") -> str:
+    path = tmp_path / "hostile.owl"
+    path.write_text(RDF_OPEN.format(doctype=doctype) + body + "</rdf:RDF>\n")
+    return str(path)
+
+
+def test_entity_expansion_bomb_is_a_parse_error(tmp_path, capsys):
+    entities = '<!ENTITY lol0 "lol">\n' + "".join(
+        f'<!ENTITY lol{i} "{f"&lol{i - 1};" * 10}">\n' for i in range(1, 10)
+    )
+    source = hostile(
+        tmp_path,
+        '<owl:Class rdf:ID="A"><rdfs:label>&lol9;</rdfs:label></owl:Class>',
+        f"<!DOCTYPE rdf:RDF [\n{entities}]>\n",
+    )
+    assert run(capsys, "rules", source) == (
+        1,
+        "",
+        "error[parse]: XML syntax error: limit on input amplification factor"
+        " (from DTD and entities) breached: line 15, column 34\n",
+    )
+
+
+def test_external_entity_is_not_read(tmp_path, capsys):
+    secret = tmp_path / "secret.txt"
+    secret.write_text("TOPSECRET")
+    source = hostile(
+        tmp_path,
+        '<owl:Class rdf:ID="A"><rdfs:label>&x;</rdfs:label></owl:Class>',
+        f'<!DOCTYPE rdf:RDF [<!ENTITY x SYSTEM "{secret.as_uri()}">]>\n',
+    )
+    code, out, err = run(capsys, "normalize", source, "--format", "rdfxml")
+    assert (code, out) == (1, "")
+    assert err == "error[parse]: XML syntax error: undefined entity &x;: line 4, column 34\n"
+    assert "TOPSECRET" not in err
+
+
+def test_undeclared_entity_is_a_parse_error(tmp_path, capsys):
+    source = hostile(tmp_path, '<owl:Class rdf:ID="A"><rdfs:label>&x;</rdfs:label></owl:Class>')
+    assert run(capsys, "rules", source) == (
+        1,
+        "",
+        "error[parse]: XML syntax error: undefined entity: line 3, column 34\n",
+    )
+
+
+def test_internal_entity_expands_in_an_identifier(tmp_path, capsys):
+    source = hostile(
+        tmp_path, '<owl:Class rdf:ID="&n;"/>', '<!DOCTYPE rdf:RDF [<!ENTITY n "Paris">]>\n'
+    )
+    code, out, err = run(capsys, "normalize", source)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["classes"] == [{"name": "Paris"}]
+
+
+def test_deep_nesting_is_one_skipped_construct(tmp_path, capsys):
+    source = hostile(tmp_path, "<a>" * 50_000 + "</a>" * 50_000)
+    code, out, err = run(capsys, "normalize", source)
+    assert code == 0
+    assert err == "warning[unsupported-construct]: top-level element a skipped\n"
+    assert json.loads(out)["classes"] == []

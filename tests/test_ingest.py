@@ -1,7 +1,12 @@
 import pytest
 
-from conftest import parse_fixture
-from randmodels import reference_validate_model, undeclared_model
+from conftest import FIXTURE_NAMES, fixture_bytes, parse_fixture
+from randmodels import (
+    random_rdfxml,
+    reference_parse_rdfxml,
+    reference_validate_model,
+    undeclared_model,
+)
 from fuzzonto import (
     DuplicateIdentifier,
     MalformedDocument,
@@ -146,6 +151,82 @@ def test_relation_without_resource_is_unsupported():
     m = parse_document(doc(body), "rdfxml")
     assert not m.relations
     assert any(w.code == "unsupported-construct" for w in m.parse_warnings)
+
+
+EDGE_DOCUMENTS = [
+    doc('<owl:Class rdf:ID="A&amp;B"><!-- c --><?pi x?><rdfs:label>a &amp; b &#65;</rdfs:label>'
+        '<![CDATA[<x>]]></owl:Class>'),
+    doc('<owl:Class rdf:ID="&#65;"><ex:p xmlns:ex="urn:x}y" rdf:resource="#B"/></owl:Class>'),
+    doc("<owl:Class>" + "<a>" * 2000 + "</a>" * 2000 + "</owl:Class>"),
+    doc("<owl:Class>&" + "e" * 150 + ";</owl:Class>").replace(
+        b"?>", b'?><!DOCTYPE r SYSTEM "r.dtd">', 1
+    ),
+    doc('<owl:Class rdf:ID="A">&x;</owl:Class>').replace(
+        b"?>", b'?><!DOCTYPE r [<!ENTITY x SYSTEM "file:///nonexistent">]>', 1
+    ),
+    doc('<owl:Class/><owl:Class rdf:ID="B"/>').replace(
+        b"?>",
+        b'?><!DOCTYPE r [<!ATTLIST owl:Class rdf:ID CDATA "Dflt">]>',
+        1,
+    ),
+    '<?xml version="1.0" encoding="ISO-8859-1"?>\n'.encode()
+    + doc('<owl:Class rdf:ID="\u00c4pfel"/>').split(b"\n", 1)[1].decode().encode("latin-1"),
+    doc('<owl:Class rdf:ID="A"/>').replace(b"<rdf:RDF", b"<rdf:RDF xmlns:u", 1),
+    b"<unbound:RDF/>",
+    b"",
+    doc('<owl:Restriction rdf:ID="r"/><broken'),
+    doc('<owl:Class rdf:ID="x"/><owl:DatatypeProperty rdf:ID="x"/>&undefined;'),
+    doc('<owl:Class rdf:ID="x"/><owl:DatatypeProperty rdf:ID="x"/>&y;').replace(
+        b"?>", b'?><!DOCTYPE r SYSTEM "r.dtd">', 1
+    ),
+    b'<x:Other xmlns:x="urn:x"><oops></x:Other>',
+]
+
+
+def _reading(read, data: bytes, strict: bool):
+    """Everything a reader gives: the model with the order of every dict and
+    the warnings, or the exception's type and text."""
+    try:
+        m = read(data, strict)
+    except (MalformedDocument, DuplicateIdentifier, UnsupportedConstruct) as exc:
+        return type(exc), str(exc)
+    return (
+        list(m.classes.items()),
+        list(m.properties.items()),
+        list(m.holdings.items()),
+        list(m.relations.items()),
+        list(m.subclass_axioms.items()),
+        m.equivalences,
+        m.modifiers,
+        m.normalized,
+        m.parse_warnings,
+    )
+
+
+def test_reader_matches_the_element_tree_reference():
+    """The streaming reader gives what the reader that built an ElementTree
+    gave, on the fixtures, edge cases and generated documents with every
+    recognized construct and each skipped one, strict and not."""
+    documents = [fixture_bytes(name) for name in FIXTURE_NAMES] + EDGE_DOCUMENTS
+    documents += [random_rdfxml(seed) for seed in range(1500)]
+    outcomes, codes = set(), set()
+    for strict in (False, True):
+        for i, data in enumerate(documents):
+            got = _reading(lambda d, s: parse_document(d, "rdfxml", strict=s), data, strict)
+            assert got == _reading(reference_parse_rdfxml, data, strict), (i, strict)
+            if isinstance(got[0], type):
+                outcomes.add((got[0].__name__, got[1].startswith("XML syntax error")))
+            else:
+                outcomes.add("model")
+                codes.update(w.code for w in got[-1])
+    assert codes == {"unsupported-construct", "imports-ignored", "self-equivalence"}
+    assert {
+        "model",
+        ("DuplicateIdentifier", False),
+        ("UnsupportedConstruct", False),
+        ("MalformedDocument", False),  # the root element
+        ("MalformedDocument", True),
+    } <= outcomes
 
 
 def test_unknown_format_rejected():
