@@ -7,8 +7,11 @@ Subcommands pick how far the pipeline runs and what gets serialized:
 * ``rules``      emits identifying fuzzy rules (JSON or text).
 
 Primary output goes to stdout unless --out is given; diagnostics go to
-stderr; --report writes a machine-readable run report.  All file writes are
-atomic (temp file + rename).  Exit codes: 0 ok, 1 parse failure, 2 validation
+stderr; --report writes a machine-readable run report.  The writers yield a
+document in chunks, written in blocks of about BLOCK_SIZE bytes, so no whole
+document is held in memory.  All file writes are atomic (temp file +
+rename) and give the file the mode a plain open() would.  A reader that
+closes stdout early, as ``| head`` does, ends the output quietly.  Exit codes: 0 ok, 1 parse failure, 2 validation
 errors under --strict, 3 unsupported construct under --strict, 4 element
 budget exceeded.
 """
@@ -36,6 +39,8 @@ EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
 EXIT_OVERFLOW = 4
+
+BLOCK_SIZE = 1 << 18  # bytes per write: a write per chunk costs more, a bigger block holds more
 
 
 def _element_budget(text: str) -> int:
@@ -110,12 +115,34 @@ def _print_diagnostics(diagnostics) -> None:
         print(d.render(), file=sys.stderr)
 
 
-def write_atomic(path: str, data: bytes) -> None:
+def _write_blocks(handle, chunks) -> None:
+    """Write an iterable of byte chunks in blocks of about BLOCK_SIZE bytes."""
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= BLOCK_SIZE:
+            handle.write(b"".join(block))
+            block, size = [], 0
+    handle.write(b"".join(block))
+
+
+def write_atomic(path: str, chunks) -> None:
+    """Write an iterable of byte chunks to path through a temp file and a
+    rename.  The file keeps the mode of the file it replaces; a new one gets
+    the mode open() gives, 0o666 less the umask."""
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fuzzonto-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            os.fchmod(handle.fileno(), mode)
+            _write_blocks(handle, chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -123,12 +150,19 @@ def write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _emit_output(data: bytes, out_path: str | None) -> None:
+def _emit_output(chunks, out_path: str | None) -> None:
     if out_path:
-        write_atomic(out_path, data)
-    else:
-        sys.stdout.buffer.write(data)
+        write_atomic(out_path, chunks)
+        return
+    try:
+        _write_blocks(sys.stdout.buffer, chunks)
         sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        # the reader has gone, as `| head` does: the rest of the output is
+        # dropped quietly, and the exit flush writes to /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def run_pipeline(args: list[str]) -> int:
@@ -202,31 +236,30 @@ def _run(args: list[str]) -> int:
 
     if options.command == "normalize":
         if options.format == "rdfxml":
-            output = emit.emit_normalized_rdf(result.model)
+            output = [emit.emit_normalized_rdf(result.model)]
         else:
-            output = emit.emit_json(result.model)
+            output = [emit.emit_json(result.model)]
     elif options.command == "assign":
-        output = emit.annotated_to_json(annotated)
+        output = [emit.annotated_to_json(annotated)]
+    elif options.format == "text":
+        output = map(str.encode, emit.runs_text_chunks(runs))
     else:
-        if options.format == "text":
-            output = emit.runs_to_text(runs).encode("utf-8")
-        else:
-            output = emit.runs_to_json(runs)
+        output = emit.runs_json_chunks(runs)
     _emit_output(output, options.out)
 
     if options.trace and not options.report:
-        sys.stderr.buffer.write(emit.traces_to_json(result.traces))
+        _write_blocks(sys.stderr.buffer, emit.traces_chunks(result.traces))
     if options.report:
         report = _build_report(options, model, result, diagnostics, timings)
         if options.trace:
-            write_atomic(options.report, emit.report_to_json(report, result.traces))
+            write_atomic(options.report, emit.report_chunks(report, result.traces))
         else:
-            write_atomic(options.report, emit.dump_json(report))
+            write_atomic(options.report, [emit.dump_json(report)])
     return EXIT_OK
 
 
 def _build_report(options, model, result, diagnostics, timings) -> dict:
-    """The run report; with --trace, emit.report_to_json adds the traces."""
+    """The run report; with --trace, emit.report_chunks adds the traces."""
     return {
         "schema": ingest.SCHEMA_VERSION,
         "command": options.command,

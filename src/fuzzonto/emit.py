@@ -6,9 +6,12 @@ builds the document textually from sorted blocks.  Exact rational mu values
 are rendered to six decimal places (banker's rounding) only at this layer.
 
 The rules writers work on runs of rules that share premise, mu and category
-(see rules.py): ``runs_to_json`` and ``runs_to_text`` take the runs, as the
-CLI does, and ``rules_to_json`` and ``rules_to_text`` take a rule list and
-group it into runs first.  Both give the same bytes.
+(see rules.py).  The rules JSON, the rules text, the traces and the traced
+report each have one writer that yields the document in chunks, one per run
+or trace, which the CLI writes in blocks without joining the whole document.  ``runs_to_json``, ``runs_to_text``, ``rules_to_json``,
+``rules_to_text``, ``traces_to_json`` and ``report_to_json`` join those
+chunks for callers that want the whole document; the ``rules_*`` ones take a
+rule list and group it into runs first.
 """
 
 from __future__ import annotations
@@ -236,17 +239,20 @@ def rules_to_json(rules: list[FuzzyRule]) -> bytes:
 
 
 def runs_to_json(runs) -> bytes:
-    """rules_to_json over rules given as runs (see rules.rule_runs), written
-    run by run.
+    """rules_to_json over rules given as runs (see rules.rule_runs)."""
+    return b"".join(runs_json_chunks(runs))
+
+
+def runs_json_chunks(runs):
+    """runs_to_json's bytes, one chunk per run.
 
     The stdlib encodes indented JSON in pure Python.  Every rule record has
     the same shape, so it is written here directly, with C string escaping.
     The records of a run differ only in their conclusion: the text around it
     is built once per run and the quoted conclusions are joined with it.
-    Each run is encoded on its own, so the document is copied whole once.
     """
     mu_blocks: dict = {}
-    chunks = [b'{\n  "rules": [']
+    yield b'{\n  "rules": ['
     sep = "\n"
     for (premise, mu, category), conclusions in runs:
         mu_key = (mu.numerator, mu.denominator)  # cheaper to hash than a Fraction
@@ -259,11 +265,10 @@ def runs_to_json(runs) -> bytes:
             f'      "premise": {_premise_block(premise)}\n    }}'
         )
         run = (tail + ",\n" + head).join(map(_quote, conclusions))
-        chunks.append((sep + head + run + tail).encode("utf-8"))
+        yield (sep + head + run + tail).encode("utf-8")
         sep = ",\n"
-    chunks.append(b"\n  ]" if len(chunks) > 1 else b"]")
-    chunks.append(f',\n  "schema": {_quote(SCHEMA_VERSION)}\n}}\n'.encode("utf-8"))
-    return b"".join(chunks)
+    yield b"]" if sep == "\n" else b"\n  ]"
+    yield f',\n  "schema": {_quote(SCHEMA_VERSION)}\n}}\n'.encode("utf-8")
 
 
 def rules_to_text(rules: list[FuzzyRule]) -> str:
@@ -272,18 +277,21 @@ def rules_to_text(rules: list[FuzzyRule]) -> str:
 
 
 def runs_to_text(runs) -> str:
-    """rules_to_text over rules given as runs; the line prefix is built once
+    """rules_to_text over rules given as runs."""
+    return "".join(runs_text_chunks(runs))
+
+
+def runs_text_chunks(runs):
+    """runs_to_text's text, one chunk per run; the line prefix is built once
     per run."""
     decimals: dict = {}
-    lines = []
     for (premise, mu, _), conclusions in runs:
         mu_key = (mu.numerator, mu.denominator)
         decimal = decimals.get(mu_key)
         if decimal is None:
             decimal = decimals[mu_key] = decimal6(mu)
         prefix = f"IF {premise_text(premise)} (mu={decimal}) THEN "
-        lines.append(prefix + ("\n" + prefix).join(conclusions) + "\n")
-    return "".join(lines)
+        yield prefix + ("\n" + prefix).join(conclusions) + "\n"
 
 
 def traces_to_obj(traces) -> list[dict]:
@@ -293,10 +301,10 @@ def traces_to_obj(traces) -> list[dict]:
     ]
 
 
-def _traces_chunks(traces, pad: str) -> list[bytes]:
+def _traces_chunks(traces, pad: str):
     """The traces array as dump_json renders it with every line after the
-    first indented by pad, in chunks, without a trailing newline."""
-    chunks = [b"["]
+    first indented by pad, one chunk per trace, without a trailing newline."""
+    yield b"["
     sep = "\n"
     for t in traces:
         sources = (
@@ -310,16 +318,21 @@ def _traces_chunks(traces, pad: str) -> list[bytes]:
             f'{sep}{pad}  {{\n{pad}    "produced": {_quote(t.produced)},\n'
             f'{pad}    "rule": {_quote(t.rule)},\n{pad}    "sources": {sources}\n{pad}  }}'
         )
-        chunks.append(record.encode("utf-8"))
+        yield record.encode("utf-8")
         sep = ",\n"
-    chunks.append(f"\n{pad}]".encode("utf-8") if len(chunks) > 1 else b"]")
-    return chunks
+    yield b"]" if sep == "\n" else f"\n{pad}]".encode("utf-8")
 
 
 def traces_to_json(traces) -> bytes:
-    """The bytes dump_json(traces_to_obj(traces)) gives, written record by
-    record like rules_to_json."""
-    return b"".join(_traces_chunks(traces, "") + [b"\n"])
+    """The bytes dump_json(traces_to_obj(traces)) gives."""
+    return b"".join(traces_chunks(traces))
+
+
+def traces_chunks(traces):
+    """traces_to_json's bytes, one chunk per trace, written record by record
+    like the rules."""
+    yield from _traces_chunks(traces, "")
+    yield b"\n"
 
 
 _TRACES_PLACEHOLDER = "\x00traces\x00"
@@ -327,11 +340,19 @@ _TRACES_PLACEHOLDER = "\x00traces\x00"
 
 def report_to_json(report: dict, traces) -> bytes:
     """The bytes dump_json gives for report with "traces" set to
-    traces_to_obj(traces): dump_json writes the report with a placeholder
-    there, which the fixed-shape writer's traces replace.  The placeholder
+    traces_to_obj(traces)."""
+    return b"".join(report_chunks(report, traces))
+
+
+def report_chunks(report: dict, traces):
+    """report_to_json's bytes: the report's head, one chunk per trace and
+    its tail.  dump_json writes the report with a placeholder for the
+    traces, which the fixed-shape writer's traces replace.  The placeholder
     holds NUL characters, which XML text cannot, so its first match is the
     one dump_json wrote."""
     head, _, tail = dump_json({**report, "traces": _TRACES_PLACEHOLDER}).partition(
         _quote(_TRACES_PLACEHOLDER).encode("utf-8")
     )
-    return b"".join([head, *_traces_chunks(traces, "  "), tail])
+    yield head
+    yield from _traces_chunks(traces, "  ")
+    yield tail

@@ -12,7 +12,7 @@ UnsupportedConstruct in strict mode.  The document root must be rdf:RDF.
 from __future__ import annotations
 
 import json
-import xml.etree.ElementTree as ET
+from xml.parsers import expat
 
 from .errors import DuplicateIdentifier, MalformedDocument, UnsupportedConstruct
 from .model import (
@@ -57,11 +57,21 @@ def parse_document(data, fmt: str = "rdfxml", strict: bool = False) -> OntologyM
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _split_tag(tag: str) -> tuple[str, str]:
-    if tag.startswith("{"):
-        ns, _, local = tag[1:].partition("}")
-        return ns, local
-    return "", tag
+# element and attribute names as expat reports them: namespace, "}", local name;
+# expat rejects a namespace holding "}", so the last "}" ends the namespace
+_RDF_ID, _RDF_ABOUT, _RDF_RESOURCE = (f"{RDF_NS}}}{n}" for n in ("ID", "about", "resource"))
+_RDF_TYPE, _RDF_PARSE_TYPE = f"{RDF_NS}}}type", f"{RDF_NS}}}parseType"
+_SUBCLASS_OF, _DOMAIN, _RANGE = (f"{RDFS_NS}}}{n}" for n in ("subClassOf", "domain", "range"))
+_CLASS, _EQUIVALENT_CLASS, _INTERSECTION_OF, _INVERSE_OF = (
+    f"{OWL_NS}}}{n}" for n in ("Class", "equivalentClass", "intersectionOf", "inverseOf")
+)
+_VOCABULARIES = {RDF_NS, RDFS_NS, OWL_NS}
+_PROPERTY_TAGS = {  # tag -> (kind, modifier kind)
+    f"{OWL_NS}}}ObjectProperty": (OBJECT, None),
+    f"{OWL_NS}}}DatatypeProperty": (DATATYPE, None),
+    f"{OWL_NS}}}SymmetricProperty": (OBJECT, SYMMETRIC),
+    f"{OWL_NS}}}TransitiveProperty": (OBJECT, TRANSITIVE),
+}
 
 
 def _ref_name(value: str) -> tuple[str, str | None]:
@@ -75,14 +85,87 @@ def _ref_name(value: str) -> tuple[str, str | None]:
     return value, None
 
 
+def _expat_parse(data: bytes, start, end) -> None:
+    """Run expat over data as ElementTree did: internal entities expand, under
+    expat's amplification limit, and an unexpanded one is an error."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    # a text handler keeps text from the default handler, which is then
+    # given markup and the references to external or undefined entities
+    parser.buffer_text = True
+    parser.CharacterDataHandler = len
+
+    def unexpanded(text: str) -> None:
+        if text[:1] == "&":
+            ref = text.encode()[:100].decode(errors="replace")  # ElementTree's cut
+            line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+            raise expat.ExpatError(f"undefined entity {ref}: line {line}, column {column}")
+
+    parser.DefaultHandlerExpand = unexpanded
+    try:
+        parser.Parse(data, False)
+        parser.Parse(b"", True)
+    finally:  # the parser and its handler hold each other
+        parser.DefaultHandlerExpand = None
+
+
 class _RdfXmlParser:
+    """Builds the model from expat's events as the elements arrive.
+
+    The element at depth d (the root has depth 1) is judged by judge[d] from
+    its start tag, if d <= limit.  A judgement covers the whole subtree unless
+    it calls _expect for the children, so skipped subtrees cost no calls.
+    """
+
     def __init__(self, strict: bool):
         self.strict = strict
         self.model = OntologyModel()
         self.warnings: list[Diagnostic] = []
         self.declared: dict[str, str] = {}  # name -> class | datatype | object
+        self.depth, self.limit = 0, 1
+        self.judge = [None, self._root, None, None, None]
+        self.close = [None] * 5  # called at the end tag of the open element at a depth
 
-    # -- helpers ----------------------------------------------------------
+    def parse(self, data) -> OntologyModel:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        try:
+            try:
+                _expat_parse(data, self._start, self._end)
+            except (MalformedDocument, DuplicateIdentifier, UnsupportedConstruct):
+                _expat_parse(data, None, None)  # a syntax error after it comes first
+                raise
+        except expat.ExpatError as exc:
+            raise MalformedDocument(f"XML syntax error: {exc}") from exc
+        finally:  # the handlers hold self; the CLI runs with the collector off
+            self.judge = self.close = None
+        self.model.parse_warnings = tuple(self.warnings)
+        return self.model
+
+    # -- events -------------------------------------------------------------
+
+    def _start(self, tag: str, attrs: dict) -> None:
+        depth = self.depth = self.depth + 1
+        if depth <= self.limit:
+            self.judge[depth](tag, attrs)
+
+    def _end(self, tag: str) -> None:
+        depth = self.depth
+        self.depth = depth - 1
+        if depth <= self.limit:
+            self.limit = depth
+            close = self.close[depth]
+            if close is not None:
+                self.close[depth] = None
+                close()
+
+    def _expect(self, judge, close=None) -> None:
+        """Judge the open element's children with judge(tag, attrs), and
+        call close() at its end tag."""
+        depth = self.depth
+        self.judge[depth + 1], self.close[depth], self.limit = judge, close, depth + 1
+
+    # -- helpers ------------------------------------------------------------
 
     def _warn(self, code: str, message: str, location: str | None = None) -> None:
         self.warnings.append(Diagnostic(code, "warning", message, location))
@@ -104,11 +187,11 @@ class _RdfXmlParser:
         else:
             self.model.declare_property(name, kind)
 
-    def _element_name(self, el, what: str) -> str | None:
-        ident = el.get(f"{{{RDF_NS}}}ID")
+    def _element_name(self, attrs: dict, what: str) -> str | None:
+        ident = attrs.get(_RDF_ID)
         if ident is not None:
             return ident
-        about = el.get(f"{{{RDF_NS}}}about")
+        about = attrs.get(_RDF_ABOUT)
         if about is not None:
             name, iri = _ref_name(about)
             if iri and what == "class":
@@ -117,184 +200,149 @@ class _RdfXmlParser:
         self._unsupported(f"anonymous {what}")
         return None
 
-    def _resource(self, el) -> tuple[str, str | None] | None:
-        value = el.get(f"{{{RDF_NS}}}resource")
-        if value is None:
-            return None
-        return _ref_name(value)
-
-    def _class_target(self, el, location: str) -> str | None:
-        """Class named by rdf:resource or by a nested owl:Class child."""
-        res = self._resource(el)
-        if res is not None:
-            name, iri = res
+    def _class_target(self, attrs: dict, location: str, use) -> None:
+        """use(name) for the class named by rdf:resource or by the first named
+        owl:Class child."""
+        value = attrs.get(_RDF_RESOURCE)
+        if value is not None:
+            name, iri = _ref_name(value)
             self.model.touch_class(name, iri)
-            return name
-        for child in el:
-            ns, local = _split_tag(child.tag)
-            if (ns, local) == (OWL_NS, "Class"):
-                name = self._element_name(child, "class")
-                if name is not None:
-                    self.model.touch_class(name)
-                    return name
+            use(name)
+            return
+
+        def member(tag: str, attrs: dict) -> None:
+            if tag == _CLASS:
+                name = self._element_name(attrs, "class")
+                if name is None:
+                    return  # a later child may name the class
+                self.model.touch_class(name)
+                use(name)
             else:
-                self._unsupported(f"nested {local}", location)
-                return None
-        self._unsupported("empty class reference", location)
-        return None
+                self._unsupported(f"nested {tag.rpartition('}')[2]}", location)
+            parent = self.depth - 1  # judged: pass over the later children and close()
+            self.close[parent], self.limit = None, parent
 
-    # -- walk ---------------------------------------------------------------
+        self._expect(member, lambda: self._unsupported("empty class reference", location))
 
-    def parse(self, data) -> OntologyModel:
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        try:
-            root = ET.fromstring(data)
-        except ET.ParseError as exc:
-            raise MalformedDocument(f"XML syntax error: {exc}") from exc
-        ns, local = _split_tag(root.tag)
-        if (ns, local) != (RDF_NS, "RDF"):
+    # -- elements -------------------------------------------------------------
+
+    def _root(self, tag: str, attrs: dict) -> None:
+        if tag != f"{RDF_NS}}}RDF":
+            local = tag.rpartition("}")[2]
             raise MalformedDocument(f"root element must be rdf:RDF, got {local!r}")
+        self._expect(self._top_level)
 
-        for el in root:
-            ns, local = _split_tag(el.tag)
-            if (ns, local) == (OWL_NS, "Class"):
-                self._parse_class(el)
-            elif (ns, local) == (OWL_NS, "ObjectProperty"):
-                self._parse_property(el, OBJECT)
-            elif (ns, local) == (OWL_NS, "DatatypeProperty"):
-                self._parse_property(el, DATATYPE)
-            elif (ns, local) == (OWL_NS, "SymmetricProperty"):
-                self._parse_property(el, OBJECT, modifier_kind=SYMMETRIC)
-            elif (ns, local) == (OWL_NS, "TransitiveProperty"):
-                self._parse_property(el, OBJECT, modifier_kind=TRANSITIVE)
-            elif (ns, local) == (OWL_NS, "Ontology"):
-                self._parse_ontology_header(el)
-            else:
-                self._unsupported(f"top-level element {local}")
+    def _top_level(self, tag: str, attrs: dict) -> None:
+        if tag == _CLASS:
+            self._class(attrs)
+        elif tag in _PROPERTY_TAGS:
+            self._property(attrs, *_PROPERTY_TAGS[tag])
+        elif tag == f"{OWL_NS}}}Ontology":
+            self._expect(self._header_element)
+        else:
+            self._unsupported(f"top-level element {tag.rpartition('}')[2]}")
 
-        model = self.model
-        model.parse_warnings = tuple(self.warnings)
-        return model
+    def _header_element(self, tag: str, attrs: dict) -> None:
+        if tag == f"{OWL_NS}}}imports":
+            self._warn("imports-ignored", "owl:imports is ignored", "owl:Ontology")
+        else:
+            local = tag.rpartition("}")[2]
+            self._unsupported(f"ontology header element {local}", "owl:Ontology")
 
-    def _parse_ontology_header(self, el) -> None:
-        for child in el:
-            ns, local = _split_tag(child.tag)
-            if (ns, local) == (OWL_NS, "imports"):
-                self._warn("imports-ignored", "owl:imports is ignored", "owl:Ontology")
-            else:
-                self._unsupported(f"ontology header element {local}", "owl:Ontology")
-
-    def _parse_class(self, el) -> None:
-        name = self._element_name(el, "class")
+    def _class(self, attrs: dict) -> None:
+        name = self._element_name(attrs, "class")
         if name is None:
             return
         location = f"owl:Class {name}"
         self._declare(name, "class", location)
+        model = self.model
 
-        for child in el:
-            ns, local = _split_tag(child.tag)
-            if (ns, local) == (RDFS_NS, "subClassOf"):
-                target = self._class_target(child, location)
-                if target is not None:
-                    self.model.add_subclass(name, target, ASSERTED)
-            elif (ns, local) == (OWL_NS, "equivalentClass"):
-                target = self._class_target(child, location)
-                if target is None:
-                    continue
-                if not self.model.add_equivalence(name, target) and name == target:
-                    self._warn(
-                        "self-equivalence",
-                        f"self-equivalence dropped for {name}",
-                        location,
-                    )
-            elif (ns, local) == (OWL_NS, "intersectionOf"):
-                self._parse_intersection(child, name, location)
-            elif (ns, local) == (RDF_NS, "type"):
-                pass
-            elif ns in (RDF_NS, RDFS_NS, OWL_NS):
+        def equivalent(target: str) -> None:
+            if not model.add_equivalence(name, target) and name == target:
+                self._warn("self-equivalence", f"self-equivalence dropped for {name}", location)
+
+        def child(tag: str, attrs: dict) -> None:
+            ns, _, local = tag.rpartition("}")
+            if ns not in _VOCABULARIES:  # a relation element, such as <subAreaOf>
+                value = attrs.get(_RDF_RESOURCE)
+                if value is None:
+                    self._unsupported(f"relation element {local} without rdf:resource", location)
+                    return
+                obj, iri = _ref_name(value)
+                model.touch_class(obj, iri)
+                model.add_relation(local, name, obj, ASSERTED)
+            elif tag == _SUBCLASS_OF:
+                self._class_target(attrs, location, lambda target: model.add_subclass(name, target))
+            elif tag == _EQUIVALENT_CLASS:
+                self._class_target(attrs, location, equivalent)
+            elif tag == _INTERSECTION_OF:
+                self._intersection(attrs, name, location)
+            elif tag != _RDF_TYPE:
                 self._unsupported(f"class element {local}", location)
-            else:
-                self._parse_nested_relation(child, name, local, location)
 
-    def _parse_intersection(self, el, name: str, location: str) -> None:
-        if el.get(f"{{{RDF_NS}}}parseType") != "Collection":
+        self._expect(child)
+
+    def _intersection(self, attrs: dict, name: str, location: str) -> None:
+        if attrs.get(_RDF_PARSE_TYPE) != "Collection":
             self._unsupported("intersectionOf without parseType Collection", location)
             return
-        members = []
-        for child in el:
-            ns, local = _split_tag(child.tag)
-            if (ns, local) == (OWL_NS, "Class"):
-                member = self._element_name(child, "class")
-                if member is not None:
-                    self.model.touch_class(member)
-                    members.append(member)
-            else:
-                self._unsupported(f"intersection member {local}", location)
-        self.model.add_modifier(
-            RawModifier(INTERSECTION, name, members=tuple(members))
-        )
+        members: list[str] = []
 
-    def _parse_nested_relation(self, el, subject: str, predicate: str, location: str) -> None:
-        res = self._resource(el)
-        if res is None:
-            self._unsupported(f"relation element {predicate} without rdf:resource", location)
-            return
-        obj, iri = res
-        self.model.touch_class(obj, iri)
-        self.model.add_relation(predicate, subject, obj, ASSERTED)
+        def member(tag: str, attrs: dict) -> None:
+            if tag != _CLASS:
+                self._unsupported(f"intersection member {tag.rpartition('}')[2]}", location)
+                return
+            member = self._element_name(attrs, "class")
+            if member is not None:
+                self.model.touch_class(member)
+                members.append(member)
 
-    def _parse_property(self, el, kind: str, modifier_kind: str | None = None) -> None:
-        name = self._element_name(el, "property")
+        def close() -> None:
+            self.model.add_modifier(RawModifier(INTERSECTION, name, members=tuple(members)))
+
+        self._expect(member, close)
+
+    def _property(self, attrs: dict, kind: str, modifier_kind: str | None) -> None:
+        name = self._element_name(attrs, "property")
         if name is None:
             return
         location = f"owl:{kind.capitalize()}Property {name}"
         self._declare(name, kind, location)
-
+        model = self.model
         domains: list[str] = []
         ranges: list[str] = []
-        for child in el:
-            ns, local = _split_tag(child.tag)
-            if (ns, local) == (RDFS_NS, "domain"):
-                res = self._resource(child)
-                if res is None:
-                    self._unsupported("domain without rdf:resource", location)
-                    continue
-                self.model.touch_class(res[0], res[1])
-                domains.append(res[0])
-            elif (ns, local) == (RDFS_NS, "range"):
-                res = self._resource(child)
-                if res is None:
-                    self._unsupported("range without rdf:resource", location)
-                    continue
-                if kind == OBJECT:
-                    self.model.touch_class(res[0], res[1])
-                    ranges.append(res[0])
-                # datatype ranges (XSD types) carry no class information
-            elif (ns, local) == (OWL_NS, "inverseOf"):
-                res = self._resource(child)
-                if res is None:
-                    self._unsupported("inverseOf without rdf:resource", location)
-                    continue
-                counterpart = res[0]
-                # inverseOf implies the counterpart is an object property
-                self._declare(counterpart, OBJECT, location)
-                self.model.add_modifier(RawModifier(INVERSE, name, counterpart=counterpart))
-            elif (ns, local) == (RDF_NS, "type"):
-                pass
-            else:
+
+        def child(tag: str, attrs: dict) -> None:
+            if tag == _RDF_TYPE:
+                return
+            local = tag.rpartition("}")[2]
+            if tag not in (_DOMAIN, _RANGE, _INVERSE_OF):
                 self._unsupported(f"property element {local}", location)
+                return
+            value = attrs.get(_RDF_RESOURCE)
+            if value is None:
+                self._unsupported(f"{local} without rdf:resource", location)
+                return
+            target, iri = _ref_name(value)
+            if tag == _INVERSE_OF:
+                # inverseOf implies the counterpart is an object property
+                self._declare(target, OBJECT, location)
+                model.add_modifier(RawModifier(INVERSE, name, counterpart=target))
+            elif tag == _DOMAIN or kind == OBJECT:  # datatype ranges (XSD types) name no class
+                model.touch_class(target, iri)
+                (domains if tag == _DOMAIN else ranges).append(target)
 
-        if modifier_kind is not None:
-            self.model.add_modifier(RawModifier(modifier_kind, name))
+        def close() -> None:
+            if modifier_kind is not None:
+                model.add_modifier(RawModifier(modifier_kind, name))
+            for d in domains:
+                if kind == OBJECT:
+                    for r in ranges:
+                        model.add_relation(name, d, r, ASSERTED)
+                else:
+                    model.add_holding(name, d, ASSERTED)
 
-        if kind == OBJECT:
-            for d in domains:
-                for r in ranges:
-                    self.model.add_relation(name, d, r, ASSERTED)
-        else:
-            for d in domains:
-                self.model.add_holding(name, d, ASSERTED)
+        self._expect(child, close)
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -1,15 +1,18 @@
 import gc
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 
 import pytest
 
 from conftest import fixture_path
-from fuzzonto import load_json, parse_document
+from fuzzonto import cli, emit_json, load_json, parse_document
 from fuzzonto.cli import run_pipeline
 from fuzzonto.emit import dump_json
+from test_digests import recipe_model
 
 
 def run(capsys, *args):
@@ -335,6 +338,17 @@ def test_cli_import_leaves_the_network_stack_out():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_leaves_xml_etree_out():
+    # the RDF/XML reader runs expat itself and builds no ElementTree
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fuzzonto.cli; print('xml.etree' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "False\n"
+
+
 def test_cli_import_leaves_dataclasses_out():
     # dataclasses pulls in inspect, ast, dis and tokenize, which every run
     # would pay for at start-up
@@ -449,3 +463,86 @@ def test_deep_nesting_is_one_skipped_construct(tmp_path, capsys):
     assert code == 0
     assert err == "warning[unsupported-construct]: top-level element a skipped\n"
     assert json.loads(out)["classes"] == []
+
+
+def test_output_files_get_the_mode_open_gives(tmp_path, capsys):
+    """A new --out or --report file gets 0o666 less the umask, as open()
+    gives it; a replaced file keeps its mode."""
+    out, report = tmp_path / "rules.json", tmp_path / "report.json"
+    args = ["rules", str(fixture_path("paris_france.owl")), "--out", str(out)]
+    args += ["--report", str(report)]
+    old = os.umask(0o027)
+    try:
+        assert run(capsys, *args)[0] == 0
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (out, report)] == [0o640, 0o640]
+        os.umask(0o022)
+        out.chmod(0o600)
+        report.chmod(0o664)
+        assert run(capsys, *args)[0] == 0
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (out, report)] == [0o600, 0o664]
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "rules.json"]
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    """A reader that stops after the first bytes of a six-block document, as
+    `| head -c 100` does: exit 0, no traceback, nothing on stderr."""
+    source = tmp_path / "model.json"
+    source.write_bytes(emit_json(recipe_model(200, 1)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fuzzonto", "rules", str(source), "--max-elements", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert head.startswith(b'{\n  "rules": [') and err == b""
+
+
+def test_writers_stream_without_a_whole_document(tmp_path, capsys, monkeypatch):
+    """The rules command writes JSON and text, traces and the traced report
+    from the chunk writers: the entry points that join a whole document are
+    not called, and blocks of 1 or 64 bytes, which end mid-run, give the
+    bytes the joins give, on stdout, stderr and in files."""
+    from fuzzonto import emit
+
+    source = str(fixture_path("symmetric_equivalent_combo.owl"))
+    report, out = str(tmp_path / "report.json"), str(tmp_path / "out")
+    cases = [("--format", "json", "--trace"), ("--format", "text", "--trace")]
+    cases += [("--trace", "--report", report, "--out", out)]
+    cases += [("--format", "text", "--report", report, "--out", out)]
+
+    def outputs():
+        for extra in cases:
+            code, stdout, stderr = run(capsys, "rules", source, *extra)
+            assert code == 0
+            files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            for path in tmp_path.iterdir():
+                path.unlink()
+            if "report.json" in files:  # its timings differ from run to run
+                files["report.json"] = re.sub(rb'"timings_ms": {[^}]*}', b"", files["report.json"])
+            yield stdout, stderr, files
+
+    expected = list(outputs())
+    assert json.loads(expected[0][0])["rules"] and json.loads(expected[0][1])
+    assert expected[1][0].startswith("IF ")
+    assert len(json.loads(expected[2][2]["out"])["rules"]) == expected[3][2]["out"].count(b"IF ")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole document joined")
+
+    for name in (
+        "rules_to_json",
+        "runs_to_json",
+        "rules_to_text",
+        "runs_to_text",
+        "traces_to_json",
+        "report_to_json",
+    ):
+        monkeypatch.setattr(emit, name, refuse)
+    for size in (1, 64, cli.BLOCK_SIZE):
+        monkeypatch.setattr(cli, "BLOCK_SIZE", size)
+        assert list(outputs()) == expected, size
