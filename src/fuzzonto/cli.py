@@ -7,13 +7,12 @@ Subcommands pick how far the pipeline runs and what gets serialized:
 * ``rules``      emits identifying fuzzy rules (JSON or text).
 
 Primary output goes to stdout unless --out is given; diagnostics go to
-stderr; --report writes a machine-readable run report.  The writers yield a
-document in chunks, written in blocks of about BLOCK_SIZE bytes, so no whole
-document is held in memory.  All file writes are atomic (temp file +
-rename) and give the file the mode a plain open() would.  A reader that
-closes stdout early, as ``| head`` does, ends the output quietly.  Exit codes: 0 ok, 1 parse failure, 2 validation
-errors under --strict, 3 unsupported construct under --strict, 4 element
-budget exceeded.
+stderr; --report writes a machine-readable run report.  Documents are written
+in blocks as their writers yield them, never joined whole.  All file writes
+are atomic (temp file + rename) and get the mode open() would give.  Exit
+codes: 0 ok, 1 parse failure, 2 validation errors under --strict, 3
+unsupported construct under --strict, 4 element budget exceeded; a reader
+closing stdout early, as ``| head`` does, is no error.
 """
 
 from __future__ import annotations
@@ -252,14 +251,14 @@ def _run(args: list[str]) -> int:
     if options.report:
         report = _build_report(options, model, result, diagnostics, timings)
         if options.trace:
-            write_atomic(options.report, emit.report_chunks(report, result.traces))
+            write_atomic(options.report, emit.report_to_json(report, result.traces))
         else:
             write_atomic(options.report, [emit.dump_json(report)])
     return EXIT_OK
 
 
 def _build_report(options, model, result, diagnostics, timings) -> dict:
-    """The run report; with --trace, emit.report_chunks adds the traces."""
+    """The run report; with --trace, emit.report_to_json adds the traces."""
     return {
         "schema": ingest.SCHEMA_VERSION,
         "command": options.command,

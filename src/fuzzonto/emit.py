@@ -6,12 +6,11 @@ builds the document textually from sorted blocks.  Exact rational mu values
 are rendered to six decimal places (banker's rounding) only at this layer.
 
 The rules writers work on runs of rules that share premise, mu and category
-(see rules.py).  The rules JSON, the rules text, the traces and the traced
-report each have one writer that yields the document in chunks, one per run
-or trace, which the CLI writes in blocks without joining the whole document.  ``runs_to_json``, ``runs_to_text``, ``rules_to_json``,
-``rules_to_text``, ``traces_to_json`` and ``report_to_json`` join those
-chunks for callers that want the whole document; the ``rules_*`` ones take a
-rule list and group it into runs first.
+(see rules.py).  The rules JSON and text, the traces and the traced report
+each have one writer that yields chunks, one per run or trace, for the CLI
+to write in blocks; ``runs_to_*``, ``rules_to_*`` and ``traces_to_json``
+join those chunks, and ``rules_to_*`` take a rule list and group it into
+runs first.
 """
 
 from __future__ import annotations
@@ -301,9 +300,9 @@ def traces_to_obj(traces) -> list[dict]:
     ]
 
 
-def _traces_chunks(traces, pad: str):
+def traces_chunks(traces, pad: str = "", end: bytes = b"\n"):
     """The traces array as dump_json renders it with every line after the
-    first indented by pad, one chunk per trace, without a trailing newline."""
+    first indented by pad, one chunk per trace, then end."""
     yield b"["
     sep = "\n"
     for t in traces:
@@ -321,6 +320,7 @@ def _traces_chunks(traces, pad: str):
         yield record.encode("utf-8")
         sep = ",\n"
     yield b"]" if sep == "\n" else f"\n{pad}]".encode("utf-8")
+    yield end
 
 
 def traces_to_json(traces) -> bytes:
@@ -328,31 +328,18 @@ def traces_to_json(traces) -> bytes:
     return b"".join(traces_chunks(traces))
 
 
-def traces_chunks(traces):
-    """traces_to_json's bytes, one chunk per trace, written record by record
-    like the rules."""
-    yield from _traces_chunks(traces, "")
-    yield b"\n"
-
-
 _TRACES_PLACEHOLDER = "\x00traces\x00"
 
 
-def report_to_json(report: dict, traces) -> bytes:
+def report_to_json(report: dict, traces):
     """The bytes dump_json gives for report with "traces" set to
-    traces_to_obj(traces)."""
-    return b"".join(report_chunks(report, traces))
-
-
-def report_chunks(report: dict, traces):
-    """report_to_json's bytes: the report's head, one chunk per trace and
-    its tail.  dump_json writes the report with a placeholder for the
-    traces, which the fixed-shape writer's traces replace.  The placeholder
-    holds NUL characters, which XML text cannot, so its first match is the
-    one dump_json wrote."""
+    traces_to_obj(traces), as the report's head, one chunk per trace and its
+    tail: dump_json writes the report with a placeholder there, which the
+    fixed-shape writer's traces replace.  The placeholder holds NUL
+    characters, which XML text cannot, so its first match is the one
+    dump_json wrote."""
     head, _, tail = dump_json({**report, "traces": _TRACES_PLACEHOLDER}).partition(
         _quote(_TRACES_PLACEHOLDER).encode("utf-8")
     )
     yield head
-    yield from _traces_chunks(traces, "  ")
-    yield tail
+    yield from traces_chunks(traces, "  ", tail)

@@ -57,20 +57,15 @@ def parse_document(data, fmt: str = "rdfxml", strict: bool = False) -> OntologyM
     raise ValueError(f"unknown format {fmt!r}")
 
 
-# element and attribute names as expat reports them: namespace, "}", local name;
-# expat rejects a namespace holding "}", so the last "}" ends the namespace
-_RDF_ID, _RDF_ABOUT, _RDF_RESOURCE = (f"{RDF_NS}}}{n}" for n in ("ID", "about", "resource"))
-_RDF_TYPE, _RDF_PARSE_TYPE = f"{RDF_NS}}}type", f"{RDF_NS}}}parseType"
-_SUBCLASS_OF, _DOMAIN, _RANGE = (f"{RDFS_NS}}}{n}" for n in ("subClassOf", "domain", "range"))
-_CLASS, _EQUIVALENT_CLASS, _INTERSECTION_OF, _INVERSE_OF = (
-    f"{OWL_NS}}}{n}" for n in ("Class", "equivalentClass", "intersectionOf", "inverseOf")
-)
-_VOCABULARIES = {RDF_NS, RDFS_NS, OWL_NS}
+# names as expat reports them: namespace, "}", local name; expat rejects a
+# namespace that holds "}", so the last "}" in a name ends its namespace
+_RDF, _RDFS, _OWL = RDF_NS + "}", RDFS_NS + "}", OWL_NS + "}"
+_RESOURCE, _CLASS, _VOCABULARIES = _RDF + "resource", _OWL + "Class", {RDF_NS, RDFS_NS, OWL_NS}
 _PROPERTY_TAGS = {  # tag -> (kind, modifier kind)
-    f"{OWL_NS}}}ObjectProperty": (OBJECT, None),
-    f"{OWL_NS}}}DatatypeProperty": (DATATYPE, None),
-    f"{OWL_NS}}}SymmetricProperty": (OBJECT, SYMMETRIC),
-    f"{OWL_NS}}}TransitiveProperty": (OBJECT, TRANSITIVE),
+    _OWL + "ObjectProperty": (OBJECT, None),
+    _OWL + "DatatypeProperty": (DATATYPE, None),
+    _OWL + "SymmetricProperty": (OBJECT, SYMMETRIC),
+    _OWL + "TransitiveProperty": (OBJECT, TRANSITIVE),
 }
 
 
@@ -90,10 +85,7 @@ def _expat_parse(data: bytes, start, end) -> None:
     expat's amplification limit, and an unexpanded one is an error."""
     parser = expat.ParserCreate(namespace_separator="}")
     parser.StartElementHandler, parser.EndElementHandler = start, end
-    # a text handler keeps text from the default handler, which is then
-    # given markup and the references to external or undefined entities
-    parser.buffer_text = True
-    parser.CharacterDataHandler = len
+    parser.CharacterDataHandler = len  # keeps text from the default handler
 
     def unexpanded(text: str) -> None:
         if text[:1] == "&":
@@ -105,17 +97,16 @@ def _expat_parse(data: bytes, start, end) -> None:
     try:
         parser.Parse(data, False)
         parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        raise MalformedDocument(f"XML syntax error: {exc}") from exc
     finally:  # the parser and its handler hold each other
         parser.DefaultHandlerExpand = None
 
 
 class _RdfXmlParser:
-    """Builds the model from expat's events as the elements arrive.
-
-    The element at depth d (the root has depth 1) is judged by judge[d] from
-    its start tag, if d <= limit.  A judgement covers the whole subtree unless
-    it calls _expect for the children, so skipped subtrees cost no calls.
-    """
+    """Builds the model from expat's events as the elements arrive: judge[d]
+    judges the element at depth d (the root's is 1) from its start tag while
+    d <= limit, and its whole subtree unless it calls _expect for the children."""
 
     def __init__(self, strict: bool):
         self.strict = strict
@@ -130,19 +121,14 @@ class _RdfXmlParser:
         if isinstance(data, str):
             data = data.encode("utf-8")
         try:
-            try:
-                _expat_parse(data, self._start, self._end)
-            except (MalformedDocument, DuplicateIdentifier, UnsupportedConstruct):
-                _expat_parse(data, None, None)  # a syntax error after it comes first
-                raise
-        except expat.ExpatError as exc:
-            raise MalformedDocument(f"XML syntax error: {exc}") from exc
+            _expat_parse(data, self._start, self._end)
+        except (MalformedDocument, DuplicateIdentifier, UnsupportedConstruct):
+            _expat_parse(data, None, None)  # a syntax error comes first, wherever it is
+            raise
         finally:  # the handlers hold self; the CLI runs with the collector off
             self.judge = self.close = None
         self.model.parse_warnings = tuple(self.warnings)
         return self.model
-
-    # -- events -------------------------------------------------------------
 
     def _start(self, tag: str, attrs: dict) -> None:
         depth = self.depth = self.depth + 1
@@ -152,20 +138,16 @@ class _RdfXmlParser:
     def _end(self, tag: str) -> None:
         depth = self.depth
         self.depth = depth - 1
-        if depth <= self.limit:
+        if depth < self.limit:  # it called _expect
             self.limit = depth
-            close = self.close[depth]
+            close, self.close[depth] = self.close[depth], None
             if close is not None:
-                self.close[depth] = None
                 close()
 
     def _expect(self, judge, close=None) -> None:
-        """Judge the open element's children with judge(tag, attrs), and
-        call close() at its end tag."""
+        """Judge the open element's children; call close() at its end tag."""
         depth = self.depth
         self.judge[depth + 1], self.close[depth], self.limit = judge, close, depth + 1
-
-    # -- helpers ------------------------------------------------------------
 
     def _warn(self, code: str, message: str, location: str | None = None) -> None:
         self.warnings.append(Diagnostic(code, "warning", message, location))
@@ -188,10 +170,10 @@ class _RdfXmlParser:
             self.model.declare_property(name, kind)
 
     def _element_name(self, attrs: dict, what: str) -> str | None:
-        ident = attrs.get(_RDF_ID)
+        ident = attrs.get(_RDF + "ID")
         if ident is not None:
             return ident
-        about = attrs.get(_RDF_ABOUT)
+        about = attrs.get(_RDF + "about")
         if about is not None:
             name, iri = _ref_name(about)
             if iri and what == "class":
@@ -200,36 +182,40 @@ class _RdfXmlParser:
         self._unsupported(f"anonymous {what}")
         return None
 
-    def _class_target(self, attrs: dict, location: str, use) -> None:
-        """use(name) for the class named by rdf:resource or by the first named
-        owl:Class child."""
-        value = attrs.get(_RDF_RESOURCE)
-        if value is not None:
-            name, iri = _ref_name(value)
-            self.model.touch_class(name, iri)
-            use(name)
-            return
+    def _expect_classes(self, location: str, what: str, take, close, first=False) -> None:
+        """Judge the open element's children as owl:Class elements, calling take(name) for
+        each named one; if first, the first named one or other child ends the judging."""
 
         def member(tag: str, attrs: dict) -> None:
             if tag == _CLASS:
                 name = self._element_name(attrs, "class")
                 if name is None:
-                    return  # a later child may name the class
+                    return
                 self.model.touch_class(name)
-                use(name)
+                take(name)
             else:
-                self._unsupported(f"nested {tag.rpartition('}')[2]}", location)
-            parent = self.depth - 1  # judged: pass over the later children and close()
-            self.close[parent], self.limit = None, parent
+                self._unsupported(f"{what} {tag.rpartition('}')[2]}", location)
+            if first:
+                self.close[self.depth - 1], self.limit = None, self.depth - 1
 
-        self._expect(member, lambda: self._unsupported("empty class reference", location))
+        self._expect(member, close)
 
-    # -- elements -------------------------------------------------------------
+    def _class_target(self, attrs: dict, location: str, use) -> None:
+        """use(name) for the class named by rdf:resource or the first named owl:Class child."""
+        value = attrs.get(_RESOURCE)
+        if value is not None:
+            name, iri = _ref_name(value)
+            self.model.touch_class(name, iri)
+            return use(name)
+
+        def empty() -> None:
+            self._unsupported("empty class reference", location)
+
+        self._expect_classes(location, "nested", use, empty, first=True)
 
     def _root(self, tag: str, attrs: dict) -> None:
-        if tag != f"{RDF_NS}}}RDF":
-            local = tag.rpartition("}")[2]
-            raise MalformedDocument(f"root element must be rdf:RDF, got {local!r}")
+        if tag != _RDF + "RDF":
+            raise MalformedDocument(f"root element must be rdf:RDF, got {tag.rpartition('}')[2]!r}")
         self._expect(self._top_level)
 
     def _top_level(self, tag: str, attrs: dict) -> None:
@@ -237,17 +223,16 @@ class _RdfXmlParser:
             self._class(attrs)
         elif tag in _PROPERTY_TAGS:
             self._property(attrs, *_PROPERTY_TAGS[tag])
-        elif tag == f"{OWL_NS}}}Ontology":
+        elif tag == _OWL + "Ontology":
             self._expect(self._header_element)
         else:
             self._unsupported(f"top-level element {tag.rpartition('}')[2]}")
 
     def _header_element(self, tag: str, attrs: dict) -> None:
-        if tag == f"{OWL_NS}}}imports":
+        if tag == _OWL + "imports":
             self._warn("imports-ignored", "owl:imports is ignored", "owl:Ontology")
         else:
-            local = tag.rpartition("}")[2]
-            self._unsupported(f"ontology header element {local}", "owl:Ontology")
+            self._unsupported(f"ontology header element {tag.rpartition('}')[2]}", "owl:Ontology")
 
     def _class(self, attrs: dict) -> None:
         name = self._element_name(attrs, "class")
@@ -264,43 +249,34 @@ class _RdfXmlParser:
         def child(tag: str, attrs: dict) -> None:
             ns, _, local = tag.rpartition("}")
             if ns not in _VOCABULARIES:  # a relation element, such as <subAreaOf>
-                value = attrs.get(_RDF_RESOURCE)
+                value = attrs.get(_RESOURCE)
                 if value is None:
                     self._unsupported(f"relation element {local} without rdf:resource", location)
                     return
                 obj, iri = _ref_name(value)
                 model.touch_class(obj, iri)
                 model.add_relation(local, name, obj, ASSERTED)
-            elif tag == _SUBCLASS_OF:
+            elif tag == _RDFS + "subClassOf":
                 self._class_target(attrs, location, lambda target: model.add_subclass(name, target))
-            elif tag == _EQUIVALENT_CLASS:
+            elif tag == _OWL + "equivalentClass":
                 self._class_target(attrs, location, equivalent)
-            elif tag == _INTERSECTION_OF:
-                self._intersection(attrs, name, location)
-            elif tag != _RDF_TYPE:
-                self._unsupported(f"class element {local}", location)
+            elif tag != _OWL + "intersectionOf":
+                if tag != _RDF + "type":
+                    self._unsupported(f"class element {local}", location)
+            elif attrs.get(_RDF + "parseType") != "Collection":
+                self._unsupported("intersectionOf without parseType Collection", location)
+            else:
+                self._intersection(name, location)
 
         self._expect(child)
 
-    def _intersection(self, attrs: dict, name: str, location: str) -> None:
-        if attrs.get(_RDF_PARSE_TYPE) != "Collection":
-            self._unsupported("intersectionOf without parseType Collection", location)
-            return
+    def _intersection(self, name: str, location: str) -> None:
         members: list[str] = []
-
-        def member(tag: str, attrs: dict) -> None:
-            if tag != _CLASS:
-                self._unsupported(f"intersection member {tag.rpartition('}')[2]}", location)
-                return
-            member = self._element_name(attrs, "class")
-            if member is not None:
-                self.model.touch_class(member)
-                members.append(member)
 
         def close() -> None:
             self.model.add_modifier(RawModifier(INTERSECTION, name, members=tuple(members)))
 
-        self._expect(member, close)
+        self._expect_classes(location, "intersection member", members.append, close)
 
     def _property(self, attrs: dict, kind: str, modifier_kind: str | None) -> None:
         name = self._element_name(attrs, "property")
@@ -313,24 +289,20 @@ class _RdfXmlParser:
         ranges: list[str] = []
 
         def child(tag: str, attrs: dict) -> None:
-            if tag == _RDF_TYPE:
-                return
-            local = tag.rpartition("}")[2]
-            if tag not in (_DOMAIN, _RANGE, _INVERSE_OF):
-                self._unsupported(f"property element {local}", location)
-                return
-            value = attrs.get(_RDF_RESOURCE)
-            if value is None:
+            local, value = tag.rpartition("}")[2], attrs.get(_RESOURCE)
+            if tag not in (_RDFS + "domain", _RDFS + "range", _OWL + "inverseOf"):
+                if tag != _RDF + "type":
+                    self._unsupported(f"property element {local}", location)
+            elif value is None:
                 self._unsupported(f"{local} without rdf:resource", location)
-                return
-            target, iri = _ref_name(value)
-            if tag == _INVERSE_OF:
-                # inverseOf implies the counterpart is an object property
-                self._declare(target, OBJECT, location)
-                model.add_modifier(RawModifier(INVERSE, name, counterpart=target))
-            elif tag == _DOMAIN or kind == OBJECT:  # datatype ranges (XSD types) name no class
+            elif local == "inverseOf":  # which makes the counterpart an object property
+                counterpart = _ref_name(value)[0]
+                self._declare(counterpart, OBJECT, location)
+                model.add_modifier(RawModifier(INVERSE, name, counterpart=counterpart))
+            elif local == "domain" or kind == OBJECT:  # datatype ranges (XSD types) name no class
+                target, iri = _ref_name(value)
                 model.touch_class(target, iri)
-                (domains if tag == _DOMAIN else ranges).append(target)
+                (domains if local == "domain" else ranges).append(target)
 
         def close() -> None:
             if modifier_kind is not None:

@@ -725,13 +725,18 @@ def random_rdfxml(seed: int) -> bytes:
         if roll < 5:
             return f"<{tag}>{members(3)}</{tag}>"
         if roll == 5:
-            parse_type = rng.choice([' rdf:parseType="Collection"'] * 3 + [' rdf:parseType="Resource"', ""])
+            parse_type = rng.choice(['="Collection"'] * 3 + ['="Resource"', None])
+            parse_type = f" rdf:parseType{parse_type}" if parse_type else ""
             return f"<owl:intersectionOf{parse_type}>{members(4)}</owl:intersectionOf>"
         if roll == 6:
             return '<rdf:type rdf:resource="http://www.w3.org/2002/07/owl#Class"/>'
         if roll == 7:
             return rng.choice(
-                ["<rdfs:label>x</rdfs:label>", '<owl:unionOf rdf:parseType="Collection"/>', "<rdf:value/>"]
+                [
+                    "<rdfs:label>x</rdfs:label>",
+                    '<owl:unionOf rdf:parseType="Collection"/>',
+                    "<rdf:value/>",
+                ]
             )
         if roll < 11:
             tag = rng.choice(["ex:", "", "ex:"]) + name(_PROPERTY_NAMES)

@@ -540,7 +540,6 @@ def test_writers_stream_without_a_whole_document(tmp_path, capsys, monkeypatch):
         "rules_to_text",
         "runs_to_text",
         "traces_to_json",
-        "report_to_json",
     ):
         monkeypatch.setattr(emit, name, refuse)
     for size in (1, 64, cli.BLOCK_SIZE):

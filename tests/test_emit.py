@@ -278,4 +278,4 @@ def test_report_json_equals_generic_encoding():
         }
         for report in (report, {"schema": "x"}):
             expected = dump_json({**report, "traces": traces_to_obj(traces)})
-            assert report_to_json(report, traces) == expected
+            assert b"".join(report_to_json(report, traces)) == expected

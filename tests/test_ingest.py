@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from conftest import FIXTURE_NAMES, fixture_bytes, parse_fixture
@@ -227,6 +229,20 @@ def test_reader_matches_the_element_tree_reference():
         ("MalformedDocument", False),  # the root element
         ("MalformedDocument", True),
     } <= outcomes
+
+
+def test_reader_leaves_no_reference_cycles():
+    """The CLI runs with the cyclic collector off, so a parse must leave
+    nothing only the collector could free."""
+    documents = [fixture_bytes(name) for name in FIXTURE_NAMES] + [random_rdfxml(1)]
+    gc.collect()
+    gc.disable()
+    try:
+        for data in documents:
+            parse_document(data, "rdfxml")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unknown_format_rejected():
