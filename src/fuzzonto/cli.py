@@ -7,12 +7,10 @@ Subcommands pick how far the pipeline runs and what gets serialized:
 * ``rules``      emits identifying fuzzy rules (JSON or text).
 
 Primary output goes to stdout unless --out is given; diagnostics go to
-stderr; --report writes a machine-readable run report.  Documents are written
-in blocks as their writers yield them, never joined whole.  All file writes
-are atomic (temp file + rename) and get the mode open() would give.  Exit
-codes: 0 ok, 1 parse failure, 2 validation errors under --strict, 3
-unsupported construct under --strict, 4 element budget exceeded; a reader
-closing stdout early, as ``| head`` does, is no error.
+stderr; --report writes a machine-readable run report.  Output is written in
+blocks as the writers yield it.  All file writes are atomic (temp file +
+rename).  Exit codes: 0 ok, 1 parse failure, 2 validation errors under
+--strict, 3 unsupported construct under --strict, 4 element budget exceeded.
 """
 
 from __future__ import annotations
@@ -127,9 +125,8 @@ def _write_blocks(handle, chunks) -> None:
 
 
 def write_atomic(path: str, chunks) -> None:
-    """Write an iterable of byte chunks to path through a temp file and a
-    rename.  The file keeps the mode of the file it replaces; a new one gets
-    the mode open() gives, 0o666 less the umask."""
+    """Write byte chunks to path through a temp file and a rename, with the
+    mode of the file replaced, or for a new file the mode open() gives."""
     try:
         mode = os.stat(path).st_mode & 0o7777
     except FileNotFoundError:

@@ -7,6 +7,10 @@ owl:TransitiveProperty, owl:inverseOf, owl:intersectionOf (parseType
 relation elements nested inside an owl:Class (e.g. <subAreaOf
 rdf:resource="#Latvia"/>).  Anything else is recorded as a warning, or raises
 UnsupportedConstruct in strict mode.  The document root must be rdf:RDF.
+
+The RDF/XML reader builds the model in one expat pass and keeps no tree.  It
+reads entities as ElementTree's parser did, and reports a syntax error
+anywhere in the document before any other error.
 """
 
 from __future__ import annotations
@@ -195,8 +199,8 @@ class _RdfXmlParser:
                 take(name)
             else:
                 self._unsupported(f"{what} {tag.rpartition('}')[2]}", location)
-            if first:
-                self.close[self.depth - 1], self.limit = None, self.depth - 1
+            if first:  # no later child is judged, and the parent's end calls no close()
+                self.limit = self.depth - 1
 
         self._expect(member, close)
 
@@ -206,7 +210,8 @@ class _RdfXmlParser:
         if value is not None:
             name, iri = _ref_name(value)
             self.model.touch_class(name, iri)
-            return use(name)
+            use(name)
+            return
 
         def empty() -> None:
             self._unsupported("empty class reference", location)
@@ -260,13 +265,13 @@ class _RdfXmlParser:
                 self._class_target(attrs, location, lambda target: model.add_subclass(name, target))
             elif tag == _OWL + "equivalentClass":
                 self._class_target(attrs, location, equivalent)
-            elif tag != _OWL + "intersectionOf":
-                if tag != _RDF + "type":
-                    self._unsupported(f"class element {local}", location)
-            elif attrs.get(_RDF + "parseType") != "Collection":
-                self._unsupported("intersectionOf without parseType Collection", location)
-            else:
-                self._intersection(name, location)
+            elif tag == _OWL + "intersectionOf":
+                if attrs.get(_RDF + "parseType") != "Collection":
+                    self._unsupported("intersectionOf without parseType Collection", location)
+                else:
+                    self._intersection(name, location)
+            elif tag != _RDF + "type":
+                self._unsupported(f"class element {local}", location)
 
         self._expect(child)
 

@@ -490,15 +490,15 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
     `| head -c 100` does: exit 0, no traceback, nothing on stderr."""
     source = tmp_path / "model.json"
     source.write_bytes(emit_json(recipe_model(200, 1)))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "fuzzonto", "rules", str(source), "--max-elements", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    head = proc.stdout.read(100)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
     assert head.startswith(b'{\n  "rules": [') and err == b""
 
 
