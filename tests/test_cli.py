@@ -485,6 +485,23 @@ def test_output_files_get_the_mode_open_gives(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "rules.json"]
 
 
+def test_a_writer_failing_midway_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    """Blocks are written to the temp file as the chunks come: a writer that
+    fails after some blocks leaves no temp file and the old target intact."""
+    target = tmp_path / "rules.json"
+    target.write_bytes(b"old")
+
+    def chunks():
+        yield b"x" * 100
+        raise RuntimeError("writer failed")
+
+    monkeypatch.setattr(cli, "BLOCK_SIZE", 10)
+    with pytest.raises(RuntimeError):
+        cli.write_atomic(str(target), chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["rules.json"]
+    assert target.read_bytes() == b"old"
+
+
 def test_closed_stdout_pipe_ends_quietly(tmp_path):
     """A reader that stops after the first bytes of a six-block document, as
     `| head -c 100` does: exit 0, no traceback, nothing on stderr."""
