@@ -156,8 +156,10 @@ def test_relation_without_resource_is_unsupported():
 
 
 EDGE_DOCUMENTS = [
-    doc('<owl:Class rdf:ID="A&amp;B"><!-- c --><?pi x?><rdfs:label>a &amp; b &#65;</rdfs:label>'
-        '<![CDATA[<x>]]></owl:Class>'),
+    doc(
+        '<owl:Class rdf:ID="A&amp;B"><!-- c --><?pi x?><rdfs:label>a &amp; b &#65;</rdfs:label>'
+        "<![CDATA[<x>]]></owl:Class>"
+    ),
     doc('<owl:Class rdf:ID="&#65;"><ex:p xmlns:ex="urn:x}y" rdf:resource="#B"/></owl:Class>'),
     doc("<owl:Class>" + "<a>" * 2000 + "</a>" * 2000 + "</owl:Class>"),
     doc("<owl:Class>&" + "e" * 150 + ";</owl:Class>").replace(
@@ -171,8 +173,8 @@ EDGE_DOCUMENTS = [
         b'?><!DOCTYPE r [<!ATTLIST owl:Class rdf:ID CDATA "Dflt">]>',
         1,
     ),
-    '<?xml version="1.0" encoding="ISO-8859-1"?>\n'.encode()
-    + doc('<owl:Class rdf:ID="\u00c4pfel"/>').split(b"\n", 1)[1].decode().encode("latin-1"),
+    f'<?xml version="1.0" encoding="ISO-8859-1"?>{RDF_OPEN}'
+    '<owl:Class rdf:ID="\u00c4pfel"/></rdf:RDF>'.encode("latin-1"),
     doc('<owl:Class rdf:ID="A"/>').replace(b"<rdf:RDF", b"<rdf:RDF xmlns:u", 1),
     b"<unbound:RDF/>",
     b"",
