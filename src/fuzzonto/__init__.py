@@ -11,7 +11,6 @@ from .emit import (
     emit_json,
     emit_normalized_rdf,
     rules_to_json,
-    rules_to_text,
 )
 from .errors import (
     DuplicateIdentifier,
@@ -75,6 +74,5 @@ __all__ = [
     "normalize",
     "parse_document",
     "rules_to_json",
-    "rules_to_text",
     "validate_model",
 ]

@@ -9,8 +9,9 @@ Subcommands pick how far the pipeline runs and what gets serialized:
 Primary output goes to stdout unless --out is given; diagnostics go to
 stderr; --report writes a machine-readable run report.  Output is written in
 blocks as the writers yield it.  All file writes are atomic (temp file +
-rename).  Exit codes: 0 ok, 1 parse failure, 2 validation errors under
---strict, 3 unsupported construct under --strict, 4 element budget exceeded.
+rename).  Exit codes: 0 ok, 1 parse failure, unreadable input or unwritable
+output, 2 validation errors under --strict, 3 unsupported construct under
+--strict, 4 element budget exceeded.
 """
 
 from __future__ import annotations
@@ -146,10 +147,21 @@ def write_atomic(path: str, chunks) -> None:
         raise
 
 
-def _emit_output(chunks, out_path: str | None) -> None:
+def _write_file(path: str, chunks) -> bool:
+    """write_atomic, reporting a failure as error[io] and returning False.
+    The message takes strerror, since the exception's text names the temp
+    file."""
+    try:
+        write_atomic(path, chunks)
+    except OSError as exc:
+        print(f"error[io]: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit_output(chunks, out_path: str | None) -> bool:
     if out_path:
-        write_atomic(out_path, chunks)
-        return
+        return _write_file(out_path, chunks)
     try:
         _write_blocks(sys.stdout.buffer, chunks)
         sys.stdout.buffer.flush()
@@ -159,6 +171,7 @@ def _emit_output(chunks, out_path: str | None) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    return True
 
 
 def run_pipeline(args: list[str]) -> int:
@@ -241,16 +254,19 @@ def _run(args: list[str]) -> int:
         output = map(str.encode, emit.runs_text_chunks(runs))
     else:
         output = emit.runs_json_chunks(runs)
-    _emit_output(output, options.out)
+    if not _emit_output(output, options.out):
+        return EXIT_PARSE
 
     if options.trace and not options.report:
         _write_blocks(sys.stderr.buffer, emit.traces_chunks(result.traces))
     if options.report:
         report = _build_report(options, model, result, diagnostics, timings)
         if options.trace:
-            write_atomic(options.report, emit.report_to_json(report, result.traces))
+            document = emit.report_to_json(report, result.traces)
         else:
-            write_atomic(options.report, [emit.dump_json(report)])
+            document = [emit.dump_json(report)]
+        if not _write_file(options.report, document):
+            return EXIT_PARSE
     return EXIT_OK
 
 

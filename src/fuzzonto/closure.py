@@ -12,6 +12,7 @@ that successor's closed row, so a wide shallow hierarchy keeps few rows.
 
 Callers read the rows, not a pair list: Reachability.derived() hands out
 only the bits that are not input edges, which is what a closure adds.
+groups() runs the same component search for the equivalence groups.
 tests/test_closure.py checks the kernel against a brute-force oracle.
 """
 
@@ -116,6 +117,21 @@ def _components(successors: list[list[int]]) -> list[list[int]]:
                             break
                     components.append(component)
     return components
+
+
+def groups(pairs) -> list[list[str]]:
+    """The connected components of the undirected graph that the name pairs
+    span, each sorted, in the order of their sorted members; so the result
+    depends neither on the pair order nor on the hash seed.  Every component
+    of a graph with both directions of each edge is strongly connected."""
+    names = sorted({name for pair in pairs for name in pair})
+    index = {name: i for i, name in enumerate(names)}
+    successors: list[list[int]] = [[] for _ in names]
+    for a, b in pairs:
+        successors[index[a]].append(index[b])
+        successors[index[b]].append(index[a])
+    # names are sorted, so index order is name order
+    return sorted([names[i] for i in sorted(c)] for c in _components(successors))
 
 
 def reachable_pairs(n: int, edges, limit: int = 0) -> Reachability:

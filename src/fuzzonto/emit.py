@@ -5,12 +5,12 @@ sort order, JSON uses sorted keys and a fixed indent, and the RDF/XML writer
 builds the document textually from sorted blocks.  Exact rational mu values
 are rendered to six decimal places (banker's rounding) only at this layer.
 
-The rules writers work on runs of rules that share premise, mu and category
-(see rules.py).  The rules JSON and text, the traces and the traced report
-each have one writer that yields chunks, one per run or trace, for the CLI
-to write in blocks; ``runs_to_*``, ``rules_to_*`` and ``traces_to_json``
-join those chunks, and ``rules_to_*`` take a rule list and group it into
-runs first.
+The rules writers work on runs of rules that share premise and mu (see
+rules.py).  The rules JSON and text, the traces and the traced report each
+have one writer that yields chunks, one per run or trace, for the CLI to
+write in blocks; a caller that wants one document joins them, as
+``b"".join(runs_json_chunks(runs))``.  ``rules_to_json`` does that for a rule
+list, grouped into runs first.
 """
 
 from __future__ import annotations
@@ -234,16 +234,12 @@ def _mu_block(mu: Fraction) -> str:
 
 def rules_to_json(rules: list[FuzzyRule]) -> bytes:
     """The bytes dump_json gives for {"schema", "rules": [...]}."""
-    return runs_to_json(rule_runs(rules))
-
-
-def runs_to_json(runs) -> bytes:
-    """rules_to_json over rules given as runs (see rules.rule_runs)."""
-    return b"".join(runs_json_chunks(runs))
+    return b"".join(runs_json_chunks(rule_runs(rules)))
 
 
 def runs_json_chunks(runs):
-    """runs_to_json's bytes, one chunk per run.
+    """rules_to_json's bytes over rules given as runs (see rules.rule_runs),
+    one chunk per run.
 
     The stdlib encodes indented JSON in pure Python.  Every rule record has
     the same shape, so it is written here directly, with C string escaping.
@@ -251,14 +247,14 @@ def runs_json_chunks(runs):
     is built once per run and the quoted conclusions are joined with it.
     """
     mu_blocks: dict = {}
+    head = '    {\n      "category": "identifying",\n      "conclusion": '
     yield b'{\n  "rules": ['
     sep = "\n"
-    for (premise, mu, category), conclusions in runs:
+    for (premise, mu), conclusions in runs:
         mu_key = (mu.numerator, mu.denominator)  # cheaper to hash than a Fraction
         mu_block = mu_blocks.get(mu_key)
         if mu_block is None:
             mu_block = mu_blocks[mu_key] = _mu_block(mu)
-        head = f'    {{\n      "category": {_quote(category)},\n      "conclusion": '
         tail = (
             f',\n      "mu": {mu_block},\n'
             f'      "premise": {_premise_block(premise)}\n    }}'
@@ -270,21 +266,11 @@ def runs_json_chunks(runs):
     yield f',\n  "schema": {_quote(SCHEMA_VERSION)}\n}}\n'.encode("utf-8")
 
 
-def rules_to_text(rules: list[FuzzyRule]) -> str:
-    """One "IF premise (mu=...) THEN conclusion" line per rule."""
-    return runs_to_text(rule_runs(rules))
-
-
-def runs_to_text(runs) -> str:
-    """rules_to_text over rules given as runs."""
-    return "".join(runs_text_chunks(runs))
-
-
 def runs_text_chunks(runs):
-    """runs_to_text's text, one chunk per run; the line prefix is built once
-    per run."""
+    """One "IF premise (mu=...) THEN conclusion" line per rule, one chunk per
+    run; the line prefix is built once per run."""
     decimals: dict = {}
-    for (premise, mu, _), conclusions in runs:
+    for (premise, mu), conclusions in runs:
         mu_key = (mu.numerator, mu.denominator)
         decimal = decimals.get(mu_key)
         if decimal is None:
@@ -321,11 +307,6 @@ def traces_chunks(traces, pad: str = "", end: bytes = b"\n"):
         sep = ",\n"
     yield b"]" if sep == "\n" else f"\n{pad}]".encode("utf-8")
     yield end
-
-
-def traces_to_json(traces) -> bytes:
-    """The bytes dump_json(traces_to_obj(traces)) gives."""
-    return b"".join(traces_chunks(traces))
 
 
 _TRACES_PLACEHOLDER = "\x00traces\x00"

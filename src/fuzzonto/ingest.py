@@ -373,30 +373,14 @@ def load_json(data) -> OntologyModel:
             raise DuplicateIdentifier(f"{name!r} is both a class and a property")
         model.declare_property(name, kind)
 
-    for i, item in enumerate(_array(doc, "holdings")):
-        where = f"holdings[{i}]"
-        model.add_holding(
-            _field(item, "property", str, where),
-            _field(item, "holder", str, where),
-            _origin(item, where),
-        )
-
-    for i, item in enumerate(_array(doc, "relations")):
-        where = f"relations[{i}]"
-        model.add_relation(
-            _field(item, "predicate", str, where),
-            _field(item, "subject", str, where),
-            _field(item, "object", str, where),
-            _origin(item, where),
-        )
-
-    for i, item in enumerate(_array(doc, "subclass")):
-        where = f"subclass[{i}]"
-        model.add_subclass(
-            _field(item, "sub", str, where),
-            _field(item, "super", str, where),
-            _origin(item, where),
-        )
+    for key, fields, add in (
+        ("holdings", ("property", "holder"), model.add_holding),
+        ("relations", ("predicate", "subject", "object"), model.add_relation),
+        ("subclass", ("sub", "super"), model.add_subclass),
+    ):
+        for i, item in enumerate(_array(doc, key)):
+            where = f"{key}[{i}]"
+            add(*[_field(item, name, str, where) for name in fields], _origin(item, where))
 
     for i, item in enumerate(_array(doc, "equivalences")):
         where = f"equivalences[{i}]"

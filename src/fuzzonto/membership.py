@@ -26,9 +26,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from . import closure
 from .errors import NotNormalized
 from .model import ASSERTED, OntologyModel
-from .partition import UnionFind
 
 PART_OF = "part_of"
 RELATION = "relation"
@@ -60,9 +60,6 @@ class ComplexKey(namedtuple("ComplexKey", "kind predicate resulting_class")):
     # rendered once per key, however many rules share the key; a sort over
     # every key calls render() instead, which skips cached_property's lock
     text = cached_property(render)
-
-    def sort_key(self) -> tuple:
-        return (self.kind, self.predicate or "", self.resulting_class)
 
 
 class MembershipEntry(namedtuple("MembershipEntry", "mu determiners")):
@@ -113,16 +110,9 @@ class MembershipTable:
         part_of complexes, then other relation complexes."""
         for name in sorted(self.property_mu):
             yield PROPERTY, name, self.property_mu[name]
-        for key in sorted(
-            (k for k in self.complex_mu if k.kind == PART_OF),
-            key=ComplexKey.sort_key,
-        ):
-            yield PART_OF, key, self.complex_mu[key]
-        for key in sorted(
-            (k for k in self.complex_mu if k.kind == RELATION),
-            key=ComplexKey.sort_key,
-        ):
-            yield RELATION, key, self.complex_mu[key]
+        for kind in (PART_OF, RELATION):  # a part_of key's predicate is None
+            for key in sorted(k for k in self.complex_mu if k.kind == kind):
+                yield kind, key, self.complex_mu[key]
 
 
 class AnnotatedOntology:
@@ -135,12 +125,9 @@ class AnnotatedOntology:
 
 
 def build_equivalence_groups(m: OntologyModel) -> EquivalenceGroups:
-    uf = UnionFind()
-    for a, b in m.equivalences:
-        uf.union(a, b)
     rep_of: dict[str, str] = {}
     members_of: dict[str, tuple[str, ...]] = {}
-    for group in uf.groups():  # each has two or more members: no self-pairs
+    for group in closure.groups(m.equivalences):  # two or more members: no self-pairs
         members = tuple(group)
         rep = members[0]
         members_of[rep] = members

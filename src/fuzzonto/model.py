@@ -60,31 +60,20 @@ class OntologyModel:
     classes maps name -> IRI or None; properties maps declared property name
     -> DATATYPE or OBJECT.  holdings maps (property, holder), relations maps
     (predicate, subject, object) and subclass_axioms maps (sub, sup) to the
-    element's origin (insertion keeps the first derivation).  A collection
-    left out starts empty.
+    element's origin (insertion keeps the first derivation).  A new model is
+    empty.
     """
 
-    def __init__(
-        self,
-        classes: dict[str, str | None] | None = None,
-        properties: dict[str, str] | None = None,
-        holdings: dict[tuple[str, str], str] | None = None,
-        relations: dict[tuple[str, str, str], str] | None = None,
-        subclass_axioms: dict[tuple[str, str], str] | None = None,
-        equivalences: set[tuple[str, str]] | None = None,
-        modifiers: set[RawModifier] | None = None,
-        normalized: bool = False,
-        parse_warnings: tuple[Diagnostic, ...] = (),
-    ) -> None:
-        self.classes = {} if classes is None else classes
-        self.properties = {} if properties is None else properties
-        self.holdings = {} if holdings is None else holdings
-        self.relations = {} if relations is None else relations
-        self.subclass_axioms = {} if subclass_axioms is None else subclass_axioms
-        self.equivalences = set() if equivalences is None else equivalences
-        self.modifiers = set() if modifiers is None else modifiers
-        self.normalized = normalized
-        self.parse_warnings = parse_warnings
+    def __init__(self) -> None:
+        self.classes: dict[str, str | None] = {}
+        self.properties: dict[str, str] = {}
+        self.holdings: dict[tuple[str, str], str] = {}
+        self.relations: dict[tuple[str, str, str], str] = {}
+        self.subclass_axioms: dict[tuple[str, str], str] = {}
+        self.equivalences: set[tuple[str, str]] = set()
+        self.modifiers: set[RawModifier] = set()
+        self.normalized = False
+        self.parse_warnings: tuple[Diagnostic, ...] = ()
 
     # -- construction ---------------------------------------------------
 
@@ -169,17 +158,17 @@ class OntologyModel:
     # -- copying / equality ------------------------------------------------
 
     def copy(self) -> OntologyModel:
-        return OntologyModel(
-            classes=dict(self.classes),
-            properties=dict(self.properties),
-            holdings=dict(self.holdings),
-            relations=dict(self.relations),
-            subclass_axioms=dict(self.subclass_axioms),
-            equivalences=set(self.equivalences),
-            modifiers=set(self.modifiers),
-            normalized=self.normalized,
-            parse_warnings=self.parse_warnings,
-        )
+        new = OntologyModel()
+        new.classes = dict(self.classes)
+        new.properties = dict(self.properties)
+        new.holdings = dict(self.holdings)
+        new.relations = dict(self.relations)
+        new.subclass_axioms = dict(self.subclass_axioms)
+        new.equivalences = set(self.equivalences)
+        new.modifiers = set(self.modifiers)
+        new.normalized = self.normalized
+        new.parse_warnings = self.parse_warnings
+        return new
 
     def canonical(self, with_origins: bool = True) -> tuple:
         def elements(origin_of: dict) -> tuple:

@@ -54,7 +54,6 @@ from .model import (
     OntologyModel,
     RawModifier,
 )
-from .partition import UnionFind
 
 # Rule identifiers, by what each rewrite does.
 RULE_EQUIV_PROPERTY = "equiv-property-copy"
@@ -140,13 +139,13 @@ class NormalizeResult:
         traces: tuple[RewriteTrace, ...],
         warnings: tuple[Diagnostic, ...],
         passes: int,
-        tally: dict[str, int] | None = None,
+        tally: dict[str, int],
     ) -> None:
         self.model = model
         self.traces = traces
         self.warnings = warnings
         self.passes = passes
-        self.tally = {} if tally is None else tally
+        self.tally = tally
 
 
 class _Progress:
@@ -155,23 +154,14 @@ class _Progress:
     every rule start from scratch.
     """
 
-    def __init__(
-        self,
-        closed: int | None = None,  # len(subclass_axioms) after the last closure
-        lifted: int = 0,  # len(relations) when the last lift ended
-        lift_axioms: set | None = None,  # subclass keys that lift used
-        warned: set | None = None,  # cycle groups already reported
-        equivalences: int = 0,  # len(equivalences) that groups was built from
-        groups: list | None = None,  # equivalence groups, sorted
-        copied: tuple[int, int] = (0, 0),  # len(holdings), len(relations) at the last copy
-    ) -> None:
-        self.closed = closed
-        self.lifted = lifted
-        self.lift_axioms = set() if lift_axioms is None else lift_axioms
-        self.warned = set() if warned is None else warned
-        self.equivalences = equivalences
-        self.groups = [] if groups is None else groups
-        self.copied = copied
+    def __init__(self) -> None:
+        self.closed: int | None = None  # len(subclass_axioms) after the last closure
+        self.lifted = 0  # len(relations) when the last lift ended
+        self.lift_axioms: set = set()  # subclass keys that lift used
+        self.warned: set = set()  # cycle groups already reported
+        self.equivalences = 0  # len(equivalences) that groups was built from
+        self.groups: list[list[str]] = []  # equivalence groups, sorted
+        self.copied = (0, 0)  # len(holdings), len(relations) at the last copy
 
 
 def _insert(elements: dict, rule: str, keys):
@@ -183,15 +173,6 @@ def _insert(elements: dict, rule: str, keys):
 
 
 # -- stage 1 -------------------------------------------------------------------
-
-
-def _equivalence_groups(m: OntologyModel) -> list[list[str]]:
-    """Equivalence classes of m.equivalences, ordered by their sorted members
-    (so the order does not depend on set iteration or the hash seed)."""
-    uf = UnionFind()
-    for a, b in m.equivalences:
-        uf.union(a, b)
-    return uf.groups()
 
 
 def _propagate_equivalents(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bool:
@@ -206,7 +187,7 @@ def _propagate_equivalents(m: OntologyModel, tracer: Tracer, progress: _Progress
         return False
     if len(m.equivalences) != progress.equivalences:
         progress.equivalences = len(m.equivalences)
-        progress.groups = _equivalence_groups(m)
+        progress.groups = closure.groups(m.equivalences)
         progress.copied = (0, 0)
     groups = progress.groups
     group_of = {name: i for i, group in enumerate(groups) for name in group}

@@ -3,17 +3,18 @@
 Each table key becomes a premise; each class in its (widened) determining set
 becomes one conclusion.  Rules therefore satisfy, by construction,
 mu(premise) * |representative conclusions| = 1 — the check re-verifies that
-identity from the rules alone.
+identity from the rules alone.  Every rule is identifying, so a rule carries
+no category; the writers print the one there is.
 
-All rules of one key share its premise, mu and category, so the rules come
-as runs: ``((premise, mu, category), conclusions)`` pairs.  ``premise_runs``
-builds them straight from the table, one per key, with the keys sorted once
-by premise text and each key's sorted determiners as its conclusions; the
-CLI takes them from there to the check and the writers without building a
-rule object.  ``generate_rules`` expands the runs into ``FuzzyRule`` tuples,
-and ``rule_runs`` groups any rule list back into runs, so the list entry
-points (``check_consistency`` and the writers in emit.py) run the same
-run-level bodies.
+All rules of one key share its premise and mu, so the rules come as runs:
+``((premise, mu), conclusions)`` pairs.  ``premise_runs`` builds them
+straight from the table, one per key, with the keys sorted once by premise
+text and each key's sorted determiners as its conclusions; the CLI takes
+them from there to the check and the writers without building a rule object.
+``generate_rules`` expands the runs into ``FuzzyRule`` tuples, and
+``rule_runs`` groups any rule list back into runs, so the list entry points
+(``check_consistency`` and ``emit.rules_to_json``) run the same run-level
+bodies.
 """
 
 from __future__ import annotations
@@ -25,17 +26,12 @@ from operator import itemgetter
 from .membership import PART_OF, AnnotatedOntology, ComplexKey
 from .model import Diagnostic
 
-IDENTIFYING = "identifying"
-
-
 def premise_text(premise: str | ComplexKey) -> str:
     """The premise as rules print it: a property name, or a key's text."""
     return premise if isinstance(premise, str) else premise.text
 
 
-class FuzzyRule(
-    namedtuple("FuzzyRule", "premise conclusion mu category", defaults=(IDENTIFYING,))
-):
+class FuzzyRule(namedtuple("FuzzyRule", "premise conclusion mu")):
     """premise: a property name or a relation complex; mu: a Fraction."""
 
     __slots__ = ()
@@ -70,10 +66,10 @@ def premise_runs(annotated: AnnotatedOntology) -> list[tuple]:
         alike = list(alike)
         if len(alike) == 1:
             _, _, key, entry = alike[0]
-            runs.append(((key, entry.mu, IDENTIFYING), entry.determiners))
+            runs.append(((key, entry.mu), entry.determiners))
             continue
         merged = [
-            (key, conclusion, entry.mu, IDENTIFYING)
+            (key, conclusion, entry.mu)
             for _, _, key, entry in alike
             for conclusion in entry.determiners
         ]
@@ -88,21 +84,21 @@ _new_tuple = tuple.__new__  # FuzzyRule(...) would run namedtuple's Python __new
 def generate_rules(annotated: AnnotatedOntology) -> list[FuzzyRule]:
     """The rules of premise_runs, one FuzzyRule each, in the same order."""
     return [
-        _new_tuple(FuzzyRule, (premise, conclusion, mu, category))
-        for (premise, mu, category), conclusions in premise_runs(annotated)
+        _new_tuple(FuzzyRule, (premise, conclusion, mu))
+        for (premise, mu), conclusions in premise_runs(annotated)
         for conclusion in conclusions
     ]
 
 
 def rule_runs(rules):
-    """Maximal runs of consecutive rules that share premise, mu and category,
-    as ((premise, mu, category), conclusions) pairs, conclusions a tuple.
+    """Maximal runs of consecutive rules that share premise and mu, as
+    ((premise, mu), conclusions) pairs, conclusions a tuple.
 
     Fields compare by identity first, so on generator output, where a
     premise's rules share one key and one mu object, only run boundaries
     reach ``__eq__``.
     """
-    for shared, run in groupby(rules, itemgetter(0, 2, 3)):
+    for shared, run in groupby(rules, itemgetter(0, 2)):
         yield shared, tuple(map(itemgetter(1), run))
 
 
@@ -119,7 +115,7 @@ def check_runs(runs, annotated: AnnotatedOntology) -> list[Diagnostic]:
     # print like the part_of keys of the same class.  A premise may come in
     # several runs, adjacent or not; they merge here.
     by_premise: dict[str | ComplexKey, list] = {}
-    for (premise, mu, _), conclusions in runs:
+    for (premise, mu), conclusions in runs:
         by_premise.setdefault(premise, []).append((mu, conclusions))
 
     representatives = annotated.groups.representatives

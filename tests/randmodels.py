@@ -35,7 +35,6 @@ from fuzzonto.normalize import (
     RULE_RELATION_LIFT,
     Tracer,
     _close_subclass_hierarchy,
-    _equivalence_groups,
     _Progress,
     _rewrite_modifiers,
     el_holding,
@@ -207,8 +206,8 @@ def intersection_model(seed: int) -> OntologyModel:
 
 def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
     """Equivalence copies by a sorted rescan of the whole model per group."""
-    for group in _equivalence_groups(m):
-        members = set(group)
+    for members in sorted(brute_groups((), m.equivalences).values(), key=min):
+        group = sorted(members)
         by_property: dict = {}
         for prop, holder in sorted(m.holdings):
             if holder in members:

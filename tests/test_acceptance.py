@@ -21,9 +21,10 @@ from fuzzonto import (
     normalize,
     parse_document,
 )
-from fuzzonto.emit import annotated_to_json, rules_to_json, rules_to_text
+from fuzzonto.emit import annotated_to_json, rules_to_json, runs_text_chunks
 from fuzzonto.membership import PART_OF, PROPERTY
 from fuzzonto.model import TRANSITIVE, OntologyModel, RawModifier
+from fuzzonto.rules import premise_runs
 from randmodels import (
     brute_groups,
     brute_reachable,
@@ -181,13 +182,13 @@ def test_criterion_5_idempotence_and_determinism():
             model = parse_document(fixture_bytes(name), "rdfxml")
             result = normalize(model)
             annotated = assign_all(result.model)
-            rules = generate_rules(annotated)
+            text = "".join(runs_text_chunks(premise_runs(annotated)))
             return b"".join(
                 (
                     emit_json(result.model),
                     annotated_to_json(annotated),
-                    rules_to_json(rules),
-                    rules_to_text(rules).encode("utf-8"),
+                    rules_to_json(generate_rules(annotated)),
+                    text.encode("utf-8"),
                 )
             )
 
@@ -249,7 +250,6 @@ def test_criterion_7_end_to_end_single_rule():
         assert rule.premise_text == "part_of France"
         assert rule.conclusion == "Paris"
         assert rule.mu == Fraction(1)
-        assert (
-            rules_to_text(rules) == "IF part_of France (mu=1.000000) THEN Paris\n"
-        )
+        text = "".join(runs_text_chunks(premise_runs(annotated)))
+        assert text == "IF part_of France (mu=1.000000) THEN Paris\n"
         assert fixture_path("paris_france.owl").exists()

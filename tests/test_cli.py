@@ -384,7 +384,6 @@ def test_rules_command_goes_from_runs_to_bytes(capsys, monkeypatch):
         (rules, "generate_rules"),
         (rules, "check_consistency"),
         (emit, "rules_to_json"),
-        (emit, "rules_to_text"),
     ):
         monkeypatch.setattr(module, name, refuse)
     for fmt in ("json", "text"):
@@ -502,6 +501,23 @@ def test_a_writer_failing_midway_leaves_the_target_as_it_was(tmp_path, monkeypat
     assert target.read_bytes() == b"old"
 
 
+@pytest.mark.parametrize("option", ["--out", "--report"])
+def test_unwritable_output_is_an_io_error(tmp_path, capsys, option):
+    """A path in a missing directory, or one that is a directory, ends the
+    run with one error[io] line and exit 1, and leaves no temp file."""
+    source = str(fixture_path("paris_france.owl"))
+    (tmp_path / "dir").mkdir()
+    for path, reason in (
+        (tmp_path / "missing" / "rules.json", "No such file or directory"),
+        (tmp_path / "dir", "Is a directory"),
+    ):
+        code, out, err = run(capsys, "rules", source, option, str(path))
+        assert (code, err) == (1, f"error[io]: cannot write {path}: {reason}\n")
+        assert out.startswith("{") == (option == "--report")  # the rules went out first
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def test_closed_stdout_pipe_ends_quietly(tmp_path):
     """A reader that stops after the first bytes of a six-block document, as
     `| head -c 100` does: exit 0, no traceback, nothing on stderr."""
@@ -551,14 +567,7 @@ def test_writers_stream_without_a_whole_document(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("whole document joined")
 
-    for name in (
-        "rules_to_json",
-        "runs_to_json",
-        "rules_to_text",
-        "runs_to_text",
-        "traces_to_json",
-    ):
-        monkeypatch.setattr(emit, name, refuse)
+    monkeypatch.setattr(emit, "rules_to_json", refuse)
     for size in (1, 64, cli.BLOCK_SIZE):
         monkeypatch.setattr(cli, "BLOCK_SIZE", size)
         assert list(outputs()) == expected, size

@@ -16,7 +16,7 @@ import random
 from conftest import FIXTURE_NAMES, parse_fixture
 from fuzzonto import OntologyModel, RawModifier, assign_all, generate_rules, normalize
 from fuzzonto import emit
-from fuzzonto.rules import premise_runs
+from fuzzonto.rules import premise_runs, rule_runs
 
 PINNED = {
     "rules_json": "b66121bd7d4d25ad38b387728e2b23a88af5df25260259f26f983d93a89da718",
@@ -77,15 +77,15 @@ def _digests() -> tuple[dict, dict]:
         runs = premise_runs(annotated)
         outputs = {
             "rules_json": emit.rules_to_json(rules),
-            "rules_text": emit.rules_to_text(rules).encode("utf-8"),
-            "traces": emit.traces_to_json(result.traces),
+            "rules_text": "".join(emit.runs_text_chunks(rule_runs(rules))).encode(),
+            "traces": b"".join(emit.traces_chunks(result.traces)),
             "model_json": emit.emit_json(result.model),
             "model_rdfxml": emit.emit_normalized_rdf(result.model),
             "assign_json": emit.annotated_to_json(annotated),
         }
         run_outputs = {
-            "rules_json": emit.runs_to_json(runs),
-            "rules_text": emit.runs_to_text(runs).encode("utf-8"),
+            "rules_json": b"".join(emit.runs_json_chunks(runs)),
+            "rules_text": "".join(emit.runs_text_chunks(runs)).encode(),
         }
         for digests, produced in ((hashes, outputs), (run_hashes, run_outputs)):
             for name, data in produced.items():

@@ -14,19 +14,19 @@ from fuzzonto import (
     normalize,
     parse_document,
     rules_to_json,
-    rules_to_text,
 )
 from fuzzonto.emit import (
     annotated_to_json,
     decimal6,
     dump_json,
     report_to_json,
-    traces_to_json,
+    runs_text_chunks,
+    traces_chunks,
     traces_to_obj,
 )
 from fuzzonto.membership import ComplexKey
 from fuzzonto.normalize import RewriteTrace
-from fuzzonto.rules import FuzzyRule
+from fuzzonto.rules import FuzzyRule, rule_runs
 from randmodels import random_model
 
 
@@ -144,6 +144,10 @@ def test_annotated_json_shape():
     assert by_class["EU"]["key"]["predicate"] == "subAreaOf"
 
 
+def rules_to_text(rules) -> str:
+    return "".join(runs_text_chunks(rule_runs(rules)))
+
+
 def test_rules_text_format():
     annotated = assign_all(normalize_fixture("paris_france.owl").model)
     text = rules_to_text(generate_rules(annotated))
@@ -185,7 +189,7 @@ def generic_rules_json(rules) -> bytes:
                         "den": r.mu.denominator,
                         "decimal": decimal6(r.mu),
                     },
-                    "category": r.category,
+                    "category": "identifying",
                 }
                 for r in rules
             ],
@@ -207,9 +211,9 @@ def generic_rules_text(rules) -> str:
 
 
 def test_rules_json_equals_generic_encoding_on_awkward_strings():
-    """Single rules and runs of two or more that share premise, mu and
-    category; a run also ends where only the mu or only the category
-    changes, and one premise comes back after another's run."""
+    """Single rules and runs of two or more that share premise and mu; a run
+    also ends where only the mu changes, and one premise comes back after
+    another's run."""
     awkward = ['q"uote', "back\\slash", "\u00c4rger", "line\u2028sep", "tab\tnl\n\x00\x1f"]
     rules = []
     for i, name in enumerate(awkward):
@@ -217,10 +221,9 @@ def test_rules_json_equals_generic_encoding_on_awkward_strings():
         part_of = ComplexKey.part_of(name)
         rules += [
             FuzzyRule(name, name, mu),
-            FuzzyRule(part_of, "C", mu, category=name),
-            FuzzyRule(part_of, name, mu, category=name),
-            FuzzyRule(part_of, "D", Fraction(1, i + 1), category=name),
-            FuzzyRule(part_of, "E", mu),  # category changes
+            FuzzyRule(part_of, "C", mu),
+            FuzzyRule(part_of, name, mu),
+            FuzzyRule(part_of, "D", Fraction(1, i + 1)),
             FuzzyRule(part_of, "F", Fraction(1, 9)),  # mu changes
             FuzzyRule(ComplexKey.relation(name, name), name, Fraction(1, 7)),
             FuzzyRule(ComplexKey.relation(name, name), "C", Fraction(1, 7)),
@@ -261,7 +264,7 @@ def test_traces_json_equals_generic_encoding():
     cases += [list(normalize_fixture(name).traces) for name in FIXTURE_NAMES]
     cases += [normalize(random_model(seed), trace=True).traces for seed in range(50)]
     for traces in cases:
-        assert traces_to_json(traces) == dump_json(traces_to_obj(traces))
+        assert b"".join(traces_chunks(traces)) == dump_json(traces_to_obj(traces))
 
 
 def test_report_json_equals_generic_encoding():

@@ -1,15 +1,12 @@
 import random
 
-from fuzzonto.partition import UnionFind
+from fuzzonto.closure import groups
 from randmodels import brute_groups
 
 
 def test_groups_are_sorted_and_ordered_by_members():
-    uf = UnionFind(["d", "a"])
-    uf.union("c", "b")
-    uf.union("e", "a")
-    assert uf.groups() == [["a", "e"], ["b", "c"], ["d"]]
-    assert UnionFind().groups() == []
+    assert groups([("c", "b"), ("e", "a"), ("d", "d")]) == [["a", "e"], ["b", "c"], ["d"]]
+    assert groups([]) == []
 
 
 def test_groups_ignore_union_order_and_match_connected_components():
@@ -24,9 +21,9 @@ def test_groups_ignore_union_order_and_match_connected_components():
         for _ in range(3):
             rng.shuffle(names)
             rng.shuffle(pairs)
-            uf = UnionFind(names)
-            for a, b in pairs:
-                if rng.random() < 0.5:
-                    a, b = b, a
-                uf.union(a, b)
-            assert uf.groups() == expected, f"seed {seed}"
+            # a self-pair is how a name with no partner enters
+            shuffled = [(n, n) for n in names] + [
+                (b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs
+            ]
+            rng.shuffle(shuffled)
+            assert groups(shuffled) == expected, f"seed {seed}"

@@ -4,7 +4,7 @@ from conftest import normalize_fixture
 from fuzzonto import assign_all, check_consistency, generate_rules, normalize
 from fuzzonto.membership import ComplexKey
 from fuzzonto.model import OntologyModel
-from fuzzonto.rules import IDENTIFYING, FuzzyRule, check_runs, premise_runs, rule_runs
+from fuzzonto.rules import FuzzyRule, check_runs, premise_runs, rule_runs
 from randmodels import random_model
 
 
@@ -30,7 +30,6 @@ def test_property_premise_yields_one_rule_per_holder():
         ("hasAge", "Man", Fraction(1, 2)),
         ("hasAge", "Woman", Fraction(1, 2)),
     ]
-    assert all(r.category == "identifying" for r in rules)
 
 
 def test_sole_subclass_yields_single_full_rule():
@@ -85,7 +84,7 @@ def test_consistency_flags_wrong_denominator():
     rules = [
         FuzzyRule(premise="p", conclusion=c, mu=Fraction(1, 2)) for c in ("A", "B", "C")
     ]
-    runs = [(("p", Fraction(1, 2), IDENTIFYING), ("A", "B", "C"))]
+    runs = [(("p", Fraction(1, 2)), ("A", "B", "C"))]
     # the list entry point and the run entry point, side by side
     assert codes(check_consistency(rules, annotated), check_runs(runs, annotated)) == (
         ["identity-violation"],
@@ -102,8 +101,8 @@ def test_consistency_flags_mixed_mu():
     # a mu change splits the premise's rules into two runs, which the run
     # check merges again
     runs = [
-        (("p", Fraction(1, 2), IDENTIFYING), ("A",)),
-        (("p", Fraction(1, 3), IDENTIFYING), ("B",)),
+        (("p", Fraction(1, 2)), ("A",)),
+        (("p", Fraction(1, 3)), ("B",)),
     ]
     assert codes(check_consistency(rules, annotated), check_runs(runs, annotated)) == (
         ["mixed-mu"],
@@ -260,7 +259,7 @@ def test_generate_rules_merges_premises_that_print_alike():
     annotated = assign_all(normalize(m).model)
     runs = premise_runs(annotated)
     assert runs == list(rule_runs(generate_rules(annotated)))
-    assert runs[-1] == ((ComplexKey.part_of("X"), Fraction(1, 4), IDENTIFYING), ("Y1", "Y2"))
+    assert runs[-1] == ((ComplexKey.part_of("X"), Fraction(1, 4)), ("Y1", "Y2"))
 
 
 def test_consistency_merges_a_premise_split_over_non_adjacent_runs():
@@ -292,9 +291,9 @@ def test_consistency_merges_equal_but_not_identical_keys():
     assert check_consistency(agreeing, annotated) == []
 
 
-def test_fuzzy_rule_is_a_named_tuple_with_a_default_category():
+def test_fuzzy_rule_is_a_named_tuple_of_three_fields():
     rule = FuzzyRule("p", "A", Fraction(1, 2))
-    assert rule == ("p", "A", Fraction(1, 2), "identifying")
-    assert rule._fields == ("premise", "conclusion", "mu", "category")
+    assert rule == ("p", "A", Fraction(1, 2))
+    assert rule._fields == ("premise", "conclusion", "mu")
     keyed = FuzzyRule(ComplexKey.relation("r", "X"), "A", Fraction(1))
     assert keyed.premise_text == "r X"
