@@ -58,8 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "and generate identifying fuzzy rules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    for command, formats, summary in (
+        ("normalize", ("json", "rdfxml"), "emit the normalized model"),
+        ("assign", ("json",), "emit the membership-annotated model"),
+        ("rules", ("json", "text"), "emit identifying fuzzy rules"),
+    ):
+        p = sub.add_parser(command, help=summary)
         p.add_argument("source", help="input document (RDF/XML or model JSON)")
         p.add_argument(
             "--format",
@@ -82,24 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"element budget for normalization, 0 for none (default {DEFAULT_BOUND})",
         )
         p.add_argument("--out", metavar="PATH", help="write output to PATH, not stdout")
-
-    common(sub.add_parser("normalize", help="emit the normalized model"), ("json", "rdfxml"))
-
-    p_assign = sub.add_parser("assign", help="emit the membership-annotated model")
-    common(p_assign, ("json",))
-    p_assign.add_argument(
-        "--asserted-only",
-        action="store_true",
-        help="count only asserted elements as determiners",
-    )
-
-    p_rules = sub.add_parser("rules", help="emit identifying fuzzy rules")
-    common(p_rules, ("json", "text"))
-    p_rules.add_argument(
-        "--asserted-only",
-        action="store_true",
-        help="count only asserted elements as determiners",
-    )
+        if command != "normalize":
+            p.add_argument(
+                "--asserted-only",
+                action="store_true",
+                help="count only asserted elements as determiners",
+            )
     return parser
 
 
@@ -159,18 +151,23 @@ def _write_file(path: str, chunks) -> bool:
     return True
 
 
+def _write_stream(stream, chunks) -> None:
+    """Write byte chunks to stdout or stderr in blocks.  If the reader has
+    gone, as `| head` does, the rest is dropped quietly: the stream's
+    descriptor then points at /dev/null, where the exit flush writes."""
+    try:
+        _write_blocks(stream.buffer, chunks)
+        stream.buffer.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def _emit_output(chunks, out_path: str | None) -> bool:
     if out_path:
         return _write_file(out_path, chunks)
-    try:
-        _write_blocks(sys.stdout.buffer, chunks)
-        sys.stdout.buffer.flush()
-    except BrokenPipeError:
-        # the reader has gone, as `| head` does: the rest of the output is
-        # dropped quietly, and the exit flush writes to /dev/null
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _write_stream(sys.stdout, chunks)
     return True
 
 
@@ -258,7 +255,7 @@ def _run(args: list[str]) -> int:
         return EXIT_PARSE
 
     if options.trace and not options.report:
-        _write_blocks(sys.stderr.buffer, emit.traces_chunks(result.traces))
+        _write_stream(sys.stderr, emit.traces_chunks(result.traces))
     if options.report:
         report = _build_report(options, model, result, diagnostics, timings)
         if options.trace:
@@ -276,15 +273,7 @@ def _build_report(options, model, result, diagnostics, timings) -> dict:
         "schema": ingest.SCHEMA_VERSION,
         "command": options.command,
         "phases": list(timings),
-        "warnings": [
-            {
-                "code": d.code,
-                "severity": d.severity,
-                "message": d.message,
-                "location": d.location,
-            }
-            for d in diagnostics
-        ],
+        "warnings": [d._asdict() for d in diagnostics],
         "counts": {"before": model.counts(), "after": result.model.counts()},
         "rewrites": result.tally,
         "passes": result.passes,

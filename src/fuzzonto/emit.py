@@ -16,7 +16,6 @@ list, grouped into runs first.
 from __future__ import annotations
 
 import json
-from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
 
@@ -26,15 +25,15 @@ from .membership import PART_OF, PROPERTY, AnnotatedOntology
 from .model import DATATYPE, INTERSECTION, INVERSE, OntologyModel
 from .rules import FuzzyRule, premise_text, rule_runs
 
-_SIX_PLACES = Decimal("0.000001")
-
 
 def decimal6(value: Fraction) -> str:
-    """Six-fractional-digit decimal string, round half to even."""
-    quantized = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
-        _SIX_PLACES, rounding=ROUND_HALF_EVEN
-    )
-    return str(quantized)
+    """Six-fractional-digit decimal string, round half to even, exact at any
+    size; a negative value keeps its sign when it rounds to zero."""
+    millionths, rest = divmod(abs(value.numerator) * 10**6, value.denominator)
+    if 2 * rest > value.denominator or (2 * rest == value.denominator and millionths & 1):
+        millionths += 1
+    whole, fraction = divmod(millionths, 10**6)
+    return f"{'-' if value.numerator < 0 else ''}{whole}.{fraction:06d}"
 
 
 def dump_json(obj) -> bytes:

@@ -16,6 +16,7 @@ anywhere in the document before any other error.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from xml.parsers import expat
 
 from .errors import DuplicateIdentifier, MalformedDocument, UnsupportedConstruct
@@ -30,6 +31,9 @@ from .model import (
     Diagnostic,
     OntologyModel,
     RawModifier,
+    el_holding,
+    el_relation,
+    el_subclass,
 )
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -451,9 +455,9 @@ def _origin(item: dict, where: str) -> str:
 def validate_model(model: OntologyModel) -> list[Diagnostic]:
     """Consistency diagnostics; never raises.
 
-    Holdings, relations and subclass axioms are filtered by dictionary
-    lookups first; only the elements that fail a check are sorted and
-    rendered.
+    Holdings, relations and subclass axioms are filtered first: the names at
+    each class or property position, less the declared ones, are the missing
+    names, and only the elements that hold one are sorted and rendered.
     """
     out: list[Diagnostic] = []
     classes, properties = model.classes, model.properties
@@ -480,33 +484,31 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                 )
             )
 
-    failing = [
-        (prop, holder)
-        for prop, holder in model.holdings
-        if holder not in classes or prop not in properties
-    ]
-    for prop, holder in sorted(failing):
-        check_class(holder, f"holding {prop}/{holder}")
-        check_property(prop, f"holding {prop}/{holder}")
-    failing = [
-        (pred, subject, obj)
-        for pred, subject, obj in model.relations
-        if subject not in classes or obj not in classes or pred not in properties
-    ]
-    for pred, subject, obj in sorted(failing):
-        where = f"relation {pred}({subject}, {obj})"
-        check_class(subject, where)
-        check_class(obj, where)
-        check_property(pred, where)
-    failing = [
-        (sub, sup)
-        for sub, sup in model.subclass_axioms
-        if sub not in classes or sup not in classes
-    ]
-    for sub, sup in sorted(failing):
-        where = f"subclass {sub} -> {sup}"
-        check_class(sub, where)
-        check_class(sup, where)
+    used: set[str] = set()  # the properties that holdings and relations use
+    for elements, render, class_slots, property_slots in (
+        (model.holdings, el_holding, (1,), (0,)),
+        (model.relations, el_relation, (1, 2), (0,)),
+        (model.subclass_axioms, el_subclass, (0, 1), ()),
+    ):
+        missing: set[str] = set()
+        for i in class_slots:
+            missing |= set(map(itemgetter(i), elements)).difference(classes)
+        for i in property_slots:
+            names = set(map(itemgetter(i), elements))
+            used |= names
+            missing |= names.difference(properties)
+        if not missing:
+            continue
+        # a name may be missing as a class and declared as a property, or the
+        # other way round; the checks below tell
+        for key in sorted(key for key in elements if not missing.isdisjoint(key)):
+            where = render(*key)
+            for i in class_slots:
+                check_class(key[i], where)
+            for i in property_slots:
+                check_property(key[i], where)
+    # not el_equivalence, which sorts: a library caller can put an unsorted
+    # pair in the set, and its location shows the pair as it is
     for a, b in sorted(model.equivalences):
         where = f"equivalence ({a}, {b})"
         check_class(a, where)
@@ -518,7 +520,6 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                 )
             )
 
-    modifier_props: set[str] = set()
     for m in model.sorted_modifiers():
         where = f"{m.kind} modifier on {m.target}"
         if m.kind == INTERSECTION:
@@ -527,9 +528,9 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                 check_class(member, where)
         else:
             check_property(m.target, where)
-            modifier_props.add(m.target)
+            used.add(m.target)
         if m.kind == INVERSE and m.counterpart is not None:
-            modifier_props.add(m.counterpart)
+            used.add(m.counterpart)
             if m.counterpart not in model.properties:
                 out.append(
                     Diagnostic(
@@ -540,9 +541,6 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                     )
                 )
 
-    used = {prop for prop, _ in model.holdings}
-    used |= {pred for pred, _, _ in model.relations}
-    used |= modifier_props
     for name in sorted(properties.keys() - used):
         out.append(
             Diagnostic(

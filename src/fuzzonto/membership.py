@@ -15,16 +15,18 @@ are widened so that every member of an equivalence group appears wherever
 its representative does — mu itself never changes, because n is counted over
 representatives.
 
-Only groups of two or more classes are stored: a class outside them is its
-own representative, so counting and widening look up just the determiners
-that sit in a shared group, and an entry with none is kept as it is.
+Only groups of two or more classes are stored, in one map ``group_of`` from
+each member to its sorted group: a class outside them is its own
+representative, so counting and widening look up just the determiners that
+sit in a shared group, and an entry with none is kept as it is.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from operator import itemgetter
 
 from . import closure
 from .errors import NotNormalized
@@ -40,8 +42,10 @@ class ComplexKey(namedtuple("ComplexKey", "kind predicate resulting_class")):
 
     kind PART_OF keys on subclass axioms (predicate is None); kind RELATION
     keys on ordinary predicates.  A named tuple, so keys hash and compare in
-    C; ``text``, the rendered key, is cached in the instance dict.
+    C.
     """
+
+    __slots__ = ()
 
     @classmethod
     def part_of(cls, resulting_class: str) -> ComplexKey:
@@ -51,15 +55,12 @@ class ComplexKey(namedtuple("ComplexKey", "kind predicate resulting_class")):
     def relation(cls, predicate: str, resulting_class: str) -> ComplexKey:
         return cls(RELATION, predicate, resulting_class)
 
-    def render(self) -> str:
+    @property
+    def text(self) -> str:
         """The premise as rules print it."""
         if self.kind == PART_OF:
             return f"part_of {self.resulting_class}"
         return f"{self.predicate} {self.resulting_class}"
-
-    # rendered once per key, however many rules share the key; a sort over
-    # every key calls render() instead, which skips cached_property's lock
-    text = cached_property(render)
 
 
 class MembershipEntry(namedtuple("MembershipEntry", "mu determiners")):
@@ -73,26 +74,26 @@ class EquivalenceGroups:
     """Equivalence groups of two or more classes; representative = least
     member name.  Any other class is its own representative and sole member.
 
-    ``rep_of`` maps exactly the classes in such groups to their representative.
+    ``group_of`` maps exactly the classes in such groups to their group, a
+    sorted tuple, so a group's representative is its first member.
     """
 
-    def __init__(self, rep_of: dict[str, str], members_of: dict[str, tuple[str, ...]]):
-        self.rep_of = rep_of
-        self._members_of = members_of
+    def __init__(self, group_of: dict[str, tuple[str, ...]]):
+        self.group_of = group_of
 
     def rep(self, name: str) -> str:
-        return self.rep_of.get(name, name)
+        return self.group_of.get(name, (name,))[0]
 
     def members(self, name: str) -> tuple[str, ...]:
-        return self._members_of.get(self.rep(name), (name,))
+        return self.group_of.get(name, (name,))
 
     def representatives(self, names) -> set[str]:
         reps = set(names)
-        if self.rep_of:
-            shared = self.rep_of.keys() & reps
+        if self.group_of:
+            shared = self.group_of.keys() & reps
             if shared:
                 reps -= shared
-                reps.update(self.rep_of[name] for name in shared)
+                reps.update(self.group_of[name][0] for name in shared)
         return reps
 
 
@@ -125,52 +126,35 @@ class AnnotatedOntology:
 
 
 def build_equivalence_groups(m: OntologyModel) -> EquivalenceGroups:
-    rep_of: dict[str, str] = {}
-    members_of: dict[str, tuple[str, ...]] = {}
-    for group in closure.groups(m.equivalences):  # two or more members: no self-pairs
-        members = tuple(group)
-        rep = members[0]
-        members_of[rep] = members
-        for name in members:
-            rep_of[name] = rep
-    return EquivalenceGroups(rep_of, members_of)
+    # two or more members each: equivalences hold no self-pairs
+    return EquivalenceGroups(
+        {name: group for group in map(tuple, closure.groups(m.equivalences)) for name in group}
+    )
+
+
+# per kind: the element collection, and the key and the determiner of an element
+_DETERMINED_BY = {
+    PROPERTY: ("holdings", itemgetter(0), itemgetter(1)),
+    PART_OF: ("subclass_axioms", itemgetter(1), itemgetter(0)),
+    RELATION: ("relations", itemgetter(0, 2), itemgetter(1)),
+}
 
 
 def _determiner_index(m: OntologyModel, kind: str, asserted_only: bool) -> dict:
     """Every key of one kind mapped to its determining classes, in one pass:
     property -> holders, superclass -> subclasses, or (predicate, object) ->
     subjects."""
-    if kind == PROPERTY:
-        elements = m.holdings
-    elif kind == PART_OF:
-        elements = m.subclass_axioms
-    else:
-        elements = m.relations
+    attr, key_of, determiner_of = _DETERMINED_BY[kind]
+    elements = getattr(m, attr)
     if asserted_only:
         elements = [key for key, origin in elements.items() if origin == ASSERTED]
     index: dict = {}
-    if kind == PROPERTY:
-        for prop, holder in elements:
-            found = index.get(prop)
-            if found is None:
-                index[prop] = {holder}
-            else:
-                found.add(holder)
-    elif kind == PART_OF:
-        for sub, sup in elements:
-            found = index.get(sup)
-            if found is None:
-                index[sup] = {sub}
-            else:
-                found.add(sub)
-    else:
-        for pred, subject, obj in elements:
-            key = (pred, obj)
-            found = index.get(key)
-            if found is None:
-                index[key] = {subject}
-            else:
-                found.add(subject)
+    for key, determiner in zip(map(key_of, elements), map(determiner_of, elements)):
+        found = index.get(key)
+        if found is None:
+            index[key] = {determiner}
+        else:
+            found.add(determiner)
     return index
 
 
@@ -217,8 +201,8 @@ def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
     representatives of the original set.  With no groups, annotated itself
     is returned.
     """
-    groups = annotated.groups
-    in_groups = groups.rep_of.keys()
+    group_of = annotated.groups.group_of
+    in_groups = group_of.keys()
     if not in_groups:
         return annotated
 
@@ -227,14 +211,14 @@ def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
             return entry
         widened = set(entry.determiners)
         for name in in_groups & widened:
-            widened.update(groups.members(name))
+            widened.update(group_of[name])
         return MembershipEntry(entry.mu, tuple(sorted(widened)))
 
     table = MembershipTable(
         property_mu={k: widen(v) for k, v in annotated.table.property_mu.items()},
         complex_mu={k: widen(v) for k, v in annotated.table.complex_mu.items()},
     )
-    return AnnotatedOntology(annotated.model, table, groups)
+    return AnnotatedOntology(annotated.model, table, annotated.groups)
 
 
 def assign_all(m: OntologyModel, asserted_only: bool = False) -> AnnotatedOntology:

@@ -6,6 +6,7 @@ is (predicate, subject, object) and a subclass axiom is (sub, sup).  Each
 element collection maps that tuple to the element's origin tag, so
 re-deriving an existing element is a no-op and the first origin wins.  Models
 are treated as immutable once built: the rewrite passes copy before mutating.
+The el_* functions render one element as traces and diagnostics print it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,34 @@ class Diagnostic(
     def render(self) -> str:
         where = f" ({self.location})" if self.location else ""
         return f"{self.severity}[{self.code}]: {self.message}{where}"
+
+
+# -- element text, as traces and diagnostics print it ------------------------------
+
+
+def el_holding(prop: str, holder: str) -> str:
+    return f"holding {prop}/{holder}"
+
+
+def el_relation(pred: str, subject: str, obj: str) -> str:
+    return f"relation {pred}({subject}, {obj})"
+
+
+def el_subclass(sub: str, sup: str) -> str:
+    return f"subclass {sub} -> {sup}"
+
+
+def el_equivalence(a: str, b: str) -> str:
+    a, b = sorted((a, b))
+    return f"equivalence ({a}, {b})"
+
+
+def el_modifier(mod: RawModifier) -> str:
+    if mod.kind == INVERSE:
+        return f"inverse {mod.target} of {mod.counterpart}"
+    if mod.kind == INTERSECTION:
+        return f"intersection {mod.target} = {' & '.join(mod.members)}"
+    return f"{mod.kind} {mod.target}"
 
 
 class OntologyModel:

@@ -14,8 +14,9 @@ Passes repeat until one leaves the model unchanged, so elements produced by
 stage 2 (say, a relation expanded from a symmetric property) still feed
 stage-1 rules on the next pass.  Every rule only ever adds elements or drops
 the modifiers, so the fixpoint exists; a configurable element budget guards
-against pathological blow-up.  Every derived element is counted, and traced
-when asked for, through Tracer.record.
+against pathological blow-up.  One _Run object carries a run's state: the
+bound, the warnings, what each rule keeps from pass to pass, and the tally
+and traces, which every rule adds to through _Run.record.
 
 Passes after the first only redo what the previous pass's additions call for
 (semi-naive evaluation): the subclass closure reruns only when the axiom set
@@ -53,6 +54,11 @@ from .model import (
     Diagnostic,
     OntologyModel,
     RawModifier,
+    el_equivalence,
+    el_holding,
+    el_modifier,
+    el_relation,
+    el_subclass,
 )
 
 # Rule identifiers, by what each rewrite does.
@@ -79,57 +85,11 @@ ALL_RULES = (
 DEFAULT_BOUND = 100000
 
 
-# -- element rendering for traces ---------------------------------------------
-
-
-def el_holding(prop: str, holder: str) -> str:
-    return f"holding {prop}/{holder}"
-
-
-def el_relation(pred: str, subject: str, obj: str) -> str:
-    return f"relation {pred}({subject}, {obj})"
-
-
-def el_subclass(sub: str, sup: str) -> str:
-    return f"subclass {sub} -> {sup}"
-
-
-def el_equivalence(a: str, b: str) -> str:
-    a, b = sorted((a, b))
-    return f"equivalence ({a}, {b})"
-
-
-def el_modifier(mod: RawModifier) -> str:
-    if mod.kind == INVERSE:
-        return f"inverse {mod.target} of {mod.counterpart}"
-    if mod.kind == INTERSECTION:
-        return f"intersection {mod.target} = {' & '.join(mod.members)}"
-    return f"{mod.kind} {mod.target}"
-
-
 class RewriteTrace(namedtuple("RewriteTrace", "rule produced sources", defaults=((),))):
     """First derivation of one element: which rule produced it from what
     (a tuple of rendered source elements)."""
 
     __slots__ = ()
-
-
-class Tracer:
-    """Counts every derivation per rule; keeps its trace only when enabled."""
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.traces: list[RewriteTrace] = []
-        self.tally: dict[str, int] = {rule: 0 for rule in ALL_RULES}
-
-    def record(self, rule: str, batch, render) -> None:
-        """Count the elements of one batch that rule inserted.  render(item)
-        returns one element and its sources as rendered strings; it is called
-        only when tracing, so a disabled tracer renders nothing and finds no
-        witness."""
-        self.tally[rule] += len(batch)
-        if self.enabled:
-            self.traces.extend([RewriteTrace(rule, *render(item)) for item in batch])
 
 
 class NormalizeResult:
@@ -148,20 +108,38 @@ class NormalizeResult:
         self.tally = tally
 
 
-class _Progress:
-    """What one normalize run carries from pass to pass, so that a pass redoes
-    only what the previous pass's additions call for.  A fresh instance makes
-    every rule start from scratch.
+class _Run:
+    """One normalize run: the element bound, the tally, the traces when
+    tracing, the warnings, and what the rules carry from pass to pass, so that
+    a pass redoes only what the previous pass's additions call for.  A fresh
+    instance makes every rule start from scratch.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, trace: bool, bound: int) -> None:
+        self.trace = trace
+        self.bound = bound
+        self.tally = dict.fromkeys(ALL_RULES, 0)
+        self.traces: list[RewriteTrace] = []
+        self.warnings: list[Diagnostic] = []
         self.closed: int | None = None  # len(subclass_axioms) after the last closure
+        self.warned: set = set()  # cycle groups already reported
         self.lifted = 0  # len(relations) when the last lift ended
         self.lift_axioms: set = set()  # subclass keys that lift used
-        self.warned: set = set()  # cycle groups already reported
         self.equivalences = 0  # len(equivalences) that groups was built from
         self.groups: list[list[str]] = []  # equivalence groups, sorted
         self.copied = (0, 0)  # len(holdings), len(relations) at the last copy
+
+    def record(self, rule: str, batch, render) -> None:
+        """Count the elements of one batch that rule inserted.  render(item)
+        returns one element and its sources as rendered strings; it is called
+        only when tracing, so an untraced run renders nothing and finds no
+        witness."""
+        self.tally[rule] += len(batch)
+        if self.trace:
+            self.traces.extend([RewriteTrace(rule, *render(item)) for item in batch])
+
+    def warn(self, code: str, message: str, location: str) -> None:
+        self.warnings.append(Diagnostic(code, "warning", message, location))
 
 
 def _insert(elements: dict, rule: str, keys):
@@ -175,82 +153,64 @@ def _insert(elements: dict, rule: str, keys):
 # -- stage 1 -------------------------------------------------------------------
 
 
-def _propagate_equivalents(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bool:
+def _propagate_equivalents(m: OntologyModel, run: _Run) -> bool:
     """Copy holdings and subject-position relations to every member of the
     holder's or subject's equivalence group.
 
-    A copy completes its (group, property) or (group, predicate, object)
-    bucket, so while the groups stay the same only elements added since the
-    last copy can need copying; new groups make every element a candidate.
+    Both keys hold the holder or subject at position 1; the rest of the key,
+    key[::2], is the pattern a copy keeps.  A copy completes its (group,
+    pattern) bucket, so while the groups stay the same only elements added
+    since the last copy can need copying; new groups make every element a
+    candidate.
     """
     if not m.equivalences:
         return False
-    if len(m.equivalences) != progress.equivalences:
-        progress.equivalences = len(m.equivalences)
-        progress.groups = closure.groups(m.equivalences)
-        progress.copied = (0, 0)
-    groups = progress.groups
+    if len(m.equivalences) != run.equivalences:
+        run.equivalences = len(m.equivalences)
+        run.groups = closure.groups(m.equivalences)
+        run.copied = (0, 0)
+    groups = run.groups
     group_of = {name: i for i, group in enumerate(groups) for name in group}
-    holdings, relations = m.holdings, m.relations
-    # one unsorted pass buckets the candidates by their group; groups are
-    # disjoint, so one group's copies never land in another's bucket
-    holders: list[dict[str, list[str]]] = [{} for _ in groups]
-    for prop, holder in islice(holdings, progress.copied[0], None):
-        i = group_of.get(holder)
-        if i is not None:
-            holders[i].setdefault(prop, []).append(holder)
-    subjects: list[dict[tuple[str, str], list[str]]] = [{} for _ in groups]
-    for pred, subject, obj in islice(relations, progress.copied[1], None):
-        i = group_of.get(subject)
-        if i is not None:
-            subjects[i].setdefault((pred, obj), []).append(subject)
+    kinds = (
+        (RULE_EQUIV_PROPERTY, m.holdings, el_holding),
+        (RULE_EQUIV_RELATION, m.relations, el_relation),
+    )
+    # one unsorted pass per kind buckets the candidates by their group; groups
+    # are disjoint, so one group's copies never land in another's bucket
+    buckets = []
+    for (_, elements, _), start in zip(kinds, run.copied):
+        by_group: list[dict[tuple, list[str]]] = [{} for _ in groups]
+        for key in islice(elements, start, None):
+            i = group_of.get(key[1])
+            if i is not None:
+                by_group[i].setdefault(key[::2], []).append(key[1])
+        buckets.append(by_group)
 
     changed = False
-    for group, by_property, by_pattern in zip(groups, holders, subjects):
-        # datatype-property holdings: any member's property goes to the whole group
-        found = sorted(by_property) if tracer.enabled else by_property
-        batch = _insert(
-            holdings,
-            RULE_EQUIV_PROPERTY,
-            [
-                key
-                for prop in found
-                for member in group
-                if (key := (prop, member)) not in holdings
-            ],
-        )
-        changed |= bool(batch)
-        tracer.record(
-            RULE_EQUIV_PROPERTY,
-            batch,
-            lambda key: (
-                el_holding(*key),
-                (el_holding(key[0], min(by_property[key[0]])),),
-            ),
-        )
-
-        # subject-position relations likewise
-        found = sorted(by_pattern) if tracer.enabled else by_pattern
-        batch = _insert(
-            relations,
-            RULE_EQUIV_RELATION,
-            [
-                key
-                for pred, obj in found
-                for member in group
-                if (key := (pred, member, obj)) not in relations
-            ],
-        )
-        changed |= bool(batch)
-        tracer.record(
-            RULE_EQUIV_RELATION,
-            batch,
-            lambda key: (
-                el_relation(*key),
-                (el_relation(key[0], min(by_pattern[key[0], key[2]]), key[2]),),
-            ),
-        )
-    progress.copied = (len(holdings), len(relations))
+    for i, group in enumerate(groups):
+        for (rule, elements, render), by_group in zip(kinds, buckets):
+            by_pattern = by_group[i]
+            found = sorted(by_pattern) if run.trace else by_pattern
+            batch = _insert(
+                elements,
+                rule,
+                [
+                    key
+                    for first, *rest in found
+                    for member in group
+                    if (key := (first, member, *rest)) not in elements
+                ],
+            )
+            changed |= bool(batch)
+            run.record(
+                rule,
+                batch,
+                lambda key: (
+                    render(*key),
+                    (render(key[0], min(by_pattern[key[::2]]), *key[2:]),),
+                ),
+            )
+    run.copied = (len(m.holdings), len(m.relations))
     return changed
 
 
@@ -287,58 +247,45 @@ class _Reach:
         return (render(names[u], names[w]), render(names[w], names[v]))
 
 
-def _close(edges, bound: int, tracer: Tracer):
+def _close(edges, run: _Run):
     """Transitive closure of a graph given as (name, name) edges: the sorted
     node names, their index, the kernel's Reachability and, only when
     tracing, its witness rows."""
     names = sorted({n for edge in edges for n in edge})
     index = {n: i for i, n in enumerate(names)}
     reach = closure.reachable_pairs(
-        len(names), [(index[a], index[b]) for a, b in edges], limit=bound
+        len(names), [(index[a], index[b]) for a, b in edges], limit=run.bound
     )
-    return names, index, reach, _Reach(reach) if tracer.enabled else None
+    return names, index, reach, _Reach(reach) if run.trace else None
 
 
-def _merge_cycles(
-    m: OntologyModel,
-    tracer: Tracer,
-    warnings: list[Diagnostic],
-    warned: set,
-    cycles: list[list[str]],
-) -> bool:
+def _merge_cycles(m: OntologyModel, run: _Run, cycles: list[list[str]]) -> bool:
     """Cycle policy: self-axioms are dropped (by the caller) and mutually
     subclassed classes become equivalent.  Each group is reported once per
     run, however often the closure reruns."""
     changed = False
     for cycle in cycles:
-        report = tuple(cycle) not in warned
-        warned.add(tuple(cycle))
+        report = tuple(cycle) not in run.warned
+        run.warned.add(tuple(cycle))
         if len(cycle) == 1:
             if report:
-                warnings.append(
-                    Diagnostic(
-                        "self-subclass",
-                        "warning",
-                        f"self-subclass axiom on {cycle[0]} dropped",
-                        el_subclass(cycle[0], cycle[0]),
-                    )
+                run.warn(
+                    "self-subclass",
+                    f"self-subclass axiom on {cycle[0]} dropped",
+                    el_subclass(cycle[0], cycle[0]),
                 )
             continue
         if report:
-            warnings.append(
-                Diagnostic(
-                    "cyclic-hierarchy",
-                    "warning",
-                    "mutually-subclassed classes treated as equivalent: "
-                    + ", ".join(cycle),
-                    el_subclass(cycle[0], cycle[1]),
-                )
+            run.warn(
+                "cyclic-hierarchy",
+                "mutually-subclassed classes treated as equivalent: " + ", ".join(cycle),
+                el_subclass(cycle[0], cycle[1]),
             )
         head = cycle[0]  # the least member, so (head, other) is the stored order
         batch = [(head, other) for other in cycle[1:] if (head, other) not in m.equivalences]
         m.equivalences.update(batch)
         changed |= bool(batch)
-        tracer.record(
+        run.record(
             RULE_SUBCLASS_CLOSURE,
             batch,
             lambda pair: (
@@ -349,21 +296,15 @@ def _merge_cycles(
     return changed
 
 
-def _close_subclass_hierarchy(
-    m: OntologyModel,
-    tracer: Tracer,
-    warnings: list[Diagnostic],
-    bound: int,
-    progress: _Progress,
-) -> bool:
+def _close_subclass_hierarchy(m: OntologyModel, run: _Run) -> bool:
     axioms = m.subclass_axioms
     # only the closure drops axioms, so an unchanged count means an unchanged set
-    if not axioms or len(axioms) == progress.closed:
+    if not axioms or len(axioms) == run.closed:
         return False  # nothing to close, or closed already by the last run
-    names, index, reach, witness = _close(axioms, bound, tracer)
+    names, index, reach, witness = _close(axioms, run)
     # components are sorted and names is sorted, so index order is name order
     cycles = [[names[u] for u in cycle] for cycle in sorted(reach.cycles)]
-    changed = _merge_cycles(m, tracer, warnings, progress.warned, cycles)
+    changed = _merge_cycles(m, run, cycles)
 
     dropped = [(name, name) for cycle in cycles for name in cycle if (name, name) in axioms]
     for key in dropped:
@@ -378,7 +319,7 @@ def _close_subclass_hierarchy(
             if v != u
         ],
     )
-    tracer.record(
+    run.record(
         RULE_SUBCLASS_CLOSURE,
         batch,
         lambda key: (
@@ -386,7 +327,7 @@ def _close_subclass_hierarchy(
             witness.sources(names, index[key[0]], index[key[1]], el_subclass),
         ),
     )
-    progress.closed = len(axioms)
+    run.closed = len(axioms)
     return changed or bool(batch) or bool(dropped)
 
 
@@ -458,7 +399,7 @@ def _least_producers(scans, found) -> dict[tuple[str, str, str], str]:
     return producer
 
 
-def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bool:
+def _lift_relations(m: OntologyModel, run: _Run) -> bool:
     """Add r(s, sup) for every r(s, o) and o -> sup.
 
     Relations present when the last lift ended were lifted over every axiom
@@ -475,21 +416,21 @@ def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bo
     supers: dict[str, list[str]] = {}
     for sub, sup in m.subclass_axioms:
         supers.setdefault(sub, []).append(sup)
-    scans = [(keys[progress.lifted :], supers)]
-    fresh = [key for key in m.subclass_axioms if key not in progress.lift_axioms]
-    if fresh and progress.lifted:
+    scans = [(keys[run.lifted :], supers)]
+    fresh = [key for key in m.subclass_axioms if key not in run.lift_axioms]
+    if fresh and run.lifted:
         fresh_supers: dict[str, list[str]] = {}
         for sub, sup in fresh:
             fresh_supers.setdefault(sub, []).append(sup)
-        scans.append((keys[: progress.lifted], fresh_supers))
+        scans.append((keys[: run.lifted], fresh_supers))
 
     found = dict.fromkeys(_missing_lifts(scans, relations))
     producer = {}
-    if tracer.enabled:
+    if run.trace:
         producer = _least_producers(scans, found)
         found = sorted(found, key=lambda key: (key[0], key[1], producer[key], key[2]))
     batch = _insert(relations, RULE_RELATION_LIFT, found)
-    tracer.record(
+    run.record(
         RULE_RELATION_LIFT,
         batch,
         lambda key: (
@@ -497,8 +438,8 @@ def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bo
             (el_relation(key[0], key[1], producer[key]), el_subclass(producer[key], key[2])),
         ),
     )
-    progress.lifted = len(relations)
-    progress.lift_axioms = set(m.subclass_axioms)
+    run.lifted = len(relations)
+    run.lift_axioms = set(m.subclass_axioms)
     return bool(batch)
 
 
@@ -509,21 +450,19 @@ def _lift_relations(m: OntologyModel, tracer: Tracer, progress: _Progress) -> bo
 _STAGE2_ORDER = {SYMMETRIC: 0, INVERSE: 1, INTERSECTION: 2, TRANSITIVE: 3}
 
 
-def _mirror(
-    m: OntologyModel, tracer: Tracer, rule: str, mod: RawModifier, counterpart: str
-) -> None:
+def _mirror(m: OntologyModel, run: _Run, rule: str, mod: RawModifier, counterpart: str) -> None:
     """Add counterpart(o, s) for every target(s, o); a symmetric property is
     its own counterpart.  The sources go in sorted order only when tracing."""
     relations = m.relations
     found = [key for key in relations if key[0] == mod.target]
-    if tracer.enabled:
+    if run.trace:
         found.sort()
     batch = _insert(
         relations,
         rule,
         [key for _, subject, obj in found if (key := (counterpart, obj, subject)) not in relations],
     )
-    tracer.record(
+    run.record(
         rule,
         batch,
         lambda key: (
@@ -533,9 +472,7 @@ def _mirror(
     )
 
 
-def _rewrite_modifiers(
-    m: OntologyModel, tracer: Tracer, warnings: list[Diagnostic], bound: int
-) -> bool:
+def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
     """Replace every modifier by the plain elements it implies, then drop
     them all.  Kinds go in _STAGE2_ORDER, so a transitive closure sees the
     relations that mirroring added; within a kind, modifiers go in
@@ -544,29 +481,23 @@ def _rewrite_modifiers(
         return False
     for mod in sorted(m.modifiers, key=lambda mod: (_STAGE2_ORDER[mod.kind], mod.key())):
         if mod.kind == SYMMETRIC:
-            _mirror(m, tracer, RULE_SYMMETRIC, mod, mod.target)
+            _mirror(m, run, RULE_SYMMETRIC, mod, mod.target)
         elif mod.kind == INVERSE:
             counterpart = mod.counterpart or mod.target
             if counterpart not in m.properties:
-                warnings.append(
-                    Diagnostic(
-                        "undeclared-inverse",
-                        "warning",
-                        f"inverse property {counterpart} was not declared; created",
-                        el_modifier(mod),
-                    )
+                run.warn(
+                    "undeclared-inverse",
+                    f"inverse property {counterpart} was not declared; created",
+                    el_modifier(mod),
                 )
                 m.declare_property(counterpart, OBJECT)
-            _mirror(m, tracer, RULE_INVERSE, mod, counterpart)
+            _mirror(m, run, RULE_INVERSE, mod, counterpart)
         elif mod.kind == INTERSECTION:
             if not mod.members:
-                warnings.append(
-                    Diagnostic(
-                        "empty-intersection",
-                        "warning",
-                        f"intersection for {mod.target} lists no members; dropped",
-                        el_modifier(mod),
-                    )
+                run.warn(
+                    "empty-intersection",
+                    f"intersection for {mod.target} lists no members; dropped",
+                    el_modifier(mod),
                 )
             # member == target would be the vacuous C <= C
             batch = _insert(
@@ -579,7 +510,7 @@ def _rewrite_modifiers(
                     and (key := (mod.target, member)) not in m.subclass_axioms
                 ),
             )
-            tracer.record(
+            run.record(
                 RULE_INTERSECTION,
                 batch,
                 lambda key: (el_subclass(*key), (el_modifier(mod),)),
@@ -587,9 +518,7 @@ def _rewrite_modifiers(
         else:
             pred = mod.target
             names, index, reach, witness = _close(
-                [(subject, obj) for p, subject, obj in m.relations if p == pred],
-                bound,
-                tracer,
+                [(subject, obj) for p, subject, obj in m.relations if p == pred], run
             )
             # only the pairs that are not relations yet, in sorted order
             batch = _insert(
@@ -602,7 +531,7 @@ def _rewrite_modifiers(
                 ],
             )
             render = partial(el_relation, pred)
-            tracer.record(
+            run.record(
                 RULE_TRANSITIVE,
                 batch,
                 lambda key: (
@@ -627,19 +556,17 @@ def normalize(
     """
     work = m.copy()
     work.normalized = False
-    tracer = Tracer(trace)
-    warnings: list[Diagnostic] = []
-    progress = _Progress()
+    run = _Run(trace, bound)
     passes = 0
 
     changed = True
     while changed:
         try:
             # every rule runs; |= does not short-circuit
-            changed = _propagate_equivalents(work, tracer, progress)
-            changed |= _close_subclass_hierarchy(work, tracer, warnings, bound, progress)
-            changed |= _lift_relations(work, tracer, progress)
-            changed |= _rewrite_modifiers(work, tracer, warnings, bound)
+            changed = _propagate_equivalents(work, run)
+            changed |= _close_subclass_hierarchy(work, run)
+            changed |= _lift_relations(work, run)
+            changed |= _rewrite_modifiers(work, run)
         except OverflowError:
             raise FixpointOverflow(work.element_count(), bound) from None
         passes += 1
@@ -647,10 +574,4 @@ def normalize(
             raise FixpointOverflow(work.element_count(), bound)
 
     work.normalized = True
-    return NormalizeResult(
-        model=work,
-        traces=tuple(tracer.traces),
-        warnings=tuple(warnings),
-        passes=passes,
-        tally=dict(tracer.tally),
-    )
+    return NormalizeResult(work, tuple(run.traces), tuple(run.warnings), passes, run.tally)

@@ -52,7 +52,7 @@ def premise_runs(annotated: AnnotatedOntology) -> list[tuple]:
     premises = [(name, (0,), name, entry) for name, entry in table.property_mu.items()]
     premises += [
         (
-            key.render(),
+            key.text,
             (1,) if key.kind == PART_OF else (2, key.predicate, key.resulting_class),
             key,
             entry,

@@ -27,19 +27,18 @@ from fuzzonto.model import (
     TRANSITIVE,
     OntologyModel,
     RawModifier,
+    el_holding,
+    el_relation,
+    el_subclass,
 )
 from fuzzonto.normalize import (
     DEFAULT_BOUND,
     RULE_EQUIV_PROPERTY,
     RULE_EQUIV_RELATION,
     RULE_RELATION_LIFT,
-    Tracer,
     _close_subclass_hierarchy,
-    _Progress,
     _rewrite_modifiers,
-    el_holding,
-    el_relation,
-    el_subclass,
+    _Run,
 )
 
 CLASS_POOL = [f"C{i}" for i in range(10)]
@@ -204,7 +203,7 @@ def intersection_model(seed: int) -> OntologyModel:
     return m
 
 
-def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
+def _reference_propagate(m: OntologyModel, run: _Run) -> None:
     """Equivalence copies by a sorted rescan of the whole model per group."""
     for members in sorted(brute_groups((), m.equivalences).values(), key=min):
         group = sorted(members)
@@ -216,7 +215,7 @@ def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
             source = el_holding(prop, min(by_property[prop]))
             for member in group:
                 if m.add_holding(prop, member, RULE_EQUIV_PROPERTY):
-                    tracer.record(
+                    run.record(
                         RULE_EQUIV_PROPERTY,
                         [(prop, member)],
                         lambda key: (el_holding(*key), (source,)),
@@ -229,14 +228,14 @@ def _reference_propagate(m: OntologyModel, tracer: Tracer) -> None:
             source = el_relation(pred, min(by_pattern[(pred, obj)]), obj)
             for member in group:
                 if m.add_relation(pred, member, obj, RULE_EQUIV_RELATION):
-                    tracer.record(
+                    run.record(
                         RULE_EQUIV_RELATION,
                         [(pred, member, obj)],
                         lambda key: (el_relation(*key), (source,)),
                     )
 
 
-def _reference_lift(m: OntologyModel, tracer: Tracer) -> None:
+def _reference_lift(m: OntologyModel, run: _Run) -> None:
     """Lift every relation over every axiom, in one sorted sweep."""
     supers: dict = {}
     for sub, sup in sorted(m.subclass_axioms):
@@ -244,7 +243,7 @@ def _reference_lift(m: OntologyModel, tracer: Tracer) -> None:
     for pred, subject, obj in sorted(m.relations):
         for sup in supers.get(obj, ()):
             if m.add_relation(pred, subject, sup, RULE_RELATION_LIFT):
-                tracer.record(
+                run.record(
                     RULE_RELATION_LIFT,
                     [(pred, subject, sup)],
                     lambda key: (
@@ -268,20 +267,20 @@ def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
     """
     work = m.copy()
     work.normalized = False
-    tracer = Tracer()
-    warnings: list = []
+    run = _Run(True, bound)
     passes = 0
     while True:
         before = work.canonical()
-        _reference_propagate(work, tracer)
-        _close_subclass_hierarchy(work, tracer, warnings, bound, _Progress())
-        _reference_lift(work, tracer)
-        _rewrite_modifiers(work, tracer, warnings, bound)
+        _reference_propagate(work, run)
+        run.closed, run.warned = None, set()  # the closure starts fresh
+        _close_subclass_hierarchy(work, run)
+        _reference_lift(work, run)
+        _rewrite_modifiers(work, run)
         passes += 1
         if work.canonical() == before:
             break
     work.normalized = True
-    return work, tuple(tracer.traces), warnings, passes, tracer.tally
+    return work, tuple(run.traces), run.warnings, passes, run.tally
 
 
 def undeclared_model(seed: int) -> OntologyModel:

@@ -535,6 +535,26 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
     assert head.startswith(b'{\n  "rules": [') and err == b""
 
 
+def test_closed_stderr_pipe_ends_quietly(tmp_path):
+    """The same reader on stderr under --trace: the rules file is written,
+    then the traces meet the closed pipe, and the run still exits 0."""
+    source = tmp_path / "model.json"
+    source.write_bytes(emit_json(recipe_model(200, 1)))
+    args = ["rules", str(source), "--max-elements", "0", "--out"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "fuzzonto", *args, str(tmp_path / "traced.json"), "--trace"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        head = proc.stderr.read(100)
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stdout.read() == b""
+    assert head.startswith(b'[\n  {\n    "produced": ')
+    assert run_pipeline([*args, str(tmp_path / "rules.json")]) == 0
+    assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "rules.json").read_bytes()
+
+
 def test_writers_stream_without_a_whole_document(tmp_path, capsys, monkeypatch):
     """The rules command writes JSON and text, traces and the traced report
     from the chunk writers: the entry points that join a whole document are

@@ -1,4 +1,6 @@
 import json
+import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -42,10 +44,42 @@ from randmodels import random_model
         # ties round half to even on the sixth digit
         (Fraction(1, 2000000), "0.000000"),
         (Fraction(3, 2000000), "0.000002"),
+        (Fraction(5, 2000000), "0.000002"),
+        (Fraction(2999999, 2000000), "1.500000"),
+        # more digits than Decimal's default 28-digit context can quantize
+        (Fraction(10**22), "10000000000000000000000.000000"),
+        (Fraction(10**30 + 1, 3), "333333333333333333333333333333.666667"),
+        # a negative value keeps its sign, also when it rounds to zero
+        (Fraction(-1, 2000000), "-0.000000"),
+        (Fraction(-3, 2000000), "-0.000002"),
+        (Fraction(-7, 3), "-2.333333"),
     ],
 )
 def test_decimal6(fraction, text):
     assert decimal6(fraction) == text
+
+
+def decimal6_oracle(value: Fraction) -> str:
+    """The Decimal formula, in a context wide enough that the division is
+    exact to far more places than the rounding reads."""
+    with localcontext() as context:
+        context.prec = 80
+        quantized = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
+            Decimal("0.000001"), rounding=ROUND_HALF_EVEN
+        )
+    return str(quantized)
+
+
+def test_decimal6_matches_the_decimal_formula():
+    """1/n, random signed fractions of every size and exact ties."""
+    rng = random.Random(6)
+    values = [Fraction(1, n) for n in range(1, 3001)]
+    for _ in range(3000):
+        den = rng.randint(1, 10 ** rng.randint(1, 12))
+        values.append(Fraction(rng.randint(-(10 ** rng.randint(1, 30)), 10**30), den))
+    values += [Fraction(rng.randint(-(10**9), 10**9), 2 * 10**6) for _ in range(1000)]
+    for value in values:
+        assert decimal6(value) == decimal6_oracle(value), value
 
 
 IRI_MODEL = json.dumps(

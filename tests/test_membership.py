@@ -194,7 +194,7 @@ def test_groups_keep_only_shared_classes():
     m = blank_normalized("A", "B", "C")
     m.add_equivalence("A", "B")
     groups = build_equivalence_groups(m)
-    assert groups.rep_of == {"A": "A", "B": "A"}
+    assert groups.group_of == {"A": ("A", "B"), "B": ("A", "B")}
     assert groups.members("C") == ("C",)
     assert groups.representatives(["A", "B", "C"]) == {"A", "C"}
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,13 +21,12 @@ from fuzzonto.normalize import (
     RULE_SUBCLASS_CLOSURE,
     RULE_SYMMETRIC,
     RULE_TRANSITIVE,
-    Tracer,
     _close_subclass_hierarchy,
     _lift_relations,
-    _Progress,
     _propagate_equivalents,
     _Reach,
     _rewrite_modifiers,
+    _Run,
 )
 from randmodels import (
     brute_reachable,
@@ -42,30 +42,21 @@ NORMALIZE = sys.modules["fuzzonto.normalize"]  # fuzzonto.normalize is the funct
 # -- single rules ---------------------------------------------------------------
 
 
-def apply(rule, m: OntologyModel, *args) -> OntologyModel:
-    """One private rule on a copy of m, starting from scratch; the original is
-    left as it was.  A bound of 0 means no bound."""
+def apply(rule, m: OntologyModel, warnings=None) -> OntologyModel:
+    """One private rule on a copy of m, from a fresh run with no bound; the
+    original is left as it was.  The run's warnings go to warnings."""
     out = m.copy()
-    rule(out, Tracer(), *args)
+    run = _Run(True, 0)
+    rule(out, run)
+    if warnings is not None:
+        warnings += run.warnings
     return out
 
 
-def rewrite(m, warnings=None):
-    return apply(_rewrite_modifiers, m, [] if warnings is None else warnings, 0)
-
-
-def close(m, warnings=None):
-    return apply(
-        _close_subclass_hierarchy, m, [] if warnings is None else warnings, 0, _Progress()
-    )
-
-
-def lift(m):
-    return apply(_lift_relations, m, _Progress())
-
-
-def propagate(m):
-    return apply(_propagate_equivalents, m, _Progress())
+rewrite = partial(apply, _rewrite_modifiers)
+close = partial(apply, _close_subclass_hierarchy)
+lift = partial(apply, _lift_relations)
+propagate = partial(apply, _propagate_equivalents)
 
 
 def test_rewrite_symmetric_swaps_subject_and_object():
@@ -445,11 +436,9 @@ def test_normalize_matches_full_reevaluation_reference(monkeypatch):
     lift = NORMALIZE._lift_relations
     late_lifts = []
 
-    def spy(m, tracer, progress):
-        late = progress.lifted > 0 and any(
-            key not in progress.lift_axioms for key in m.subclass_axioms
-        )
-        changed = lift(m, tracer, progress)
+    def spy(m, run):
+        late = run.lifted > 0 and any(key not in run.lift_axioms for key in m.subclass_axioms)
+        changed = lift(m, run)
         late_lifts.append(late and changed)
         return changed
 

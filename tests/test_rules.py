@@ -151,20 +151,6 @@ def test_consistency_collapses_equivalent_conclusions():
     assert check_consistency(rules, annotated) == []  # representatives are {A, C}
 
 
-def test_each_premise_is_rendered_once_per_run():
-    """Every read of a complex premise's text returns the one string rendered
-    for its key, however many rules share the key."""
-    for seed in range(50):
-        annotated = assign_all(normalize(random_model(seed)).model)
-        rules = generate_rules(annotated)
-        assert check_consistency(rules, annotated) == []
-        complex_rules = [r for r in rules if isinstance(r.premise, ComplexKey)]
-        texts = [r.premise_text for r in complex_rules * 2]  # all kept alive
-        assert len({id(text) for text in texts}) == len(
-            {r.premise for r in complex_rules}
-        ), seed
-
-
 def sorted_entries_rules(annotated):
     """The plain definition: one rule per (key, determiner) from entries(),
     sorted by (premise text, conclusion)."""
