@@ -30,6 +30,7 @@ from .errors import (
     MalformedDocument,
     UnsupportedConstruct,
 )
+from .model import Diagnostic
 from .normalize import DEFAULT_BOUND, normalize
 
 EXIT_OK = 0
@@ -101,8 +102,9 @@ def _sniff_format(data: bytes) -> str:
 
 
 def _print_diagnostics(diagnostics) -> None:
-    for d in diagnostics:
-        print(d.render(), file=sys.stderr)
+    """One rendered line per diagnostic on stderr, which may be closed."""
+    lines = (f"{d.render()}\n".encode("utf-8", "backslashreplace") for d in diagnostics)
+    _write_stream(sys.stderr, lines)
 
 
 def _write_blocks(handle, chunks) -> None:
@@ -146,7 +148,7 @@ def _write_file(path: str, chunks) -> bool:
     try:
         write_atomic(path, chunks)
     except OSError as exc:
-        print(f"error[io]: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        _print_diagnostics([Diagnostic("io", "error", f"cannot write {path}: {exc.strerror}")])
         return False
     return True
 
@@ -196,17 +198,17 @@ def _run(args: list[str]) -> int:
         with open(options.source, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        print(f"error[io]: cannot read {options.source}: {exc}", file=sys.stderr)
+        _print_diagnostics([Diagnostic("io", "error", f"cannot read {options.source}: {exc}")])
         return EXIT_PARSE
 
     started = time.perf_counter()
     try:
         model = ingest.parse_document(data, _sniff_format(data), strict=options.strict)
     except UnsupportedConstruct as exc:
-        print(f"error[unsupported-construct]: {exc}", file=sys.stderr)
+        _print_diagnostics([Diagnostic("unsupported-construct", "error", str(exc))])
         return EXIT_UNSUPPORTED
     except (MalformedDocument, DuplicateIdentifier) as exc:
-        print(f"error[parse]: {exc}", file=sys.stderr)
+        _print_diagnostics([Diagnostic("parse", "error", str(exc))])
         return EXIT_PARSE
     timings["ingest"] = time.perf_counter() - started
 
@@ -219,7 +221,7 @@ def _run(args: list[str]) -> int:
     try:
         result = normalize(model, bound=options.max_elements, trace=options.trace)
     except FixpointOverflow as exc:
-        print(f"error[fixpoint-overflow]: {exc}", file=sys.stderr)
+        _print_diagnostics([Diagnostic("fixpoint-overflow", "error", str(exc))])
         return EXIT_OVERFLOW
     timings["normalize"] = time.perf_counter() - started
     _print_diagnostics(result.warnings)

@@ -11,8 +11,9 @@ share one row object, and so does a component with a single successor and
 that successor's closed row, so a wide shallow hierarchy keeps few rows.
 
 Callers read the rows, not a pair list: Reachability.derived() hands out
-only the bits that are not input edges, which is what a closure adds.
-groups() runs the same component search for the equivalence groups.
+only the bits that are not input edges, which is what a closure adds, and
+len() is the sum of each component's row popcount times its size.  groups()
+runs the same component search and maps each name to its equivalence group.
 tests/test_closure.py checks the kernel against a brute-force oracle.
 """
 
@@ -39,14 +40,13 @@ class Reachability:
     len() is the number of pairs; iterating yields them in sorted order.
     """
 
-    __slots__ = ("rows", "cycles", "_counts", "_successors", "_total")
+    __slots__ = ("rows", "cycles", "_successors", "_total")
 
-    def __init__(self, rows, counts, cycles, successors):
+    def __init__(self, rows, cycles, successors, total):
         self.rows = rows
         self.cycles = cycles
-        self._counts = counts  # set bits per row
         self._successors = successors  # deduplicated input edges, per node
-        self._total = sum(counts)
+        self._total = total
 
     def __len__(self) -> int:
         return self._total
@@ -60,13 +60,11 @@ class Reachability:
         """(u, targets) for every u that reaches a node it has no input edge
         to, targets ascending; u in ascending order."""
         for u, successors in enumerate(self._successors):
-            # every direct successor is reachable: equal counts leave nothing new
-            if self._counts[u] == len(successors):
-                continue
             row = self.rows[u]
-            for v in successors:
+            for v in successors:  # every direct successor is in the row
                 row ^= 1 << v
-            yield u, bits(row)
+            if row:
+                yield u, bits(row)
 
 
 def _components(successors: list[list[int]]) -> list[list[int]]:
@@ -119,11 +117,11 @@ def _components(successors: list[list[int]]) -> list[list[int]]:
     return components
 
 
-def groups(pairs) -> list[list[str]]:
-    """The connected components of the undirected graph that the name pairs
-    span, each sorted, in the order of their sorted members; so the result
-    depends neither on the pair order nor on the hash seed.  Every component
-    of a graph with both directions of each edge is strongly connected."""
+def groups(pairs) -> dict[str, tuple[str, ...]]:
+    """Each name in the pairs mapped to its connected component in the
+    undirected graph they span, a sorted tuple, in sorted component order; so
+    the result depends neither on the pair order nor on the hash seed.  Every
+    component of a graph with both directions of each edge is strongly connected."""
     names = sorted({name for pair in pairs for name in pair})
     index = {name: i for i, name in enumerate(names)}
     successors: list[list[int]] = [[] for _ in names]
@@ -131,7 +129,8 @@ def groups(pairs) -> list[list[str]]:
         successors[index[a]].append(index[b])
         successors[index[b]].append(index[a])
     # names are sorted, so index order is name order
-    return sorted([names[i] for i in sorted(c)] for c in _components(successors))
+    found = sorted(tuple(names[i] for i in sorted(c)) for c in _components(successors))
+    return {name: group for group in found for name in group}
 
 
 def reachable_pairs(n: int, edges, limit: int = 0) -> Reachability:
@@ -141,25 +140,20 @@ def reachable_pairs(n: int, edges, limit: int = 0) -> Reachability:
     closure would exceed limit pairs, OverflowError is raised.
     """
     successors: list[list[int]] = [[] for _ in range(n)]
-    seen = set()
-    for u, v in edges:
+    for u, v in dict.fromkeys(edges):
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if (u, v) not in seen:
-            seen.add((u, v))
-            successors[u].append(v)
+        successors[u].append(v)
 
     rows = [0] * n
-    counts = [0] * n
     component_of = [-1] * n
-    closed: dict[int, tuple[int, int]] = {}  # v -> v's row with v added, and its count
+    closed: dict[int, int] = {}  # v -> v's row with v added
     cycles = []
     total = 0
     for c, component in enumerate(_components(successors)):
         for u in component:
             component_of[u] = c
         row = None
-        count = 0
         cyclic = False
         for u in component:
             for v in successors[u]:
@@ -168,32 +162,19 @@ def reachable_pairs(n: int, edges, limit: int = 0) -> Reachability:
                     continue
                 reach = closed.get(v)
                 if reach is None:
-                    # a node on a cycle is in its own row already
-                    if rows[v] >> v & 1:
-                        reach = rows[v], counts[v]
-                    else:
-                        reach = rows[v] | 1 << v, counts[v] + 1
-                    closed[v] = reach
-                if row is None:
-                    row, count = reach  # one successor: share its row
-                else:
-                    row |= reach[0]
-                    count = -1
+                    reach = closed[v] = rows[v] | 1 << v
+                row = reach if row is None else row | reach  # one successor: share its row
         if cyclic:  # a cycle reaches itself
             mask = 0
             for u in component:
                 mask |= 1 << u
             row = mask if row is None else row | mask
-            count = -1
             cycles.append(sorted(component))
         if row is None:
             continue
-        if count < 0:
-            count = row.bit_count()
         for u in component:
             rows[u] = row
-            counts[u] = count
-        total += count * len(component)
+        total += row.bit_count() * len(component)
         if limit and total > limit:
             raise OverflowError(f"reachable pair count exceeds limit {limit}")
-    return Reachability(rows, counts, cycles, successors)
+    return Reachability(rows, cycles, successors, total)

@@ -81,12 +81,6 @@ class EquivalenceGroups:
     def __init__(self, group_of: dict[str, tuple[str, ...]]):
         self.group_of = group_of
 
-    def rep(self, name: str) -> str:
-        return self.group_of.get(name, (name,))[0]
-
-    def members(self, name: str) -> tuple[str, ...]:
-        return self.group_of.get(name, (name,))
-
     def representatives(self, names) -> set[str]:
         reps = set(names)
         if self.group_of:
@@ -127,9 +121,7 @@ class AnnotatedOntology:
 
 def build_equivalence_groups(m: OntologyModel) -> EquivalenceGroups:
     # two or more members each: equivalences hold no self-pairs
-    return EquivalenceGroups(
-        {name: group for group in map(tuple, closure.groups(m.equivalences)) for name in group}
-    )
+    return EquivalenceGroups(closure.groups(m.equivalences))
 
 
 # per kind: the element collection, and the key and the determiner of an element

@@ -16,24 +16,26 @@ stage-1 rules on the next pass.  Every rule only ever adds elements or drops
 the modifiers, so the fixpoint exists; a configurable element budget guards
 against pathological blow-up.  One _Run object carries a run's state: the
 bound, the warnings, what each rule keeps from pass to pass, and the tally
-and traces, which every rule adds to through _Run.record.
+and traces.
 
 Passes after the first only redo what the previous pass's additions call for
 (semi-naive evaluation): the subclass closure reruns only when the axiom set
 changed, the relation lift only pairs new relations with every axiom and
 old relations with new axioms, and the equivalence copy only buckets
-elements added since its last run unless the groups changed.  Each rule
-reports whether it inserted or removed an element, and the fixpoint ends on
-the first pass where none did.
+elements added since its last run unless the groups changed.  Elements are
+dicts in insertion order, so "new" is "past the position that a rule noted
+when it last ran".  Each rule reports whether it inserted or removed an
+element, and the fixpoint ends on the first pass where none did.
 
-Each rule computes the keys it adds, all of them absent so far, inserts them
-with one dict update and records them as one batch.  Only with tracing on
-are a rule's producers sorted, so that each element's trace names its least
-producer and traces come in a fixed order; without it, keys go in in the
-order the rule's scan meets them, which is deterministic but not sorted.
-Either way the element set and every origin are the same.  The closures read
-the kernel's bitset rows (see closure.py) and take only the bits that are
-not edges already.
+Each rule computes the keys it adds, all of them absent so far, and hands
+them to _Run.add, which inserts them in one dict update, records them as one
+batch and says whether any went in.  Only with tracing on are a rule's
+producers sorted, so that each element's trace names its least producer and
+traces come in a fixed order; without it, keys go in in the order the rule's
+scan meets them, which is deterministic but not sorted.  Either way the
+element set and every origin are the same.  The closures read the kernel's
+bitset rows (see closure.py) and take only the bits that are not edges
+already.
 """
 
 from __future__ import annotations
@@ -123,10 +125,9 @@ class _Run:
         self.warnings: list[Diagnostic] = []
         self.closed: int | None = None  # len(subclass_axioms) after the last closure
         self.warned: set = set()  # cycle groups already reported
-        self.lifted = 0  # len(relations) when the last lift ended
-        self.lift_axioms: set = set()  # subclass keys that lift used
-        self.equivalences = 0  # len(equivalences) that groups was built from
-        self.groups: list[list[str]] = []  # equivalence groups, sorted
+        self.lifted = (0, 0)  # len(relations), len(subclass_axioms) after the last lift
+        self.equivalences = 0  # len(equivalences) that group_of was built from
+        self.group_of: dict[str, tuple[str, ...]] = {}  # name -> its group, sorted
         self.copied = (0, 0)  # len(holdings), len(relations) at the last copy
 
     def record(self, rule: str, batch, render) -> None:
@@ -138,16 +139,16 @@ class _Run:
         if self.trace:
             self.traces.extend([RewriteTrace(rule, *render(item)) for item in batch])
 
+    def add(self, elements: dict, rule: str, keys, render) -> bool:
+        """Insert keys with origin rule in one update, record them as one
+        batch and say whether any went in.  The keys are distinct and none is
+        present yet, so no origin is overwritten."""
+        elements.update(zip(keys, repeat(rule)))
+        self.record(rule, keys, render)
+        return bool(keys)
+
     def warn(self, code: str, message: str, location: str) -> None:
         self.warnings.append(Diagnostic(code, "warning", message, location))
-
-
-def _insert(elements: dict, rule: str, keys):
-    """Insert keys with origin rule in one update and return them as the
-    batch to record.  The keys are distinct and none is present yet, so no
-    origin is overwritten and the batch's length is the number inserted."""
-    elements.update(zip(keys, repeat(rule)))
-    return keys
 
 
 # -- stage 1 -------------------------------------------------------------------
@@ -167,10 +168,9 @@ def _propagate_equivalents(m: OntologyModel, run: _Run) -> bool:
         return False
     if len(m.equivalences) != run.equivalences:
         run.equivalences = len(m.equivalences)
-        run.groups = closure.groups(m.equivalences)
+        run.group_of = closure.groups(m.equivalences)
         run.copied = (0, 0)
-    groups = run.groups
-    group_of = {name: i for i, group in enumerate(groups) for name in group}
+    group_of = run.group_of
     kinds = (
         (RULE_EQUIV_PROPERTY, m.holdings, el_holding),
         (RULE_EQUIV_RELATION, m.relations, el_relation),
@@ -179,19 +179,19 @@ def _propagate_equivalents(m: OntologyModel, run: _Run) -> bool:
     # are disjoint, so one group's copies never land in another's bucket
     buckets = []
     for (_, elements, _), start in zip(kinds, run.copied):
-        by_group: list[dict[tuple, list[str]]] = [{} for _ in groups]
+        by_group: dict[tuple, dict[tuple, list[str]]] = {}
         for key in islice(elements, start, None):
-            i = group_of.get(key[1])
-            if i is not None:
-                by_group[i].setdefault(key[::2], []).append(key[1])
+            group = group_of.get(key[1])
+            if group is not None:
+                by_group.setdefault(group, {}).setdefault(key[::2], []).append(key[1])
         buckets.append(by_group)
 
     changed = False
-    for i, group in enumerate(groups):
+    for group in dict.fromkeys(group_of.values()):  # in sorted group order
         for (rule, elements, render), by_group in zip(kinds, buckets):
-            by_pattern = by_group[i]
+            by_pattern = by_group.get(group, {})
             found = sorted(by_pattern) if run.trace else by_pattern
-            batch = _insert(
+            changed |= run.add(
                 elements,
                 rule,
                 [
@@ -200,11 +200,6 @@ def _propagate_equivalents(m: OntologyModel, run: _Run) -> bool:
                     for member in group
                     if (key := (first, member, *rest)) not in elements
                 ],
-            )
-            changed |= bool(batch)
-            run.record(
-                rule,
-                batch,
                 lambda key: (
                     render(*key),
                     (render(key[0], min(by_pattern[key[::2]]), *key[2:]),),
@@ -309,7 +304,7 @@ def _close_subclass_hierarchy(m: OntologyModel, run: _Run) -> bool:
     dropped = [(name, name) for cycle in cycles for name in cycle if (name, name) in axioms]
     for key in dropped:
         del axioms[key]  # self-axioms are dropped
-    batch = _insert(
+    added = run.add(
         axioms,
         RULE_SUBCLASS_CLOSURE,
         [
@@ -318,17 +313,13 @@ def _close_subclass_hierarchy(m: OntologyModel, run: _Run) -> bool:
             for v in targets
             if v != u
         ],
-    )
-    run.record(
-        RULE_SUBCLASS_CLOSURE,
-        batch,
         lambda key: (
             el_subclass(*key),
             witness.sources(names, index[key[0]], index[key[1]], el_subclass),
         ),
     )
     run.closed = len(axioms)
-    return changed or bool(batch) or bool(dropped)
+    return changed or added or bool(dropped)
 
 
 def _missing_lifts(scans, relations: dict) -> list[tuple[str, str, str]]:
@@ -411,36 +402,36 @@ def _lift_relations(m: OntologyModel, run: _Run) -> bool:
     (predicate, subject, object, sup), the order one sorted sweep over every
     producer would give, and each trace names that producer.
     """
-    relations = m.relations
+    relations, axioms = m.relations, m.subclass_axioms
+    lifted, seen = run.lifted
     keys = list(relations)
     supers: dict[str, list[str]] = {}
-    for sub, sup in m.subclass_axioms:
+    for sub, sup in axioms:
         supers.setdefault(sub, []).append(sup)
-    scans = [(keys[run.lifted :], supers)]
-    fresh = [key for key in m.subclass_axioms if key not in run.lift_axioms]
-    if fresh and run.lifted:
-        fresh_supers: dict[str, list[str]] = {}
-        for sub, sup in fresh:
-            fresh_supers.setdefault(sub, []).append(sup)
-        scans.append((keys[: run.lifted], fresh_supers))
+    scans = [(keys[lifted:], supers)]
+    # past the mark means new: no rule adds a self-axiom, and the first closure drops the input's
+    fresh_supers: dict[str, list[str]] = {}
+    for sub, sup in islice(axioms, seen, None) if lifted else ():
+        fresh_supers.setdefault(sub, []).append(sup)
+    if fresh_supers:
+        scans.append((keys[:lifted], fresh_supers))
 
     found = dict.fromkeys(_missing_lifts(scans, relations))
     producer = {}
     if run.trace:
         producer = _least_producers(scans, found)
         found = sorted(found, key=lambda key: (key[0], key[1], producer[key], key[2]))
-    batch = _insert(relations, RULE_RELATION_LIFT, found)
-    run.record(
+    added = run.add(
+        relations,
         RULE_RELATION_LIFT,
-        batch,
+        found,
         lambda key: (
             el_relation(*key),
             (el_relation(key[0], key[1], producer[key]), el_subclass(producer[key], key[2])),
         ),
     )
-    run.lifted = len(relations)
-    run.lift_axioms = set(m.subclass_axioms)
-    return bool(batch)
+    run.lifted = (len(relations), len(axioms))
+    return added
 
 
 # -- stage 2 -------------------------------------------------------------------
@@ -457,14 +448,10 @@ def _mirror(m: OntologyModel, run: _Run, rule: str, mod: RawModifier, counterpar
     found = [key for key in relations if key[0] == mod.target]
     if run.trace:
         found.sort()
-    batch = _insert(
+    run.add(
         relations,
         rule,
         [key for _, subject, obj in found if (key := (counterpart, obj, subject)) not in relations],
-    )
-    run.record(
-        rule,
-        batch,
         lambda key: (
             el_relation(*key),
             (el_relation(mod.target, key[2], key[1]), el_modifier(mod)),
@@ -500,7 +487,7 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
                     el_modifier(mod),
                 )
             # member == target would be the vacuous C <= C
-            batch = _insert(
+            run.add(
                 m.subclass_axioms,
                 RULE_INTERSECTION,
                 dict.fromkeys(
@@ -509,10 +496,6 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
                     if member != mod.target
                     and (key := (mod.target, member)) not in m.subclass_axioms
                 ),
-            )
-            run.record(
-                RULE_INTERSECTION,
-                batch,
                 lambda key: (el_subclass(*key), (el_modifier(mod),)),
             )
         else:
@@ -521,7 +504,8 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
                 [(subject, obj) for p, subject, obj in m.relations if p == pred], run
             )
             # only the pairs that are not relations yet, in sorted order
-            batch = _insert(
+            render = partial(el_relation, pred)
+            run.add(
                 m.relations,
                 RULE_TRANSITIVE,
                 [
@@ -529,11 +513,6 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
                     for u, targets in reach.derived()
                     for v in targets
                 ],
-            )
-            render = partial(el_relation, pred)
-            run.record(
-                RULE_TRANSITIVE,
-                batch,
                 lambda key: (
                     el_relation(*key),
                     witness.sources(names, index[key[1]], index[key[2]], render),

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import fixture_path
-from fuzzonto import cli, emit_json, load_json, parse_document
+from fuzzonto import OntologyModel, cli, emit_json, load_json, parse_document
 from fuzzonto.cli import run_pipeline
 from fuzzonto.emit import dump_json
 from test_digests import recipe_model
@@ -553,6 +553,30 @@ def test_closed_stderr_pipe_ends_quietly(tmp_path):
     assert head.startswith(b'[\n  {\n    "produced": ')
     assert run_pipeline([*args, str(tmp_path / "rules.json")]) == 0
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "rules.json").read_bytes()
+
+
+def test_closed_stderr_pipe_ends_diagnostics_quietly(tmp_path):
+    """The same reader on stderr while validation reports 3,000 undeclared
+    classes: the rest of the diagnostics is dropped, the rules file is
+    written, and the run exits 0."""
+    model = OntologyModel()
+    model.declare_property("p", "datatype")
+    for i in range(3000):
+        model.add_holding("p", f"U{i}")
+    source = tmp_path / "model.json"
+    source.write_bytes(emit_json(model))
+    target = tmp_path / "rules.json"
+    with subprocess.Popen(
+        [sys.executable, "-m", "fuzzonto", "rules", str(source), "--out", str(target)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        head = proc.stderr.read(100)
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stdout.read() == b""
+    assert head.startswith(b"error[undeclared-class]: ")
+    assert json.loads(target.read_bytes())["rules"]
 
 
 def test_writers_stream_without_a_whole_document(tmp_path, capsys, monkeypatch):

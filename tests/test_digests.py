@@ -12,10 +12,12 @@ so in CHANGES.md and records the new values here.
 
 import hashlib
 import random
+import re
 
-from conftest import FIXTURE_NAMES, parse_fixture
+from conftest import FIXTURE_NAMES, fixture_path, parse_fixture
 from fuzzonto import OntologyModel, RawModifier, assign_all, generate_rules, normalize
 from fuzzonto import emit
+from fuzzonto.cli import run_pipeline
 from fuzzonto.rules import premise_runs, rule_runs
 
 PINNED = {
@@ -26,6 +28,26 @@ PINNED = {
     "model_rdfxml": "94e559194de8e8cc2e3715ee9e0d5bd16665eb5b107ff5eefd409b2a3031c0cb",
     "assign_json": "c70aa1113b3ceb1ce165b515e2b7f2e0ee0deddd8405f1553f8e64e8b85e7023",
 }
+
+# exit code, stdout, stderr and the report without timings_ms of every
+# CLI_MODES run on every fixture and on recipe_model(60, 1) as model JSON;
+# recorded before the closure kernel dropped its pair counts
+PINNED_CLI = "5cd3914ab3b9262a8d77967121f902738af43e40e74ca55a3801a2833713951b"
+
+CLI_MODES = [
+    ("rules",),
+    ("rules", "--format", "text"),
+    ("rules", "--asserted-only"),
+    ("rules", "--trace"),
+    ("rules", "--report", "{report}"),
+    ("rules", "--trace", "--report", "{report}"),
+    ("rules", "--strict"),
+    ("assign",),
+    ("assign", "--asserted-only"),
+    ("normalize",),
+    ("normalize", "--format", "rdfxml"),
+    ("normalize", "--trace"),
+]
 
 
 def recipe_model(n: int, seed: int) -> OntologyModel:
@@ -101,3 +123,25 @@ def test_output_digests_are_pinned():
     digests, run_digests = _digests()
     assert digests == PINNED
     assert run_digests == {name: PINNED[name] for name in run_digests}
+
+
+def test_cli_output_digest_is_pinned(tmp_path, capsys):
+    recipe = tmp_path / "recipe-60.json"
+    recipe.write_bytes(emit.emit_json(recipe_model(60, 1)))
+    sources = [recipe] + [fixture_path(name) for name in FIXTURE_NAMES]
+    report = tmp_path / "report.json"
+    digest = hashlib.sha256()
+    for source in sources:
+        for mode in CLI_MODES:
+            command, *options = (part.format(report=report) for part in mode)
+            code = run_pipeline([command, str(source), *options])
+            captured = capsys.readouterr()
+            written = report.read_bytes() if report.exists() else b""
+            report.unlink(missing_ok=True)
+            written = re.sub(rb'"timings_ms": {[^}]*}', b"", written)
+            label = " ".join([source.name, *mode])
+            digest.update(f"{label}:{code}:".encode())
+            for data in (captured.out.encode(), captured.err.encode(), written):
+                digest.update(f"{len(data)}:".encode())
+                digest.update(data)
+    assert digest.hexdigest() == PINNED_CLI

@@ -5,8 +5,15 @@ from randmodels import brute_groups
 
 
 def test_groups_are_sorted_and_ordered_by_members():
-    assert groups([("c", "b"), ("e", "a"), ("d", "d")]) == [["a", "e"], ["b", "c"], ["d"]]
-    assert groups([]) == []
+    found = groups([("c", "b"), ("e", "a"), ("d", "d")])
+    assert list(found.items()) == [
+        ("a", ("a", "e")),
+        ("e", ("a", "e")),
+        ("b", ("b", "c")),
+        ("c", ("b", "c")),
+        ("d", ("d",)),
+    ]
+    assert groups([]) == {}
 
 
 def test_groups_ignore_union_order_and_match_connected_components():
@@ -17,7 +24,8 @@ def test_groups_ignore_union_order_and_match_connected_components():
             (rng.choice(names), rng.choice(names))
             for _ in range(rng.randint(0, len(names)))
         ]
-        expected = sorted(sorted(group) for group in brute_groups(names, pairs).values())
+        expected = sorted(tuple(sorted(group)) for group in brute_groups(names, pairs).values())
+        expected = [(name, group) for group in expected for name in group]
         for _ in range(3):
             rng.shuffle(names)
             rng.shuffle(pairs)
@@ -26,4 +34,4 @@ def test_groups_ignore_union_order_and_match_connected_components():
                 (b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs
             ]
             rng.shuffle(shuffled)
-            assert groups(shuffled) == expected, f"seed {seed}"
+            assert list(groups(shuffled).items()) == expected, f"seed {seed}"
