@@ -5,13 +5,7 @@ standard form of classes / plain properties / relations, assign exact-rational
 membership values mu = 1/n, and generate identifying fuzzy rules.
 """
 
-from .emit import (
-    annotated_to_json,
-    decimal6,
-    emit_json,
-    emit_normalized_rdf,
-    rules_to_json,
-)
+from .emit import annotated_to_json, decimal6, emit_json, emit_normalized_rdf
 from .errors import (
     DuplicateIdentifier,
     FixpointOverflow,
@@ -24,7 +18,6 @@ from .ingest import load_json, parse_document, validate_model
 from .membership import (
     AnnotatedOntology,
     ComplexKey,
-    EquivalenceGroups,
     MembershipEntry,
     MembershipTable,
     assign_all,
@@ -36,7 +29,7 @@ from .membership import (
 )
 from .model import Diagnostic, OntologyModel, RawModifier
 from .normalize import NormalizeResult, RewriteTrace, normalize
-from .rules import FuzzyRule, check_consistency, generate_rules
+from .rules import check_runs, premise_runs
 
 __version__ = "0.1.0"
 
@@ -45,10 +38,8 @@ __all__ = [
     "ComplexKey",
     "Diagnostic",
     "DuplicateIdentifier",
-    "EquivalenceGroups",
     "FixpointOverflow",
     "FuzzontoError",
-    "FuzzyRule",
     "MalformedDocument",
     "MembershipEntry",
     "MembershipTable",
@@ -64,15 +55,14 @@ __all__ = [
     "assign_property_mu",
     "assign_relation_mu",
     "build_equivalence_groups",
-    "check_consistency",
+    "check_runs",
     "copy_to_equivalents",
     "decimal6",
     "emit_json",
     "emit_normalized_rdf",
-    "generate_rules",
     "load_json",
     "normalize",
     "parse_document",
-    "rules_to_json",
+    "premise_runs",
     "validate_model",
 ]

@@ -9,8 +9,8 @@ The rules writers work on runs of rules that share premise and mu (see
 rules.py).  The rules JSON and text, the traces and the traced report each
 have one writer that yields chunks, one per run or trace, for the CLI to
 write in blocks; a caller that wants one document joins them, as
-``b"".join(runs_json_chunks(runs))``.  ``rules_to_json`` does that for a rule
-list, grouped into runs first.
+``b"".join(runs_json_chunks(runs))``; the list shim ``rules_to_json`` does
+that for (premise, conclusion, mu) tuples, grouped into runs first.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import NotNormalized
 from .ingest import OWL_NS, RDF_NS, RDFS_NS, SCHEMA_VERSION
 from .membership import PART_OF, PROPERTY, AnnotatedOntology
 from .model import DATATYPE, INTERSECTION, INVERSE, OntologyModel
-from .rules import FuzzyRule, premise_text, rule_runs
+from .rules import premise_text, rule_runs
 
 
 def decimal6(value: Fraction) -> str:
@@ -231,14 +231,14 @@ def _mu_block(mu: Fraction) -> str:
     )
 
 
-def rules_to_json(rules: list[FuzzyRule]) -> bytes:
-    """The bytes dump_json gives for {"schema", "rules": [...]}."""
+def rules_to_json(rules: list[tuple]) -> bytes:
+    """List shim: runs_json_chunks over rule_runs(rules), joined."""
     return b"".join(runs_json_chunks(rule_runs(rules)))
 
 
 def runs_json_chunks(runs):
-    """rules_to_json's bytes over rules given as runs (see rules.rule_runs),
-    one chunk per run.
+    """The bytes dump_json gives for {"schema", "rules": [...]} over rules
+    given as runs (see rules.premise_runs), one chunk per run.
 
     The stdlib encodes indented JSON in pure Python.  Every rule record has
     the same shape, so it is written here directly, with C string escaping.

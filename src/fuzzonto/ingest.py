@@ -16,6 +16,7 @@ anywhere in the document before any other error.
 from __future__ import annotations
 
 import json
+import re
 from operator import itemgetter
 from xml.parsers import expat
 
@@ -42,6 +43,8 @@ OWL_NS = "http://www.w3.org/2002/07/owl#"
 
 SCHEMA_VERSION = "fuzzonto/1"
 
+# a \uD800-\uDFFF escape: strict UTF-8 decoding lets no other lone surrogate in
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _MODIFIER_KINDS = (SYMMETRIC, TRANSITIVE, INVERSE, INTERSECTION)
 _MODEL_KEYS = {
     "schema",
@@ -331,7 +334,8 @@ class _RdfXmlParser:
 
 def load_json(data) -> OntologyModel:
     """Load the JSON interchange form; inverse of emit.emit_json.  Bytes may
-    start with a UTF-8 byte order mark."""
+    start with a UTF-8 byte order mark.  A string holding a lone surrogate,
+    which no UTF-8 output can carry, makes the document malformed."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8-sig")
@@ -339,8 +343,12 @@ def load_json(data) -> OntologyModel:
             raise MalformedDocument(f"not UTF-8: {exc}") from exc
     try:
         doc = json.loads(data)
+        if _SURROGATE_ESCAPE.search(data):  # a pair is fine; a lone one cannot be written
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"JSON syntax error: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        raise MalformedDocument(f"lone surrogate {exc.object[exc.start]!r} in a string") from None
     except RecursionError:
         raise MalformedDocument("JSON nesting too deep") from None
     if not isinstance(doc, dict):

@@ -15,10 +15,13 @@ are widened so that every member of an equivalence group appears wherever
 its representative does — mu itself never changes, because n is counted over
 representatives.
 
-Only groups of two or more classes are stored, in one map ``group_of`` from
-each member to its sorted group: a class outside them is its own
-representative, so counting and widening look up just the determiners that
-sit in a shared group, and an entry with none is kept as it is.
+The equivalence groups are the map ``closure.groups`` returns: each class in
+a group of two or more mapped to its sorted group.  A class outside them is
+its own representative, so ``representatives``, counting and widening look up
+just the determiners that sit in a shared group, and an entry with none is
+kept as it is.  The assign functions keep the order in which the model's
+elements meet a key; ``MembershipTable.entries`` is the one place that sorts
+the keys, for the writers and the rules.
 """
 
 from __future__ import annotations
@@ -70,25 +73,16 @@ class MembershipEntry(namedtuple("MembershipEntry", "mu determiners")):
     __slots__ = ()
 
 
-class EquivalenceGroups:
-    """Equivalence groups of two or more classes; representative = least
-    member name.  Any other class is its own representative and sole member.
-
-    ``group_of`` maps exactly the classes in such groups to their group, a
-    sorted tuple, so a group's representative is its first member.
-    """
-
-    def __init__(self, group_of: dict[str, tuple[str, ...]]):
-        self.group_of = group_of
-
-    def representatives(self, names) -> set[str]:
-        reps = set(names)
-        if self.group_of:
-            shared = self.group_of.keys() & reps
-            if shared:
-                reps -= shared
-                reps.update(self.group_of[name][0] for name in shared)
-        return reps
+def representatives(group_of: dict[str, tuple[str, ...]], names) -> set[str]:
+    """The names with each member of a group replaced by the group's least
+    member; group_of maps only the classes in groups of two or more."""
+    reps = set(names)
+    if group_of:
+        shared = group_of.keys() & reps
+        if shared:
+            reps -= shared
+            reps.update(group_of[name][0] for name in shared)
+    return reps
 
 
 class MembershipTable:
@@ -101,27 +95,26 @@ class MembershipTable:
         self.complex_mu = complex_mu
 
     def entries(self):
-        """(kind, key, entry) triples in canonical order: properties,
-        part_of complexes, then other relation complexes."""
+        """(kind, key, entry) triples in canonical order: properties, part_of
+        complexes, then other relation complexes; the only place that orders
+        the table."""
         for name in sorted(self.property_mu):
             yield PROPERTY, name, self.property_mu[name]
-        for kind in (PART_OF, RELATION):  # a part_of key's predicate is None
-            for key in sorted(k for k in self.complex_mu if k.kind == kind):
-                yield kind, key, self.complex_mu[key]
+        # kind first, and "part_of" < "relation": a None predicate meets only None
+        for key in sorted(self.complex_mu):
+            yield key.kind, key, self.complex_mu[key]
 
 
 class AnnotatedOntology:
-    def __init__(
-        self, model: OntologyModel, table: MembershipTable, groups: EquivalenceGroups
-    ) -> None:
+    def __init__(self, model: OntologyModel, table: MembershipTable, groups: dict) -> None:
         self.model = model
         self.table = table
         self.groups = groups
 
 
-def build_equivalence_groups(m: OntologyModel) -> EquivalenceGroups:
+def build_equivalence_groups(m: OntologyModel) -> dict[str, tuple[str, ...]]:
     # two or more members each: equivalences hold no self-pairs
-    return EquivalenceGroups(closure.groups(m.equivalences))
+    return closure.groups(m.equivalences)
 
 
 # per kind: the element collection, and the key and the determiner of an element
@@ -157,32 +150,32 @@ def _unit_fraction(n: int) -> Fraction:
     return Fraction(1, n)
 
 
-def _entry(groups: EquivalenceGroups, determiners: set[str]) -> MembershipEntry:
-    n = len(groups.representatives(determiners))
+def _entry(groups: dict, determiners: set[str]) -> MembershipEntry:
+    n = len(representatives(groups, determiners))
     return MembershipEntry(_unit_fraction(n), tuple(sorted(determiners)))
 
 
 def assign_property_mu(
-    m: OntologyModel, groups: EquivalenceGroups, asserted_only: bool = False
+    m: OntologyModel, groups: dict, asserted_only: bool = False
 ) -> dict[str, MembershipEntry]:
     index = _determiner_index(m, PROPERTY, asserted_only)
-    return {name: _entry(groups, index[name]) for name in sorted(index)}
+    return {name: _entry(groups, holders) for name, holders in index.items()}
 
 
 def assign_partof_mu(
-    m: OntologyModel, groups: EquivalenceGroups, asserted_only: bool = False
+    m: OntologyModel, groups: dict, asserted_only: bool = False
 ) -> dict[ComplexKey, MembershipEntry]:
     index = _determiner_index(m, PART_OF, asserted_only)
-    return {ComplexKey.part_of(sup): _entry(groups, index[sup]) for sup in sorted(index)}
+    return {ComplexKey.part_of(sup): _entry(groups, subs) for sup, subs in index.items()}
 
 
 def assign_relation_mu(
-    m: OntologyModel, groups: EquivalenceGroups, asserted_only: bool = False
+    m: OntologyModel, groups: dict, asserted_only: bool = False
 ) -> dict[ComplexKey, MembershipEntry]:
     index = _determiner_index(m, RELATION, asserted_only)
     return {
-        ComplexKey.relation(pred, obj): _entry(groups, index[pred, obj])
-        for pred, obj in sorted(index)
+        ComplexKey.relation(pred, obj): _entry(groups, subjects)
+        for (pred, obj), subjects in index.items()
     }
 
 
@@ -193,7 +186,7 @@ def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
     representatives of the original set.  With no groups, annotated itself
     is returned.
     """
-    group_of = annotated.groups.group_of
+    group_of = annotated.groups
     in_groups = group_of.keys()
     if not in_groups:
         return annotated

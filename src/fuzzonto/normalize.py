@@ -35,7 +35,8 @@ traces come in a fixed order; without it, keys go in in the order the rule's
 scan meets them, which is deterministic but not sorted.  Either way the
 element set and every origin are the same.  The closures read the kernel's
 bitset rows (see closure.py) and take only the bits that are not edges
-already.
+already; a traced closure cites, for each pair it adds, the least
+intermediate class that the same forward rows give (_witness).
 """
 
 from __future__ import annotations
@@ -209,49 +210,38 @@ def _propagate_equivalents(m: OntologyModel, run: _Run) -> bool:
     return changed
 
 
-class _Reach:
-    """Witness lookup over one reachable_pairs result: its rows are the
-    forward rows, and the backward rows are built here.
+def _witness(rows: list[int], u: int, v: int) -> int | None:
+    """Least w other than u and v with (u, w) and (w, v) both closure pairs,
+    or None: the first of rows[u]'s bits, low to high, whose row has bit v.
+    w = u or w = v would cite the derived element itself or a self-pair that
+    the subclass closure drops."""
+    bit = 1 << v
+    candidates = rows[u]  # skipping u and v in the walk is cheaper than masking them
+    while candidates:
+        low = candidates & -candidates
+        w = low.bit_length() - 1
+        if rows[w] & bit and w != u and w != v:
+            return w
+        candidates ^= low
+    return None
 
-    Bit v of fwd[u] and bit u of bwd[v] are set exactly when (u, v) is a pair.
-    """
 
-    def __init__(self, reach: closure.Reachability) -> None:
-        fwd = reach.rows
-        bwd = [0] * len(fwd)
-        for u, v in reach:
-            bwd[v] |= 1 << u
-        self.fwd = fwd
-        self.bwd = bwd
-
-    def witness(self, u: int, v: int) -> int | None:
-        """Least w other than u and v with (u, w) and (w, v) both pairs, or
-        None.  w = u or w = v would cite the derived element itself or a
-        self-pair that the subclass closure drops."""
-        common = self.fwd[u] & self.bwd[v] & ~(1 << u | 1 << v)
-        if not common:
-            return None
-        return (common & -common).bit_length() - 1
-
-    def sources(self, names: list[str], u: int, v: int, render) -> tuple[str, ...]:
-        """The two edges through the witness of (u, v), rendered by
-        render(a, b); empty when there is no witness."""
-        w = self.witness(u, v)
-        if w is None:
-            return ()
-        return (render(names[u], names[w]), render(names[w], names[v]))
+def _sources(names: list[str], rows: list[int], u: int, v: int, render) -> tuple[str, ...]:
+    """The two edges through the witness of (u, v), rendered by render(a, b);
+    empty when there is no witness."""
+    w = _witness(rows, u, v)
+    return () if w is None else (render(names[u], names[w]), render(names[w], names[v]))
 
 
 def _close(edges, run: _Run):
     """Transitive closure of a graph given as (name, name) edges: the sorted
-    node names, their index, the kernel's Reachability and, only when
-    tracing, its witness rows."""
+    node names, their index and the kernel's Reachability."""
     names = sorted({n for edge in edges for n in edge})
     index = {n: i for i, n in enumerate(names)}
     reach = closure.reachable_pairs(
         len(names), [(index[a], index[b]) for a, b in edges], limit=run.bound
     )
-    return names, index, reach, _Reach(reach) if run.trace else None
+    return names, index, reach
 
 
 def _merge_cycles(m: OntologyModel, run: _Run, cycles: list[list[str]]) -> bool:
@@ -296,7 +286,7 @@ def _close_subclass_hierarchy(m: OntologyModel, run: _Run) -> bool:
     # only the closure drops axioms, so an unchanged count means an unchanged set
     if not axioms or len(axioms) == run.closed:
         return False  # nothing to close, or closed already by the last run
-    names, index, reach, witness = _close(axioms, run)
+    names, index, reach = _close(axioms, run)
     # components are sorted and names is sorted, so index order is name order
     cycles = [[names[u] for u in cycle] for cycle in sorted(reach.cycles)]
     changed = _merge_cycles(m, run, cycles)
@@ -315,7 +305,7 @@ def _close_subclass_hierarchy(m: OntologyModel, run: _Run) -> bool:
         ],
         lambda key: (
             el_subclass(*key),
-            witness.sources(names, index[key[0]], index[key[1]], el_subclass),
+            _sources(names, reach.rows, index[key[0]], index[key[1]], el_subclass),
         ),
     )
     run.closed = len(axioms)
@@ -500,7 +490,7 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
             )
         else:
             pred = mod.target
-            names, index, reach, witness = _close(
+            names, index, reach = _close(
                 [(subject, obj) for p, subject, obj in m.relations if p == pred], run
             )
             # only the pairs that are not relations yet, in sorted order
@@ -515,7 +505,7 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
                 ],
                 lambda key: (
                     el_relation(*key),
-                    witness.sources(names, index[key[1]], index[key[2]], render),
+                    _sources(names, reach.rows, index[key[1]], index[key[2]], render),
                 ),
             )
     m.modifiers.clear()

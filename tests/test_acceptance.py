@@ -12,19 +12,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURE_NAMES, fixture_bytes, fixture_path, normalize_fixture
-from fuzzonto import (
-    assign_all,
-    check_consistency,
-    closure,
-    emit_json,
-    generate_rules,
-    normalize,
-    parse_document,
-)
+from fuzzonto import assign_all, closure, emit_json, normalize, parse_document
 from fuzzonto.emit import annotated_to_json, rules_to_json, runs_text_chunks
-from fuzzonto.membership import PART_OF, PROPERTY
+from fuzzonto.membership import PART_OF, PROPERTY, representatives
 from fuzzonto.model import TRANSITIVE, OntologyModel, RawModifier
-from fuzzonto.rules import premise_runs
+from fuzzonto.rules import check_consistency, generate_rules, premise_runs, premise_text
 from randmodels import (
     brute_groups,
     brute_reachable,
@@ -153,12 +145,12 @@ def _assert_identity(annotated) -> None:
     rules = generate_rules(annotated)
     assert check_consistency(rules, annotated) == []
     by_premise: dict = {}
-    for rule in rules:
-        by_premise.setdefault(rule.premise_text, []).append(rule)
+    for premise, conclusion, mu in rules:
+        by_premise.setdefault(premise_text(premise), []).append((conclusion, mu))
     for premise, bucket in by_premise.items():
-        assert len({r.mu for r in bucket}) == 1, premise
-        reps = annotated.groups.representatives(r.conclusion for r in bucket)
-        assert bucket[0].mu * len(reps) == 1, premise
+        assert len({mu for _, mu in bucket}) == 1, premise
+        reps = representatives(annotated.groups, (c for c, _ in bucket))
+        assert bucket[0][1] * len(reps) == 1, premise
 
 
 def test_criterion_4_reciprocity_identity():
@@ -246,10 +238,10 @@ def test_criterion_7_end_to_end_single_rule():
         annotated = assign_all(normalize(model).model)
         rules = generate_rules(annotated)
         assert len(rules) == 1
-        rule = rules[0]
-        assert rule.premise_text == "part_of France"
-        assert rule.conclusion == "Paris"
-        assert rule.mu == Fraction(1)
+        premise, conclusion, mu = rules[0]
+        assert premise_text(premise) == "part_of France"
+        assert conclusion == "Paris"
+        assert mu == Fraction(1)
         text = "".join(runs_text_chunks(premise_runs(annotated)))
         assert text == "IF part_of France (mu=1.000000) THEN Paris\n"
         assert fixture_path("paris_france.owl").exists()

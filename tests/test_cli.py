@@ -111,6 +111,27 @@ def test_exit_1_on_deeply_nested_json(tmp_path, capsys):
     assert out == ""
 
 
+def test_lone_surrogate_in_a_name_is_a_parse_error(tmp_path, capsys):
+    """A \\ud800 escape loads as a string that no UTF-8 writer can carry, so
+    the document is malformed under every command; an escaped surrogate pair
+    is one character and loads."""
+    model = (
+        '{"schema":"fuzzonto/1","classes":[{"name":"A\\ud800"}],'
+        '"properties":[{"name":"p","kind":"datatype"}],'
+        '"holdings":[{"property":"p","holder":"A\\ud800"}]}'
+    )
+    source, out = tmp_path / "lone.json", tmp_path / "out"
+    source.write_text(model)
+    for command in (["rules"], ["rules", "--format", "text"], ["assign"], ["normalize"]):
+        code, stdout, err = run(capsys, *command, str(source), "--out", str(out))
+        expected = "error[parse]: lone surrogate '\\ud800' in a string\n"
+        assert (code, stdout, err) == (1, "", expected), command
+        assert not out.exists(), command
+    source.write_text(model.replace("\\ud800", "\\ud83d\\ude00"))
+    assert run(capsys, "rules", str(source), "--format", "text", "--out", str(out)) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == "IF p (mu=1.000000) THEN A\U0001f600\n"
+
+
 def test_exit_1_on_missing_file(capsys):
     code, _, err = run(capsys, "rules", "/nonexistent/input.owl")
     assert code == 1
@@ -368,7 +389,7 @@ def test_cli_import_leaves_dataclasses_out():
 
 def test_rules_command_goes_from_runs_to_bytes(capsys, monkeypatch):
     """The rules command writes from premise runs: the list entry points,
-    which build one FuzzyRule per rule and regroup them, are not called."""
+    which build one tuple per rule and regroup them, are not called."""
     from fuzzonto import emit, rules
 
     def refuse(*args, **kwargs):

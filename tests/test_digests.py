@@ -15,10 +15,10 @@ import random
 import re
 
 from conftest import FIXTURE_NAMES, fixture_path, parse_fixture
-from fuzzonto import OntologyModel, RawModifier, assign_all, generate_rules, normalize
+from fuzzonto import OntologyModel, RawModifier, assign_all, normalize
 from fuzzonto import emit
 from fuzzonto.cli import run_pipeline
-from fuzzonto.rules import premise_runs, rule_runs
+from fuzzonto.rules import generate_rules, premise_runs, rule_runs
 
 PINNED = {
     "rules_json": "b66121bd7d4d25ad38b387728e2b23a88af5df25260259f26f983d93a89da718",

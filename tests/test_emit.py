@@ -11,24 +11,23 @@ from fuzzonto import (
     assign_all,
     emit_json,
     emit_normalized_rdf,
-    generate_rules,
     load_json,
     normalize,
     parse_document,
-    rules_to_json,
 )
 from fuzzonto.emit import (
     annotated_to_json,
     decimal6,
     dump_json,
     report_to_json,
+    rules_to_json,
     runs_text_chunks,
     traces_chunks,
     traces_to_obj,
 )
 from fuzzonto.membership import ComplexKey
 from fuzzonto.normalize import RewriteTrace
-from fuzzonto.rules import FuzzyRule, rule_runs
+from fuzzonto.rules import generate_rules, premise_text, rule_runs
 from randmodels import random_model
 
 
@@ -216,16 +215,12 @@ def generic_rules_json(rules) -> bytes:
             "schema": "fuzzonto/1",
             "rules": [
                 {
-                    "premise": premise(r.premise),
-                    "conclusion": r.conclusion,
-                    "mu": {
-                        "num": r.mu.numerator,
-                        "den": r.mu.denominator,
-                        "decimal": decimal6(r.mu),
-                    },
+                    "premise": premise(p),
+                    "conclusion": conclusion,
+                    "mu": {"num": mu.numerator, "den": mu.denominator, "decimal": decimal6(mu)},
                     "category": "identifying",
                 }
-                for r in rules
+                for p, conclusion, mu in rules
             ],
         }
     )
@@ -239,8 +234,8 @@ def test_rules_json_equals_generic_encoding_on_random_models():
 
 def generic_rules_text(rules) -> str:
     return "".join(
-        f"IF {r.premise_text} (mu={decimal6(r.mu)}) THEN {r.conclusion}\n"
-        for r in rules
+        f"IF {premise_text(premise)} (mu={decimal6(mu)}) THEN {conclusion}\n"
+        for premise, conclusion, mu in rules
     )
 
 
@@ -254,14 +249,14 @@ def test_rules_json_equals_generic_encoding_on_awkward_strings():
         mu = Fraction(1, i + 1)
         part_of = ComplexKey.part_of(name)
         rules += [
-            FuzzyRule(name, name, mu),
-            FuzzyRule(part_of, "C", mu),
-            FuzzyRule(part_of, name, mu),
-            FuzzyRule(part_of, "D", Fraction(1, i + 1)),
-            FuzzyRule(part_of, "F", Fraction(1, 9)),  # mu changes
-            FuzzyRule(ComplexKey.relation(name, name), name, Fraction(1, 7)),
-            FuzzyRule(ComplexKey.relation(name, name), "C", Fraction(1, 7)),
-            FuzzyRule(name, "G", mu),  # back after other premises
+            (name, name, mu),
+            (part_of, "C", mu),
+            (part_of, name, mu),
+            (part_of, "D", Fraction(1, i + 1)),
+            (part_of, "F", Fraction(1, 9)),  # mu changes
+            (ComplexKey.relation(name, name), name, Fraction(1, 7)),
+            (ComplexKey.relation(name, name), "C", Fraction(1, 7)),
+            (name, "G", mu),  # back after other premises
         ]
     assert rules_to_json(rules) == generic_rules_json(rules)
     assert rules_to_text(rules) == generic_rules_text(rules)

@@ -14,9 +14,10 @@ MUTANTS = 300
 
 def mutate(rng: random.Random, data: bytes) -> bytes:
     """One or two of: byte flips, truncation, a duplicated span, a huge
-    name everywhere it occurs, rdf:about="#X" turned into rdf:ID="X"."""
+    name everywhere it occurs, a \\ud800 escape spliced into a quoted JSON
+    value everywhere it occurs, rdf:about="#X" turned into rdf:ID="X"."""
     for _ in range(rng.randint(1, 2)):
-        op = rng.randrange(5)
+        op = rng.randrange(6)
         if op == 0 and data:
             flipped = bytearray(data)
             for _ in range(rng.randint(1, 4)):
@@ -34,6 +35,13 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
                 name = re.escape(rng.choice(names))
                 huge = b"x" * rng.choice((300, 30000))
                 data = re.sub(rb'([#"])' + name + b'"', rb"\1" + name + huge + b'"', data)
+        elif op == 4:
+            values = re.findall(rb': "([A-Za-z_]\w*)"', data)  # JSON values, not keys
+            if values:
+                value = rng.choice(values)
+                cut = rng.randint(0, len(value))
+                spliced = value[:cut] + rb"\ud800" + value[cut:]
+                data = data.replace(b'"' + value + b'"', b'"' + spliced + b'"')
         else:
             data = data.replace(b'rdf:about="#', b'rdf:ID="', rng.randint(1, 5))
     return data

@@ -22,6 +22,7 @@ from fuzzonto.membership import (
     AnnotatedOntology,
     ComplexKey,
     MembershipTable,
+    representatives,
 )
 from randmodels import brute_table, random_model
 
@@ -46,14 +47,14 @@ def test_groups_close_transitively():
     m.add_equivalence("A", "B")
     m.add_equivalence("B", "C")
     groups = build_equivalence_groups(m)
-    assert groups.group_of == dict.fromkeys("ABC", ("A", "B", "C"))
-    assert groups.representatives(["C", "X"]) == {"A", "X"}
+    assert groups == dict.fromkeys("ABC", ("A", "B", "C"))
+    assert representatives(groups, ["C", "X"]) == {"A", "X"}
 
 
 def test_groups_are_singletons_without_equivalences():
     groups = build_equivalence_groups(blank_normalized("X", "Y"))
-    assert groups.group_of == {}
-    assert groups.representatives(["X", "Y"]) == {"X", "Y"}
+    assert groups == {}
+    assert representatives(groups, ["X", "Y"]) == {"X", "Y"}
 
 
 # -- determiner counts ---------------------------------------------------------
@@ -192,8 +193,8 @@ def test_groups_keep_only_shared_classes():
     m = blank_normalized("A", "B", "C")
     m.add_equivalence("A", "B")
     groups = build_equivalence_groups(m)
-    assert groups.group_of == {"A": ("A", "B"), "B": ("A", "B")}
-    assert groups.representatives(["A", "B", "C"]) == {"A", "C"}
+    assert groups == {"A": ("A", "B"), "B": ("A", "B")}
+    assert representatives(groups, ["A", "B", "C"]) == {"A", "C"}
 
 
 def test_copy_keeps_entries_without_shared_determiners():

@@ -1,10 +1,17 @@
 from fractions import Fraction
 
 from conftest import normalize_fixture
-from fuzzonto import assign_all, check_consistency, generate_rules, normalize
+from fuzzonto import assign_all, normalize
 from fuzzonto.membership import ComplexKey
 from fuzzonto.model import OntologyModel
-from fuzzonto.rules import FuzzyRule, check_runs, premise_runs, rule_runs
+from fuzzonto.rules import (
+    check_consistency,
+    check_runs,
+    generate_rules,
+    premise_runs,
+    premise_text,
+    rule_runs,
+)
 from randmodels import random_model
 
 
@@ -17,6 +24,11 @@ def codes(*results):
     return tuple([d.code for d in result] for result in results)
 
 
+def printed(rules):
+    """(premise text, conclusion, mu) per (premise, conclusion, mu) rule."""
+    return [(premise_text(premise), conclusion, mu) for premise, conclusion, mu in rules]
+
+
 def test_property_premise_yields_one_rule_per_holder():
     m = OntologyModel()
     m.touch_class("Man")
@@ -26,7 +38,7 @@ def test_property_premise_yields_one_rule_per_holder():
     m.add_holding("hasAge", "Woman")
     m.normalized = True
     rules = generate_rules(assign_all(m))
-    assert [(r.premise_text, r.conclusion, r.mu) for r in rules] == [
+    assert printed(rules) == [
         ("hasAge", "Man", Fraction(1, 2)),
         ("hasAge", "Woman", Fraction(1, 2)),
     ]
@@ -34,11 +46,7 @@ def test_property_premise_yields_one_rule_per_holder():
 
 def test_sole_subclass_yields_single_full_rule():
     rules = generate_rules(annotated_fixture("paris_france.owl"))
-    assert len(rules) == 1
-    rule = rules[0]
-    assert rule.premise_text == "part_of France"
-    assert rule.conclusion == "Paris"
-    assert rule.mu == Fraction(1)
+    assert printed(rules) == [("part_of France", "Paris", Fraction(1))]
 
 
 def test_empty_model_has_no_rules():
@@ -47,17 +55,17 @@ def test_empty_model_has_no_rules():
 
 def test_rules_are_sorted_by_premise_then_conclusion():
     rules = generate_rules(annotated_fixture("symmetric_equivalent_combo.owl"))
-    keys = [(r.premise_text, r.conclusion) for r in rules]
+    keys = [(text, conclusion) for text, conclusion, _ in printed(rules)]
     assert keys == sorted(keys)
 
 
 def test_equivalence_widened_conclusions_share_mu():
     rules = generate_rules(annotated_fixture("equivalent_property_copy.owl"))
     by_premise = {}
-    for r in rules:
-        by_premise.setdefault(r.premise_text, []).append(r)
-    assert {r.conclusion for r in by_premise["hasAge"]} == {"Human", "Person"}
-    assert {r.mu for r in by_premise["hasAge"]} == {Fraction(1)}
+    for text, conclusion, mu in printed(rules):
+        by_premise.setdefault(text, []).append((conclusion, mu))
+    assert {conclusion for conclusion, _ in by_premise["hasAge"]} == {"Human", "Person"}
+    assert {mu for _, mu in by_premise["hasAge"]} == {Fraction(1)}
 
 
 def test_consistency_holds_on_generator_output():
@@ -81,9 +89,7 @@ def test_consistency_holds_on_random_models():
 
 def test_consistency_flags_wrong_denominator():
     annotated = annotated_fixture("empty.owl")
-    rules = [
-        FuzzyRule(premise="p", conclusion=c, mu=Fraction(1, 2)) for c in ("A", "B", "C")
-    ]
+    rules = [("p", c, Fraction(1, 2)) for c in ("A", "B", "C")]
     runs = [(("p", Fraction(1, 2)), ("A", "B", "C"))]
     # the list entry point and the run entry point, side by side
     assert codes(check_consistency(rules, annotated), check_runs(runs, annotated)) == (
@@ -94,10 +100,7 @@ def test_consistency_flags_wrong_denominator():
 
 def test_consistency_flags_mixed_mu():
     annotated = annotated_fixture("empty.owl")
-    rules = [
-        FuzzyRule(premise="p", conclusion="A", mu=Fraction(1, 2)),
-        FuzzyRule(premise="p", conclusion="B", mu=Fraction(1, 3)),
-    ]
+    rules = [("p", "A", Fraction(1, 2)), ("p", "B", Fraction(1, 3))]
     # a mu change splits the premise's rules into two runs, which the run
     # check merges again
     runs = [
@@ -124,7 +127,7 @@ def test_consistency_tells_apart_premises_that_print_alike():
     m.add_relation("part_of", "C", "X")
     annotated = assign_all(normalize(m).model)
     rules = generate_rules(annotated)
-    assert [(r.premise_text, r.conclusion, r.mu) for r in rules] == [
+    assert printed(rules) == [
         ("part_of X", "A", Fraction(1)),
         ("part_of X", "B", Fraction(1, 2)),
         ("part_of X", "C", Fraction(1, 2)),
@@ -132,7 +135,7 @@ def test_consistency_tells_apart_premises_that_print_alike():
     assert check_consistency(rules, annotated) == []
 
     # a wrong mu under either key is still caught, and reported by its text
-    wrong = [rules[0], rules[1], FuzzyRule(rules[2].premise, "C", Fraction(1, 3))]
+    wrong = [rules[0], rules[1], (rules[2][0], "C", Fraction(1, 3))]
     violations = check_consistency(wrong, annotated)
     assert [(v.code, v.location) for v in violations] == [("mixed-mu", "part_of X")]
 
@@ -144,22 +147,19 @@ def test_consistency_collapses_equivalent_conclusions():
     m.add_equivalence("A", "B")
     m.normalized = True
     annotated = assign_all(m)
-    rules = [
-        FuzzyRule(premise=ComplexKey.part_of("X"), conclusion=c, mu=Fraction(1, 2))
-        for c in ("A", "B", "C")
-    ]
+    rules = [(ComplexKey.part_of("X"), c, Fraction(1, 2)) for c in ("A", "B", "C")]
     assert check_consistency(rules, annotated) == []  # representatives are {A, C}
 
 
 def sorted_entries_rules(annotated):
-    """The plain definition: one rule per (key, determiner) from entries(),
-    sorted by (premise text, conclusion)."""
+    """The plain definition: one (premise, conclusion, mu) rule per (key,
+    determiner) from entries(), sorted by (premise text, conclusion)."""
     rules = [
-        FuzzyRule(premise=key, conclusion=conclusion, mu=entry.mu)
+        (key, conclusion, entry.mu)
         for _, key, entry in annotated.table.entries()
         for conclusion in entry.determiners
     ]
-    return sorted(rules, key=lambda r: (r.premise_text, r.conclusion))
+    return sorted(rules, key=lambda rule: (premise_text(rule[0]), rule[1]))
 
 
 def alike_premises_model() -> OntologyModel:
@@ -188,34 +188,31 @@ def alike_premises_model() -> OntologyModel:
 
 
 def test_generate_rules_equals_sorted_entries_on_random_models():
-    """generate_rules gives the plain definition's rules, and premise_runs
-    the maximal runs of those rules."""
+    """premise_runs gives the maximal runs of the plain definition's rules,
+    and the generate_rules shim those rules."""
     for seed in range(300):
         model = normalize(random_model(seed)).model
         for asserted_only in (False, True):
             annotated = assign_all(model, asserted_only=asserted_only)
-            rules = generate_rules(annotated)
-            assert rules == sorted_entries_rules(annotated), (
-                f"seed {seed} asserted_only={asserted_only}"
-            )
-            assert premise_runs(annotated) == list(rule_runs(rules)), (
-                f"seed {seed} asserted_only={asserted_only}"
-            )
+            expected = sorted_entries_rules(annotated)
+            where = f"seed {seed} asserted_only={asserted_only}"
+            assert premise_runs(annotated) == list(rule_runs(expected)), where
+            assert generate_rules(annotated) == expected, where
 
 
 def test_generate_rules_merges_premises_that_print_alike():
     annotated = assign_all(normalize(alike_premises_model()).model)
-    rules = generate_rules(annotated)
-    assert rules == sorted_entries_rules(annotated)
+    rules = sorted_entries_rules(annotated)
     runs = premise_runs(annotated)
     assert runs == list(rule_runs(rules))
+    assert generate_rules(annotated) == rules
     assert check_runs(runs, annotated) == []
 
     def described(rule):
-        if isinstance(rule.premise, str):
-            return (rule.premise_text, rule.conclusion, "property")
-        key = rule.premise
-        return (rule.premise_text, rule.conclusion, key.kind, key.predicate)
+        premise, conclusion, _ = rule
+        if isinstance(premise, str):
+            return (premise, conclusion, "property")
+        return (premise.text, conclusion, premise.kind, premise.predicate)
 
     # merged by conclusion; a tie keeps the table order: property, part_of,
     # then relations by predicate
@@ -244,7 +241,7 @@ def test_generate_rules_merges_premises_that_print_alike():
         m.add_subclass(name, "X")
     annotated = assign_all(normalize(m).model)
     runs = premise_runs(annotated)
-    assert runs == list(rule_runs(generate_rules(annotated)))
+    assert runs == list(rule_runs(sorted_entries_rules(annotated)))
     assert runs[-1] == ((ComplexKey.part_of("X"), Fraction(1, 4)), ("Y1", "Y2"))
 
 
@@ -252,13 +249,13 @@ def test_consistency_merges_a_premise_split_over_non_adjacent_runs():
     annotated = annotated_fixture("empty.owl")
     half = Fraction(1, 2)
     split = [
-        FuzzyRule("p", "A", half),
-        FuzzyRule("q", "B", Fraction(1)),
-        FuzzyRule("p", "C", Fraction(1, 2)),  # equal to half, not identical
+        ("p", "A", half),
+        ("q", "B", Fraction(1)),
+        ("p", "C", Fraction(1, 2)),  # equal to half, not identical
     ]
     assert check_consistency(split, annotated) == []  # p has two conclusions
 
-    mixed = split[:2] + [FuzzyRule("p", "C", Fraction(1, 3))]
+    mixed = split[:2] + [("p", "C", Fraction(1, 3))]
     violations = check_consistency(mixed, annotated)
     assert [(v.code, v.location) for v in violations] == [("mixed-mu", "p")]
 
@@ -267,19 +264,9 @@ def test_consistency_merges_equal_but_not_identical_keys():
     annotated = annotated_fixture("empty.owl")
     first, second = ComplexKey.part_of("X"), ComplexKey.part_of("X")
     assert first == second and first is not second
-    rules = [
-        FuzzyRule(first, "A", Fraction(1, 2)),
-        FuzzyRule(second, "B", Fraction(1, 3)),
-    ]
+    rules = [(first, "A", Fraction(1, 2)), (second, "B", Fraction(1, 3))]
     violations = check_consistency(rules, annotated)
     assert [(v.code, v.location) for v in violations] == [("mixed-mu", "part_of X")]
-    agreeing = [rules[0], FuzzyRule(second, "B", Fraction(1, 2))]
+    agreeing = [rules[0], (second, "B", Fraction(1, 2))]
     assert check_consistency(agreeing, annotated) == []
 
-
-def test_fuzzy_rule_is_a_named_tuple_of_three_fields():
-    rule = FuzzyRule("p", "A", Fraction(1, 2))
-    assert rule == ("p", "A", Fraction(1, 2))
-    assert rule._fields == ("premise", "conclusion", "mu")
-    keyed = FuzzyRule(ComplexKey.relation("r", "X"), "A", Fraction(1))
-    assert keyed.premise_text == "r X"
