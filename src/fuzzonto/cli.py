@@ -287,5 +287,15 @@ def main(argv: list[str] | None = None) -> int:
     return run_pipeline(sys.argv[1:] if argv is None else argv)
 
 
+def console_entry() -> None:
+    """The `fuzzonto` script and `python -m fuzzonto`: main(), a flush, then
+    os._exit, which skips tearing down every object of the run.  An exception
+    or a SystemExit, as argparse raises, leaves the normal way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -12,8 +12,9 @@ that successor's closed row, so a wide shallow hierarchy keeps few rows.
 
 Callers read the rows, not a pair list: Reachability.derived() hands out
 only the bits that are not input edges, which is what a closure adds, and
-len() is the sum of each component's row popcount times its size.  groups()
-runs the same component search and maps each name to its equivalence group.
+len() is the sum of each component's row popcount (one per row object)
+times its size.  groups() runs the same component search and maps each
+name to its equivalence group.
 tests/test_closure.py checks the kernel against a brute-force oracle.
 """
 
@@ -59,11 +60,15 @@ class Reachability:
     def derived(self):
         """(u, targets) for every u that reaches a node it has no input edge
         to, targets ascending; u in ascending order."""
+        counts: dict[int, int] = {}  # id(row) -> popcount, once per shared row
         for u, successors in enumerate(self._successors):
             row = self.rows[u]
-            for v in successors:  # every direct successor is in the row
-                row ^= 1 << v
-            if row:
+            count = counts.get(id(row))
+            if count is None:
+                count = counts[id(row)] = row.bit_count()
+            if count > len(successors):  # the row holds every input edge, at equal counts no more
+                for v in successors:
+                    row ^= 1 << v
                 yield u, bits(row)
 
 
@@ -148,6 +153,7 @@ def reachable_pairs(n: int, edges, limit: int = 0) -> Reachability:
     rows = [0] * n
     component_of = [-1] * n
     closed: dict[int, int] = {}  # v -> v's row with v added
+    counts: dict[int, int] = {}  # id(row) -> popcount; every such row stays in rows
     cycles = []
     total = 0
     for c, component in enumerate(_components(successors)):
@@ -174,7 +180,10 @@ def reachable_pairs(n: int, edges, limit: int = 0) -> Reachability:
             continue
         for u in component:
             rows[u] = row
-        total += row.bit_count() * len(component)
+        count = counts.get(id(row))
+        if count is None:
+            count = counts[id(row)] = row.bit_count()
+        total += count * len(component)
         if limit and total > limit:
             raise OverflowError(f"reachable pair count exceeds limit {limit}")
     return Reachability(rows, cycles, successors, total)

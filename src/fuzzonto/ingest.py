@@ -334,17 +334,18 @@ class _RdfXmlParser:
 
 def load_json(data) -> OntologyModel:
     """Load the JSON interchange form; inverse of emit.emit_json.  Bytes may
-    start with a UTF-8 byte order mark.  A string holding a lone surrogate,
-    which no UTF-8 output can carry, makes the document malformed."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(f"not UTF-8: {exc}") from exc
+    start with a UTF-8 byte order mark.  A lone surrogate, escaped or in a
+    str, which no UTF-8 output can carry, makes the document malformed."""
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8-sig")
+        else:
+            data.encode("utf-8")
         doc = json.loads(data)
         if _SURROGATE_ESCAPE.search(data):  # a pair is fine; a lone one cannot be written
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"JSON syntax error: {exc}") from exc
     except UnicodeEncodeError as exc:

@@ -16,12 +16,12 @@ its representative does — mu itself never changes, because n is counted over
 representatives.
 
 The equivalence groups are the map ``closure.groups`` returns: each class in
-a group of two or more mapped to its sorted group.  A class outside them is
-its own representative, so ``representatives``, counting and widening look up
-just the determiners that sit in a shared group, and an entry with none is
-kept as it is.  The assign functions keep the order in which the model's
-elements meet a key; ``MembershipTable.entries`` is the one place that sorts
-the keys, for the writers and the rules.
+a group of two or more mapped to its sorted group.  Any other class is its
+own representative: with no groups n is the length of a key's sorted
+determiner list, and otherwise counting and widening look up only the
+determiners in a shared group; widening keeps an entry with none.  Assign
+keeps the order in which the model's elements meet a key; ``entries()``
+sorts the keys for the assign JSON, ``rules.premise_runs`` by premise text.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .model import ASSERTED, OntologyModel
 PART_OF = "part_of"
 RELATION = "relation"
 PROPERTY = "property"
+
+_new = tuple.__new__  # a namedtuple instance built in C, not by its Python __new__
 
 
 class ComplexKey(namedtuple("ComplexKey", "kind predicate resulting_class")):
@@ -96,8 +98,8 @@ class MembershipTable:
 
     def entries(self):
         """(kind, key, entry) triples in canonical order: properties, part_of
-        complexes, then other relation complexes; the only place that orders
-        the table."""
+        complexes, then other relation complexes; the order of the assign
+        JSON."""
         for name in sorted(self.property_mu):
             yield PROPERTY, name, self.property_mu[name]
         # kind first, and "part_of" < "relation": a None predicate meets only None
@@ -125,10 +127,18 @@ _DETERMINED_BY = {
 }
 
 
-def _determiner_index(m: OntologyModel, kind: str, asserted_only: bool) -> dict:
-    """Every key of one kind mapped to its determining classes, in one pass:
-    property -> holders, superclass -> subclasses, or (predicate, object) ->
-    subjects."""
+@lru_cache(maxsize=4096)
+def _unit_fraction(n: int) -> Fraction:
+    """1/n, one shared object per n: a Fraction is immutable, and the bound
+    caps what a long-lived process keeps."""
+    return Fraction(1, n)
+
+
+def _entries(m: OntologyModel, kind: str, groups: dict, asserted_only: bool) -> dict:
+    """Every key of one kind mapped to its entry, from a determiner index
+    built in one pass: property -> holders, superclass -> subclasses, or
+    (predicate, object) -> subjects.  Each element is a dict key, so a key's
+    list holds each class once; it is sorted in place."""
     attr, key_of, determiner_of = _DETERMINED_BY[kind]
     elements = getattr(m, attr)
     if asserted_only:
@@ -137,46 +147,34 @@ def _determiner_index(m: OntologyModel, kind: str, asserted_only: bool) -> dict:
     for key, determiner in zip(map(key_of, elements), map(determiner_of, elements)):
         found = index.get(key)
         if found is None:
-            index[key] = {determiner}
+            index[key] = [determiner]
         else:
-            found.add(determiner)
+            found.append(determiner)
+    for key, determiners in index.items():
+        determiners.sort()
+        n = len(representatives(groups, determiners)) if groups else len(determiners)
+        index[key] = _new(MembershipEntry, (_unit_fraction(n), tuple(determiners)))
     return index
-
-
-@lru_cache(maxsize=4096)
-def _unit_fraction(n: int) -> Fraction:
-    """1/n, one shared object per n: a Fraction is immutable, and the bound
-    caps what a long-lived process keeps."""
-    return Fraction(1, n)
-
-
-def _entry(groups: dict, determiners: set[str]) -> MembershipEntry:
-    n = len(representatives(groups, determiners))
-    return MembershipEntry(_unit_fraction(n), tuple(sorted(determiners)))
 
 
 def assign_property_mu(
     m: OntologyModel, groups: dict, asserted_only: bool = False
 ) -> dict[str, MembershipEntry]:
-    index = _determiner_index(m, PROPERTY, asserted_only)
-    return {name: _entry(groups, holders) for name, holders in index.items()}
+    return _entries(m, PROPERTY, groups, asserted_only)
 
 
 def assign_partof_mu(
     m: OntologyModel, groups: dict, asserted_only: bool = False
 ) -> dict[ComplexKey, MembershipEntry]:
-    index = _determiner_index(m, PART_OF, asserted_only)
-    return {ComplexKey.part_of(sup): _entry(groups, subs) for sup, subs in index.items()}
+    entries = _entries(m, PART_OF, groups, asserted_only)
+    return {_new(ComplexKey, (PART_OF, None, sup)): entry for sup, entry in entries.items()}
 
 
 def assign_relation_mu(
     m: OntologyModel, groups: dict, asserted_only: bool = False
 ) -> dict[ComplexKey, MembershipEntry]:
-    index = _determiner_index(m, RELATION, asserted_only)
-    return {
-        ComplexKey.relation(pred, obj): _entry(groups, subjects)
-        for (pred, obj), subjects in index.items()
-    }
+    entries = _entries(m, RELATION, groups, asserted_only)
+    return {_new(ComplexKey, (RELATION, *key)): entry for key, entry in entries.items()}
 
 
 def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:

@@ -7,8 +7,8 @@ identity from the rules alone.  Every rule is identifying, so a rule carries
 no category; the writers print the one there is.
 
 All rules of one key share its premise and mu, so the rules API is runs:
-``((premise, mu), conclusions)`` pairs.  ``premise_runs`` builds them from
-the table's ``entries()``, and the CLI hands them to ``check_runs`` and the
+``((premise, mu), conclusions)`` pairs.  ``premise_runs`` builds them with
+one sort by premise text, and the CLI hands them to ``check_runs`` and the
 writers.  ``generate_rules``, ``check_consistency`` and ``emit.rules_to_json``
 are list shims over plain ``(premise, conclusion, mu)`` tuples, kept because
 the traced benchmark harness times them.
@@ -31,25 +31,26 @@ def premise_text(premise: str | ComplexKey) -> str:
 def premise_runs(annotated: AnnotatedOntology) -> list[tuple]:
     """The rules as runs, sorted by (premise text, conclusion): one run per
     key, except where premises print alike (say, a predicate named part_of):
-    their rules merge by conclusion, a tie keeping the table order, and split
-    into runs again where the key changes."""
-    premises = [(premise_text(key), key, entry) for _, key, entry in annotated.table.entries()]
-    premises.sort(key=itemgetter(0))  # stable: premises that print alike keep the table order
+    only those keys are put in table order, their rules merged by conclusion,
+    a tie keeping that order, and split into runs where the key changes."""
+    premises = [(name, name, entry) for name, entry in annotated.table.property_mu.items()]
+    premises += [(key.text, key, entry) for key, entry in annotated.table.complex_mu.items()]
+    premises.sort(key=itemgetter(0))
 
     runs = []
-    for _, alike in groupby(premises, itemgetter(0)):
-        alike = list(alike)
-        if len(alike) == 1:
-            _, key, entry = alike[0]
+    alike = []  # premises that print alike, a rare case
+    for here, after in zip(premises, premises[1:] + [(None,)]):
+        if here[0] != after[0] and not alike:
+            _, key, entry = here
             runs.append(((key, entry.mu), entry.determiners))
             continue
-        merged = [
-            (key, conclusion, entry.mu)
-            for _, key, entry in alike
-            for conclusion in entry.determiners
-        ]
-        merged.sort(key=itemgetter(1))  # stable
-        runs += rule_runs(merged)
+        alike.append(here)
+        if here[0] != after[0]:  # the last of them: table order (properties first), then conclusion
+            alike.sort(key=lambda premise: (not isinstance(premise[1], str), premise[1]))
+            merged = [(key, c, entry.mu) for _, key, entry in alike for c in entry.determiners]
+            merged.sort(key=itemgetter(1))  # stable
+            runs += rule_runs(merged)
+            alike = []
     return runs
 
 
@@ -85,19 +86,24 @@ def check_runs(runs, annotated: AnnotatedOntology) -> list[Diagnostic]:
     premise_runs output."""
     # by key, not by text: a predicate named part_of gives relation keys that
     # print like the part_of keys of the same class.  A premise may come in
-    # several runs, adjacent or not; they merge here.
-    by_premise: dict[str | ComplexKey, list] = {}
-    for (premise, mu), conclusions in runs:
-        by_premise.setdefault(premise, []).append((mu, conclusions))
+    # several runs, adjacent or not: only a premise met again gets a list.
+    first: dict[str | ComplexKey, tuple] = {}
+    split: dict[str | ComplexKey, list] = {}
+    for run in runs:
+        premise = run[0][0]
+        if premise in first:
+            split.setdefault(premise, [first[premise]]).append(run)
+        else:
+            first[premise] = run
 
     groups = annotated.groups
     out: list[Diagnostic] = []
-    for premise, parts in by_premise.items():
-        mu = parts[0][0]
-        if len(parts) > 1:
-            if any(other is not mu and other != mu for other, _ in parts):
+    for premise, ((_, mu), conclusions) in first.items():
+        parts = split.get(premise)
+        if parts is not None:
+            if any(other is not mu and other != mu for (_, other), _ in parts):
                 text = premise_text(premise)
-                values = len({other for other, _ in parts})
+                values = len({other for (_, other), _ in parts})
                 out.append(
                     Diagnostic(
                         "mixed-mu",
@@ -108,9 +114,7 @@ def check_runs(runs, annotated: AnnotatedOntology) -> list[Diagnostic]:
                 )
                 continue
             conclusions = [c for _, part in parts for c in part]
-        else:
-            conclusions = parts[0][1]
-        reps = len(representatives(groups, conclusions))
+        reps = len(representatives(groups, conclusions) if groups else set(conclusions))
         if mu.numerator * reps != mu.denominator:
             text = premise_text(premise)
             out.append(

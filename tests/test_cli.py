@@ -5,11 +5,12 @@ import re
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import fixture_path
-from fuzzonto import OntologyModel, cli, emit_json, load_json, parse_document
+from fuzzonto import MalformedDocument, OntologyModel, cli, emit_json, load_json, parse_document
 from fuzzonto.cli import run_pipeline
 from fuzzonto.emit import dump_json
 from test_digests import recipe_model
@@ -113,8 +114,9 @@ def test_exit_1_on_deeply_nested_json(tmp_path, capsys):
 
 def test_lone_surrogate_in_a_name_is_a_parse_error(tmp_path, capsys):
     """A \\ud800 escape loads as a string that no UTF-8 writer can carry, so
-    the document is malformed under every command; an escaped surrogate pair
-    is one character and loads."""
+    the document is malformed under every command, and so is a str given to
+    load_json that holds the surrogate itself; an escaped surrogate pair is
+    one character and loads."""
     model = (
         '{"schema":"fuzzonto/1","classes":[{"name":"A\\ud800"}],'
         '"properties":[{"name":"p","kind":"datatype"}],'
@@ -127,6 +129,11 @@ def test_lone_surrogate_in_a_name_is_a_parse_error(tmp_path, capsys):
         expected = "error[parse]: lone surrogate '\\ud800' in a string\n"
         assert (code, stdout, err) == (1, "", expected), command
         assert not out.exists(), command
+    # a str, not bytes, may hold the surrogate itself, not its escape
+    literal = model.replace("\\ud800", "\ud800")
+    assert "\\ud800" not in literal
+    with pytest.raises(MalformedDocument, match="^lone surrogate '\\\\ud800' in a string$"):
+        load_json(literal)
     source.write_text(model.replace("\\ud800", "\\ud83d\\ude00"))
     assert run(capsys, "rules", str(source), "--format", "text", "--out", str(out)) == (0, "", "")
     assert out.read_text(encoding="utf-8") == "IF p (mu=1.000000) THEN A\U0001f600\n"
@@ -321,6 +328,79 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "IF part_of France (mu=1.000000) THEN Paris\n"
+
+
+def test_module_exit_codes_are_run_pipelines(tmp_path, capsys):
+    """`python -m fuzzonto` ends with os._exit after a flush: for every exit
+    code, and for a usage error, its code, stdout and stderr are the ones
+    run_pipeline gives in process."""
+    dangling = tmp_path / "dangling.json"
+    dangling.write_text(
+        '{"schema": "fuzzonto/1",'
+        ' "properties": [{"name": "r", "kind": "object"}],'
+        ' "relations": [{"predicate": "r", "subject": "A", "object": "B"}]}'
+    )
+    union = tmp_path / "union.owl"
+    union.write_text(
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+        ' xmlns:owl="http://www.w3.org/2002/07/owl#">'
+        '<owl:Class rdf:ID="A"><owl:unionOf rdf:parseType="Collection"/></owl:Class>'
+        "</rdf:RDF>"
+    )
+    cases = [
+        (0, ["rules", str(fixture_path("paris_france.owl")), "--format", "text"]),
+        (1, ["rules", str(tmp_path / "missing.owl")]),
+        (2, ["normalize", str(dangling), "--strict"]),
+        (3, ["rules", str(union), "--strict"]),
+        (4, ["normalize", str(fixture_path("subclass_chain.owl")), "--max-elements", "2"]),
+        (2, ["rules"]),  # argparse: the source is missing
+    ]
+    for expected, args in cases:
+        proc = subprocess.run([sys.executable, "-m", "fuzzonto", *args], capture_output=True)
+        try:
+            code = run_pipeline(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert proc.returncode == code == expected, args
+        assert proc.stdout.decode() == captured.out, args
+        assert proc.stderr.decode() == captured.err, args
+
+
+def test_module_stdout_carries_a_multi_megabyte_document(tmp_path):
+    source = tmp_path / "model.json"
+    source.write_bytes(emit_json(recipe_model(200, 1)))
+    args = ["rules", str(source), "--max-elements", "0"]
+    proc = subprocess.run([sys.executable, "-m", "fuzzonto", *args], capture_output=True)
+    assert run_pipeline([*args, "--out", str(tmp_path / "rules.json")]) == 0
+    expected = (tmp_path / "rules.json").read_bytes()
+    assert len(expected) > 4 << 20
+    assert (proc.returncode, proc.stderr, len(proc.stdout)) == (0, b"", len(expected))
+    assert proc.stdout == expected
+
+
+def test_console_entry_flushes_and_skips_teardown(tmp_path):
+    """Text still buffered in sys.stdout comes out; an atexit callback, which
+    only a normal interpreter exit runs, does not."""
+    out = tmp_path / "rules.txt"
+    script = (
+        "import atexit; from fuzzonto import cli; "
+        "atexit.register(print, 'teardown'); print('buffered', end=''); "
+        "cli.console_entry()"
+    )
+    args = ["rules", str(fixture_path("paris_france.owl")), "--format", "text", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"buffered", b"")
+    assert out.read_text() == "IF part_of France (mu=1.000000) THEN Paris\n"
+
+
+def test_console_script_is_the_console_entry():
+    """The installed `fuzzonto` script and `python -m fuzzonto` end the same
+    way."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts == 'fuzzonto = "fuzzonto.cli:console_entry"'
+    assert callable(cli.console_entry)
 
 
 def test_output_bytes_stable_across_hash_seeds():

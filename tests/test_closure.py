@@ -74,6 +74,29 @@ def test_cycle_into_dag(impl):
 
 
 @pytest.mark.parametrize("impl", IMPLS)
+def test_many_one_node_components_share_one_row(impl):
+    """Leaves under one hub, as in a wide flat hierarchy, share the hub's
+    row and its count; the hub reaches a 2-cycle, and some leaves also point
+    to a sink of their own, which gives them a wider row."""
+    edges = [(0, 1), (1, 2), (2, 1)]
+    edges += [(leaf, 0) for leaf in range(3, 40)]
+    edges += [(leaf, 40) for leaf in range(30, 40)]
+    expected = brute_reachable(edges)
+    reach = impl.reachable_pairs(41, edges)
+    assert list(reach) == sorted(expected)
+    assert len(reach) == len(expected)
+    assert derived(reach) == sorted(expected - set(edges))
+    assert all(reach.rows[leaf] is reach.rows[3] for leaf in range(3, 30))
+    assert len(impl.reachable_pairs(41, edges, len(expected))) == len(expected)
+    with pytest.raises(OverflowError):
+        impl.reachable_pairs(41, edges, len(expected) - 1)
+    # a star: each leaf reaches the root alone, so nothing is derived
+    star = [(leaf, 0) for leaf in range(1, 30)]
+    reach = impl.reachable_pairs(30, star)
+    assert len(reach) == 29 and derived(reach) == []
+
+
+@pytest.mark.parametrize("impl", IMPLS)
 def test_duplicate_edges_are_deduped(impl):
     assert pairs(impl, 2, [(0, 1), (0, 1), (0, 1)]) == [(0, 1)]
 

@@ -258,11 +258,25 @@ def test_assign_all_entry_order_is_properties_partof_relations():
     assert kinds == [PROPERTY, PART_OF, RELATION]
 
 
+def without_equivalences(model: OntologyModel) -> OntologyModel:
+    """model with its equivalence pairs dropped, still flagged normalized."""
+    bare = model.copy()
+    bare.equivalences = set()
+    return bare
+
+
 def test_assign_all_totality_matches_brute_enumeration():
-    for seed, asserted_only in itertools.product(range(300), (False, True)):
-        where = f"seed {seed} asserted_only={asserted_only}"
+    """Each seed's normalized model, and the same model without its
+    equivalences, which takes the count with no groups."""
+    for seed, asserted_only, grouped in itertools.product(
+        range(300), (False, True), (True, False)
+    ):
+        where = f"seed {seed} asserted_only={asserted_only} grouped={grouped}"
         model = normalize(random_model(seed)).model
+        if not grouped:
+            model = without_equivalences(model)
         annotated = assign_all(model, asserted_only=asserted_only)
+        assert bool(annotated.groups) == bool(model.equivalences), where
         expected = brute_table(model, asserted_only=asserted_only)
         got = {}
         for kind, key, entry in annotated.table.entries():

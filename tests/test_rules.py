@@ -270,3 +270,25 @@ def test_consistency_merges_equal_but_not_identical_keys():
     agreeing = [rules[0], (second, "B", Fraction(1, 2))]
     assert check_consistency(agreeing, annotated) == []
 
+
+def test_check_runs_without_groups_recounts_split_premises():
+    """With no equivalence groups the check counts distinct conclusions
+    itself: a premise split over two runs, adjacent or not, is still merged,
+    a repeated conclusion counts once, and two mu values are mixed."""
+    annotated = annotated_fixture("empty.owl")
+    assert not annotated.groups
+    key = ComplexKey.relation("r", "X")
+    half, third, one = Fraction(1, 2), Fraction(1, 3), Fraction(1)
+    cases = [
+        ([((key, half), ("A",)), (("q", one), ("B",)), ((key, half), ("C",))], []),
+        ([((key, half), ("A",)), ((key, half), ("A",))], ["identity-violation"]),
+        ([((key, half), ("A", "A"))], ["identity-violation"]),
+        ([((key, third), ("A", "B")), ((key, third), ("A",))], ["identity-violation"]),
+        ([((key, half), ("A",)), (("q", one), ("B",)), ((key, third), ("C",))], ["mixed-mu"]),
+        ([((key, half), ("A",)), ((key, half), ("A",)), ((key, third), ("C",))], ["mixed-mu"]),
+    ]
+    for runs, expected in cases:
+        violations = check_runs(runs, annotated)
+        assert [(v.code, v.location) for v in violations] == [(c, "r X") for c in expected], runs
+        rules = [(premise, c, mu) for (premise, mu), conclusions in runs for c in conclusions]
+        assert codes(check_consistency(rules, annotated)) == (expected,), runs
