@@ -32,6 +32,15 @@ def bits(row: int) -> list[int]:
     return found
 
 
+class PairLimitExceeded(OverflowError):
+    """The closure has more pairs than the limit; pairs is the count reached
+    when the search stopped."""
+
+    def __init__(self, pairs: int, limit: int) -> None:
+        super().__init__(f"reachable pair count exceeds limit {limit}")
+        self.pairs = pairs
+
+
 class Reachability:
     """The closure of a graph on nodes 0..n-1 as one int bitset row per node.
 
@@ -142,7 +151,7 @@ def reachable_pairs(n: int, edges, limit: int = 0) -> Reachability:
     """Everything reachable by a path of length >= 1, as a Reachability.
 
     Nodes are 0..n-1; duplicate edges count once.  When limit > 0 and the
-    closure would exceed limit pairs, OverflowError is raised.
+    closure would exceed limit pairs, PairLimitExceeded is raised.
     """
     successors: list[list[int]] = [[] for _ in range(n)]
     for u, v in dict.fromkeys(edges):
@@ -185,5 +194,5 @@ def reachable_pairs(n: int, edges, limit: int = 0) -> Reachability:
             count = counts[id(row)] = row.bit_count()
         total += count * len(component)
         if limit and total > limit:
-            raise OverflowError(f"reachable pair count exceeds limit {limit}")
+            raise PairLimitExceeded(total, limit)
     return Reachability(rows, cycles, successors, total)

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring as _quote
 from .errors import NotNormalized
 from .ingest import OWL_NS, RDF_NS, RDFS_NS, SCHEMA_VERSION
 from .membership import PART_OF, PROPERTY, AnnotatedOntology
-from .model import DATATYPE, INTERSECTION, INVERSE, OntologyModel
+from .model import DATATYPE, ELEMENT_KINDS, INTERSECTION, INVERSE, OBJECT, OntologyModel
 from .rules import premise_text, rule_runs
 
 
@@ -62,27 +62,25 @@ def model_to_obj(m: OntologyModel) -> dict:
             item["members"] = list(mod.members)
         modifiers.append(item)
 
-    return {
+    obj = {
         "classes": classes,
         "properties": [
             {"name": name, "kind": kind} for name, kind in sorted(m.properties.items())
-        ],
-        "holdings": [
-            {"property": prop, "holder": holder, "origin": origin}
-            for (prop, holder), origin in sorted(m.holdings.items())
-        ],
-        "relations": [
-            {"predicate": pred, "subject": subject, "object": obj, "origin": origin}
-            for (pred, subject, obj), origin in sorted(m.relations.items())
-        ],
-        "subclass": [
-            {"sub": sub, "super": sup, "origin": origin}
-            for (sub, sup), origin in sorted(m.subclass_axioms.items())
         ],
         "equivalences": [{"a": a, "b": b} for a, b in sorted(m.equivalences)],
         "modifiers": modifiers,
         "normalized": m.normalized,
     }
+    # a dict display per key length is as fast as constant keys; dict(zip(...)) is not
+    for kind in ELEMENT_KINDS:
+        items = sorted(getattr(m, kind.attr).items())
+        if len(kind.fields) == 2:
+            a, b = kind.fields
+            obj[kind.array] = [{a: x, b: y, "origin": origin} for (x, y), origin in items]
+        else:
+            a, b, c = kind.fields
+            obj[kind.array] = [{a: x, b: y, c: z, "origin": origin} for (x, y, z), origin in items]
+    return obj
 
 
 def emit_json(m: OntologyModel) -> bytes:
@@ -135,36 +133,26 @@ def emit_normalized_rdf(m: OntologyModel) -> bytes:
         else:
             lines.append(opener + "/>")
 
-    datatype_blocks = list(m.holdings)  # (property, holder or "")
-    object_blocks = list(m.relations)  # (predicate, subject or "", object or "")
-    emitted_props = {prop for prop, _ in datatype_blocks}
-    emitted_props.update(pred for pred, _, _ in object_blocks)
+    # one block per holding or relation, under the kind it needs, and a bare
+    # block for each declared property that none names
+    blocks = {kind.needs: list(getattr(m, kind.attr)) for kind in ELEMENT_KINDS if kind.needs}
+    emitted_props = {key[0] for keys in blocks.values() for key in keys}
     for name, kind in sorted(m.properties.items()):
-        if name in emitted_props:
-            continue
-        if kind == DATATYPE:
-            datatype_blocks.append((name, ""))
-        else:
-            object_blocks.append((name, "", ""))
+        if name not in emitted_props:
+            blocks[DATATYPE if kind == DATATYPE else OBJECT].append((name, ""))
 
-    for name, holder in sorted(datatype_blocks):
-        opener = f"  <owl:DatatypeProperty rdf:about={quoteattr('#' + name)}"
-        if holder:
-            lines.append(opener + ">")
-            lines.append(f"    <rdfs:domain rdf:resource={quoteattr('#' + holder)}/>")
-            lines.append("  </owl:DatatypeProperty>")
-        else:
-            lines.append(opener + "/>")
-
-    for name, subject, obj in sorted(object_blocks):
-        opener = f"  <owl:ObjectProperty rdf:about={quoteattr('#' + name)}"
-        if subject:
-            lines.append(opener + ">")
-            lines.append(f"    <rdfs:domain rdf:resource={quoteattr('#' + subject)}/>")
-            lines.append(f"    <rdfs:range rdf:resource={quoteattr('#' + obj)}/>")
-            lines.append("  </owl:ObjectProperty>")
-        else:
-            lines.append(opener + "/>")
+    for kind, tag in ((DATATYPE, "owl:DatatypeProperty"), (OBJECT, "owl:ObjectProperty")):
+        for name, *ends in sorted(blocks[kind]):  # ends: the domain, then the range if any
+            opener = f"  <{tag} rdf:about={quoteattr('#' + name)}"
+            if ends[0]:
+                lines.append(opener + ">")
+                lines.extend(
+                    f"    <rdfs:{end} rdf:resource={quoteattr('#' + target)}/>"
+                    for end, target in zip(("domain", "range"), ends)
+                )
+                lines.append(f"  </{tag}>")
+            else:
+                lines.append(opener + "/>")
 
     lines.append("</rdf:RDF>")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -23,7 +23,9 @@ from xml.parsers import expat
 from .errors import DuplicateIdentifier, MalformedDocument, UnsupportedConstruct
 from .model import (
     ASSERTED,
+    COLLECTIONS,
     DATATYPE,
+    ELEMENT_KINDS,
     INTERSECTION,
     INVERSE,
     OBJECT,
@@ -32,9 +34,6 @@ from .model import (
     Diagnostic,
     OntologyModel,
     RawModifier,
-    el_holding,
-    el_relation,
-    el_subclass,
 )
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -46,17 +45,7 @@ SCHEMA_VERSION = "fuzzonto/1"
 # a \uD800-\uDFFF escape: strict UTF-8 decoding lets no other lone surrogate in
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _MODIFIER_KINDS = (SYMMETRIC, TRANSITIVE, INVERSE, INTERSECTION)
-_MODEL_KEYS = {
-    "schema",
-    "classes",
-    "properties",
-    "holdings",
-    "relations",
-    "subclass",
-    "equivalences",
-    "modifiers",
-    "normalized",
-}
+_MODEL_KEYS = {"schema", *COLLECTIONS, "normalized"}
 
 
 def parse_document(data, fmt: str = "rdfxml", strict: bool = False) -> OntologyModel:
@@ -386,14 +375,12 @@ def load_json(data) -> OntologyModel:
             raise DuplicateIdentifier(f"{name!r} is both a class and a property")
         model.declare_property(name, kind)
 
-    for key, fields, add in (
-        ("holdings", ("property", "holder"), model.add_holding),
-        ("relations", ("predicate", "subject", "object"), model.add_relation),
-        ("subclass", ("sub", "super"), model.add_subclass),
-    ):
-        for i, item in enumerate(_array(doc, key)):
-            where = f"{key}[{i}]"
-            add(*[_field(item, name, str, where) for name in fields], _origin(item, where))
+    for kind in ELEMENT_KINDS:
+        elements = getattr(model, kind.attr)
+        for i, item in enumerate(_array(doc, kind.array)):
+            where = f"{kind.array}[{i}]"
+            key = tuple([_field(item, name, str, where) for name in kind.fields])
+            elements.setdefault(key, _origin(item, where))  # the first origin stays
 
     for i, item in enumerate(_array(doc, "equivalences")):
         where = f"equivalences[{i}]"
@@ -466,7 +453,9 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
 
     Holdings, relations and subclass axioms are filtered first: the names at
     each class or property position, less the declared ones, are the missing
-    names, and only the elements that hold one are sorted and rendered.
+    names, and only the elements that hold one are sorted and rendered.  A
+    property that its declaration and uses give both kinds is an error: the
+    RDF/XML writer would declare it as both, which the reader rejects.
     """
     out: list[Diagnostic] = []
     classes, properties = model.classes, model.properties
@@ -493,28 +482,25 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                 )
             )
 
-    used: set[str] = set()  # the properties that holdings and relations use
-    for elements, render, class_slots, property_slots in (
-        (model.holdings, el_holding, (1,), (0,)),
-        (model.relations, el_relation, (1, 2), (0,)),
-        (model.subclass_axioms, el_subclass, (0, 1), ()),
-    ):
+    used: dict[str, set[str]] = {DATATYPE: set(), OBJECT: set()}  # kind -> names used as one
+    for kind in ELEMENT_KINDS:
+        elements = getattr(model, kind.attr)
         missing: set[str] = set()
-        for i in class_slots:
+        for i in kind.class_slots:
             missing |= set(map(itemgetter(i), elements)).difference(classes)
-        for i in property_slots:
+        for i in kind.property_slots:
             names = set(map(itemgetter(i), elements))
-            used |= names
+            used[kind.needs] |= names
             missing |= names.difference(properties)
         if not missing:
             continue
         # a name may be missing as a class and declared as a property, or the
         # other way round; the checks below tell
         for key in sorted(key for key in elements if not missing.isdisjoint(key)):
-            where = render(*key)
-            for i in class_slots:
+            where = kind.render(*key)
+            for i in kind.class_slots:
                 check_class(key[i], where)
-            for i in property_slots:
+            for i in kind.property_slots:
                 check_property(key[i], where)
     # not el_equivalence, which sorts: a library caller can put an unsorted
     # pair in the set, and its location shows the pair as it is
@@ -537,9 +523,9 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                 check_class(member, where)
         else:
             check_property(m.target, where)
-            used.add(m.target)
+            used[OBJECT].add(m.target)
         if m.kind == INVERSE and m.counterpart is not None:
-            used.add(m.counterpart)
+            used[OBJECT].add(m.counterpart)
             if m.counterpart not in model.properties:
                 out.append(
                     Diagnostic(
@@ -550,12 +536,25 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                     )
                 )
 
-    for name in sorted(properties.keys() - used):
+    for name in sorted(properties.keys() - used[DATATYPE] - used[OBJECT]):
         out.append(
             Diagnostic(
                 "property-unused",
                 "warning",
                 f"property {name} has no domain/range assertions",
+                name,
+            )
+        )
+
+    # a property has one kind, which its declaration and every use must agree on
+    for name, kind in properties.items():
+        used.setdefault(kind, set()).add(name)
+    for name in sorted(used[DATATYPE] & used[OBJECT]):
+        out.append(
+            Diagnostic(
+                "property-kind-conflict",
+                "error",
+                f"property {name} used both as datatype and as object",
                 name,
             )
         )

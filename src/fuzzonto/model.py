@@ -7,6 +7,8 @@ element collection maps that tuple to the element's origin tag, so
 re-deriving an existing element is a no-op and the first origin wins.  Models
 are treated as immutable once built: the rewrite passes copy before mutating.
 The el_* functions render one element as traces and diagnostics print it.
+COLLECTIONS and ELEMENT_KINDS state the model's shape once, for the copy,
+the counts, the JSON forms and validation.
 """
 
 from __future__ import annotations
@@ -81,6 +83,36 @@ def el_modifier(mod: RawModifier) -> str:
     if mod.kind == INTERSECTION:
         return f"intersection {mod.target} = {' & '.join(mod.members)}"
     return f"{mod.kind} {mod.target}"
+
+
+# -- the model's shape -------------------------------------------------------------
+
+# each collection's JSON and report name -> its attribute
+COLLECTIONS = {
+    "classes": "classes",
+    "properties": "properties",
+    "holdings": "holdings",
+    "relations": "relations",
+    "subclass": "subclass_axioms",
+    "equivalences": "equivalences",
+    "modifiers": "modifiers",
+}
+
+
+# one kind of element that maps its identity tuple to its origin: its JSON
+# array, its attribute, its JSON field names in key order, its el_* renderer,
+# the key positions that name classes and properties, and the kind (DATATYPE
+# or OBJECT) that a property at those positions must have
+ElementKind = namedtuple("ElementKind", "array attr fields render class_slots property_slots needs")
+
+ELEMENT_KINDS = (
+    ElementKind("holdings", "holdings", ("property", "holder"), el_holding, (1,), (0,), DATATYPE),
+    ElementKind(
+        "relations", "relations", ("predicate", "subject", "object"), el_relation, (1, 2), (0,),
+        OBJECT,
+    ),
+    ElementKind("subclass", "subclass_axioms", ("sub", "super"), el_subclass, (0, 1), (), None),
+)
 
 
 class OntologyModel:
@@ -163,56 +195,37 @@ class OntologyModel:
         return sorted(self.modifiers, key=RawModifier.key)
 
     def element_count(self) -> int:
-        return (
-            len(self.classes)
-            + len(self.holdings)
-            + len(self.relations)
-            + len(self.subclass_axioms)
-            + len(self.equivalences)
-            + len(self.modifiers)
-        )
+        total = sum(len(getattr(self, attr)) for attr in COLLECTIONS.values())
+        return total - len(self.properties)  # a property declaration is no element
 
     def counts(self) -> dict[str, int]:
-        return {
-            "classes": len(self.classes),
-            "properties": len(self.properties),
-            "holdings": len(self.holdings),
-            "relations": len(self.relations),
-            "subclass": len(self.subclass_axioms),
-            "equivalences": len(self.equivalences),
-            "modifiers": len(self.modifiers),
-            "total": self.element_count(),
-        }
+        counts = {name: len(getattr(self, attr)) for name, attr in COLLECTIONS.items()}
+        counts["total"] = self.element_count()
+        return counts
 
     # -- copying / equality ------------------------------------------------
 
     def copy(self) -> OntologyModel:
         new = OntologyModel()
-        new.classes = dict(self.classes)
-        new.properties = dict(self.properties)
-        new.holdings = dict(self.holdings)
-        new.relations = dict(self.relations)
-        new.subclass_axioms = dict(self.subclass_axioms)
-        new.equivalences = set(self.equivalences)
-        new.modifiers = set(self.modifiers)
+        for attr in COLLECTIONS.values():
+            setattr(new, attr, getattr(self, attr).copy())
         new.normalized = self.normalized
         new.parse_warnings = self.parse_warnings
         return new
 
     def canonical(self, with_origins: bool = True) -> tuple:
-        def elements(origin_of: dict) -> tuple:
-            return tuple(sorted(origin_of.items() if with_origins else origin_of))
-
-        return (
-            tuple(sorted(self.classes.items())),
-            tuple(sorted(self.properties.items())),
-            elements(self.holdings),
-            elements(self.relations),
-            elements(self.subclass_axioms),
-            tuple(sorted(self.equivalences)),
-            tuple(m.key() for m in self.sorted_modifiers()),
-            self.normalized,
-        )
+        """Each collection sorted, in COLLECTIONS order, then the normalized
+        flag; without origins an element kind gives its sorted keys."""
+        keys_only = () if with_origins else [kind.attr for kind in ELEMENT_KINDS]
+        parts = []
+        for attr in COLLECTIONS.values():
+            value = getattr(self, attr)
+            if attr == "modifiers":
+                value = map(RawModifier.key, value)
+            elif isinstance(value, dict) and attr not in keys_only:
+                value = value.items()
+            parts.append(tuple(sorted(value)))
+        return (*parts, self.normalized)
 
     def same_elements(self, other: OntologyModel) -> bool:
         """Structural equality ignoring origin tags and the normalized flag."""

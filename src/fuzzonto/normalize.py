@@ -14,9 +14,11 @@ Passes repeat until one leaves the model unchanged, so elements produced by
 stage 2 (say, a relation expanded from a symmetric property) still feed
 stage-1 rules on the next pass.  Every rule only ever adds elements or drops
 the modifiers, so the fixpoint exists; a configurable element budget guards
-against pathological blow-up.  One _Run object carries a run's state: the
-bound, the warnings, what each rule keeps from pass to pass, and the tally
-and traces.
+against pathological blow-up.  The budget refuses each batch of insertions
+that would take the model past it, before the batch goes in, and a closure
+stops as soon as its pairs pass the room that is left.  One _Run object
+carries a run's state: the model, the bound, the warnings, what each rule
+keeps from pass to pass, and the tally and traces.
 
 Passes after the first only redo what the previous pass's additions call for
 (semi-naive evaluation): the subclass closure reruns only when the axiom set
@@ -112,13 +114,14 @@ class NormalizeResult:
 
 
 class _Run:
-    """One normalize run: the element bound, the tally, the traces when
-    tracing, the warnings, and what the rules carry from pass to pass, so that
-    a pass redoes only what the previous pass's additions call for.  A fresh
-    instance makes every rule start from scratch.
+    """One normalize run: the model it rewrites, the element bound, the tally,
+    the traces when tracing, the warnings, and what the rules carry from pass
+    to pass, so that a pass redoes only what the previous pass's additions
+    call for.  A fresh instance makes every rule start from scratch.
     """
 
-    def __init__(self, trace: bool, bound: int) -> None:
+    def __init__(self, m: OntologyModel, trace: bool, bound: int) -> None:
+        self.m = m
         self.trace = trace
         self.bound = bound
         self.tally = dict.fromkeys(ALL_RULES, 0)
@@ -130,6 +133,14 @@ class _Run:
         self.equivalences = 0  # len(equivalences) that group_of was built from
         self.group_of: dict[str, tuple[str, ...]] = {}  # name -> its group, sorted
         self.copied = (0, 0)  # len(holdings), len(relations) at the last copy
+
+    def admit(self, growth: int) -> None:
+        """Refuse a batch of growth new elements that would take the model
+        past the bound; FixpointOverflow gives the count it would reach."""
+        if self.bound:
+            count = self.m.element_count() + growth
+            if count > self.bound:
+                raise FixpointOverflow(count, self.bound)
 
     def record(self, rule: str, batch, render) -> None:
         """Count the elements of one batch that rule inserted.  render(item)
@@ -143,7 +154,9 @@ class _Run:
     def add(self, elements: dict, rule: str, keys, render) -> bool:
         """Insert keys with origin rule in one update, record them as one
         batch and say whether any went in.  The keys are distinct and none is
-        present yet, so no origin is overwritten."""
+        present yet, so no origin is overwritten, and the model grows by
+        len(keys), which the bound must allow."""
+        self.admit(len(keys))
         elements.update(zip(keys, repeat(rule)))
         self.record(rule, keys, render)
         return bool(keys)
@@ -233,14 +246,26 @@ def _sources(names: list[str], rows: list[int], u: int, v: int, render) -> tuple
     return () if w is None else (render(names[u], names[w]), render(names[w], names[v]))
 
 
-def _close(edges, run: _Run):
-    """Transitive closure of a graph given as (name, name) edges: the sorted
-    node names, their index and the kernel's Reachability."""
+def _close(edges, run: _Run, drops_self_pairs: bool = False):
+    """Transitive closure of a graph given as distinct (name, name) edges,
+    which are elements already: the sorted node names, their index and the
+    kernel's Reachability.
+
+    The kernel's pair limit is the room left in the budget plus the pairs
+    that add no element: the edges, and one self-pair per node when the
+    caller drops those.  Pairs past it would take the model past the bound,
+    and FixpointOverflow gives the count that the pairs found so far make.
+    """
     names = sorted({n for edge in edges for n in edge})
     index = {n: i for i, n in enumerate(names)}
-    reach = closure.reachable_pairs(
-        len(names), [(index[a], index[b]) for a, b in edges], limit=run.bound
-    )
+    free = len(edges) + (len(names) if drops_self_pairs else 0)
+    limit = run.bound - run.m.element_count() + free if run.bound else 0
+    try:
+        reach = closure.reachable_pairs(
+            len(names), [(index[a], index[b]) for a, b in edges], limit=limit
+        )
+    except closure.PairLimitExceeded as exc:
+        raise FixpointOverflow(run.m.element_count() - free + exc.pairs, run.bound) from None
     return names, index, reach
 
 
@@ -268,6 +293,7 @@ def _merge_cycles(m: OntologyModel, run: _Run, cycles: list[list[str]]) -> bool:
             )
         head = cycle[0]  # the least member, so (head, other) is the stored order
         batch = [(head, other) for other in cycle[1:] if (head, other) not in m.equivalences]
+        run.admit(len(batch))
         m.equivalences.update(batch)
         changed |= bool(batch)
         run.record(
@@ -286,7 +312,7 @@ def _close_subclass_hierarchy(m: OntologyModel, run: _Run) -> bool:
     # only the closure drops axioms, so an unchanged count means an unchanged set
     if not axioms or len(axioms) == run.closed:
         return False  # nothing to close, or closed already by the last run
-    names, index, reach = _close(axioms, run)
+    names, index, reach = _close(axioms, run, drops_self_pairs=True)
     # components are sorted and names is sorted, so index order is name order
     cycles = [[names[u] for u in cycle] for cycle in sorted(reach.cycles)]
     changed = _merge_cycles(m, run, cycles)
@@ -525,22 +551,18 @@ def normalize(
     """
     work = m.copy()
     work.normalized = False
-    run = _Run(trace, bound)
+    run = _Run(work, trace, bound)
+    run.admit(0)  # the input may be past the bound already
     passes = 0
 
     changed = True
     while changed:
-        try:
-            # every rule runs; |= does not short-circuit
-            changed = _propagate_equivalents(work, run)
-            changed |= _close_subclass_hierarchy(work, run)
-            changed |= _lift_relations(work, run)
-            changed |= _rewrite_modifiers(work, run)
-        except OverflowError:
-            raise FixpointOverflow(work.element_count(), bound) from None
+        # every rule runs; |= does not short-circuit
+        changed = _propagate_equivalents(work, run)
+        changed |= _close_subclass_hierarchy(work, run)
+        changed |= _lift_relations(work, run)
+        changed |= _rewrite_modifiers(work, run)
         passes += 1
-        if bound and work.element_count() > bound:
-            raise FixpointOverflow(work.element_count(), bound)
 
     work.normalized = True
     return NormalizeResult(work, tuple(run.traces), tuple(run.warnings), passes, run.tally)

@@ -267,7 +267,7 @@ def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
     """
     work = m.copy()
     work.normalized = False
-    run = _Run(True, bound)
+    run = _Run(work, True, bound)
     passes = 0
     while True:
         before = work.canonical()
@@ -396,6 +396,29 @@ def reference_validate_model(model: OntologyModel) -> list:
                     "property-unused",
                     "warning",
                     f"property {name} has no domain/range assertions",
+                    name,
+                )
+            )
+
+    kinds: dict = {}  # property name -> the kinds its declaration and uses give it
+    for name, kind in model.properties.items():
+        kinds.setdefault(name, set()).add(kind)
+    for prop, _ in model.holdings:
+        kinds.setdefault(prop, set()).add(DATATYPE)
+    for pred, _, _ in model.relations:
+        kinds.setdefault(pred, set()).add(OBJECT)
+    for m in model.modifiers:
+        if m.kind != INTERSECTION:
+            kinds.setdefault(m.target, set()).add(OBJECT)
+        if m.kind == INVERSE and m.counterpart is not None:
+            kinds.setdefault(m.counterpart, set()).add(OBJECT)
+    for name in sorted(kinds):
+        if {DATATYPE, OBJECT} <= kinds[name]:
+            out.append(
+                Diagnostic(
+                    "property-kind-conflict",
+                    "error",
+                    f"property {name} used both as datatype and as object",
                     name,
                 )
             )

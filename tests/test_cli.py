@@ -159,6 +159,50 @@ def test_exit_2_on_validation_errors_in_strict_mode(tmp_path, capsys):
     assert code == 0  # warnings only without --strict
 
 
+_RDF_OPEN = (
+    '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+    ' xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"'
+    ' xmlns:owl="http://www.w3.org/2002/07/owl#">'
+)
+_DATATYPE_P = (
+    '<owl:DatatypeProperty rdf:ID="p"><rdfs:domain rdf:resource="#A"/></owl:DatatypeProperty>'
+)
+_RELATION_P = '<owl:Class rdf:ID="A"><p rdf:resource="#B"/></owl:Class>'
+
+
+@pytest.mark.parametrize(
+    "text, conflicting",
+    [
+        (_RDF_OPEN + _DATATYPE_P + _RELATION_P + "</rdf:RDF>", "p"),
+        (_RDF_OPEN + _RELATION_P + _DATATYPE_P + "</rdf:RDF>", "p"),
+        (
+            '{"schema": "fuzzonto/1", "classes": [{"name": "A"}, {"name": "B"}],'
+            ' "properties": [{"name": "p", "kind": "object"}, {"name": "q", "kind": "datatype"}],'
+            ' "holdings": [{"property": "q", "holder": "A"}],'
+            ' "relations": [{"predicate": "p", "subject": "A", "object": "B"}],'
+            ' "modifiers": [{"kind": "inverse", "target": "p", "counterpart": "q"}]}',
+            "q",
+        ),
+    ],
+    ids=["datatype-first", "class-first", "inverse-of-datatype"],
+)
+def test_strict_refuses_a_property_used_with_both_kinds(tmp_path, capsys, text, conflicting):
+    """Such a model would come out of normalize --format rdfxml with the
+    property declared as both kinds, which the RDF/XML reader rejects; under
+    --strict it is a validation error and nothing is written."""
+    source, out = tmp_path / "source", tmp_path / "normalized.owl"
+    source.write_text(text)
+    code, _, err = run(
+        capsys, "normalize", str(source), "--format", "rdfxml", "--strict", "--out", str(out)
+    )
+    assert code == 2
+    assert err == (
+        f"error[property-kind-conflict]: property {conflicting} used both as datatype"
+        f" and as object ({conflicting})\n"
+    )
+    assert not out.exists()
+
+
 def test_exit_3_on_unsupported_construct_in_strict_mode(tmp_path, capsys):
     doc = tmp_path / "union.owl"
     doc.write_text(

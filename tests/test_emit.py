@@ -28,7 +28,7 @@ from fuzzonto.emit import (
 from fuzzonto.membership import ComplexKey
 from fuzzonto.normalize import RewriteTrace
 from fuzzonto.rules import generate_rules, premise_text, rule_runs
-from randmodels import random_model
+from randmodels import intersection_model, random_model
 
 
 @pytest.mark.parametrize(
@@ -96,10 +96,14 @@ IRI_MODEL = json.dumps(
 
 
 def test_emit_json_round_trips_normalized_fixture():
-    """Every fixture and 200 random models, normalized: the reloaded model has
-    the same elements with the same origins and the same class IRIs."""
+    """Every fixture and 200 random models, normalized, and 200 random models
+    with and 200 without intersections before normalizing, which covers
+    modifiers, intersection member order and the normalized flag: the
+    reloaded model has the same elements with the same origins and the same
+    class IRIs."""
     models = [normalize_fixture(name).model for name in FIXTURE_NAMES]
     models += [normalize(random_model(seed)).model for seed in range(200)]
+    models += [make(seed) for make in (random_model, intersection_model) for seed in range(200)]
     models.append(load_json(IRI_MODEL))
     derived = 0
     for model in models:
@@ -157,12 +161,17 @@ def test_emit_rdf_one_property_block_per_relation():
     assert "owl:SymmetricProperty" not in text
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["random_model"])
 def test_emit_rdf_round_trips_through_parse_and_normalize(name):
-    model = normalize_fixture(name).model
-    reparsed = parse_document(emit_normalized_rdf(model), "rdfxml")
-    again = normalize(reparsed).model
-    assert again.same_elements(model), name
+    """Every fixture, and random_model seeds 0-199, normalized."""
+    if name == "random_model":
+        models = [normalize(random_model(seed)).model for seed in range(200)]
+    else:
+        models = [normalize_fixture(name).model]
+    for i, model in enumerate(models):
+        reparsed = parse_document(emit_normalized_rdf(model), "rdfxml")
+        again = normalize(reparsed).model
+        assert again.same_elements(model), f"{name} {i}"
 
 
 def test_annotated_json_shape():

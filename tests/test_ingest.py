@@ -408,5 +408,6 @@ def test_validate_matches_the_sort_everything_oracle():
         "undeclared-inverse",
         "self-equivalence",
         "property-unused",
+        "property-kind-conflict",
         "modifiers-in-normalized",
     }

@@ -13,6 +13,7 @@ import fuzzonto
 from fuzzonto import FixpointOverflow, OntologyModel, closure, normalize
 from fuzzonto.model import INTERSECTION, INVERSE, SYMMETRIC, TRANSITIVE, RawModifier
 from fuzzonto.normalize import (
+    DEFAULT_BOUND,
     RULE_EQUIV_PROPERTY,
     RULE_EQUIV_RELATION,
     RULE_INTERSECTION,
@@ -46,7 +47,7 @@ def apply(rule, m: OntologyModel, warnings=None) -> OntologyModel:
     """One private rule on a copy of m, from a fresh run with no bound; the
     original is left as it was.  The run's warnings go to warnings."""
     out = m.copy()
-    run = _Run(True, 0)
+    run = _Run(out, True, 0)
     rule(out, run)
     if warnings is not None:
         warnings += run.warnings
@@ -390,6 +391,59 @@ def test_trace_sources_reference_output_elements():
 def test_fixpoint_overflow_on_tiny_budget():
     with pytest.raises(FixpointOverflow):
         normalize(parse_fixture("subclass_chain.owl"), bound=2)
+
+
+def test_closure_past_the_budget_reports_a_count_past_the_bound():
+    """A 500-class chain has 999 elements and its closure 124,750 axioms: the
+    kernel stops once the pairs pass the room left in the budget, and the
+    count reported is past the bound, not the count before the closure."""
+    m = OntologyModel()
+    names = [f"C{i:03d}" for i in range(500)]
+    for name in names:
+        m.touch_class(name)
+    for sub, sup in zip(names[1:], names):
+        m.add_subclass(sub, sup)
+    with pytest.raises(FixpointOverflow) as exc:
+        normalize(m)
+    assert exc.value.bound == DEFAULT_BOUND
+    assert exc.value.count > DEFAULT_BOUND
+    # a bound the closed model meets exactly is no overflow
+    assert normalize(m, bound=500 + 124_750).model.element_count() == 500 + 124_750
+    # nor is one that only the dropped self-pairs of a cycle would pass:
+    # 3 classes, 6 axioms and 2 equivalences, from 9 closure pairs
+    cycle = OntologyModel()
+    for sub, sup in (("A", "B"), ("B", "C"), ("C", "A")):
+        cycle.touch_class(sub)
+        cycle.add_subclass(sub, sup)
+    assert normalize(cycle, bound=11).model.element_count() == 11
+    with pytest.raises(FixpointOverflow) as exc:
+        normalize(cycle, bound=10)
+    assert exc.value.count == 11
+
+
+def test_budget_refuses_the_batch_that_crosses_it():
+    """The equivalence copy adds 5 holdings and crosses the bound; the pass
+    would go on to mirror 3 relations, but the overflow comes at the copy
+    and reports the count with its batch."""
+    m = OntologyModel()
+    for name in ("A", "B", "X", "Y", "Z"):
+        m.touch_class(name)
+    m.add_equivalence("A", "B")
+    for k in range(5):
+        m.declare_property(f"p{k}", "datatype")
+        m.add_holding(f"p{k}", "A")
+    m.declare_property("r", "object")
+    for subject, obj in (("X", "Y"), ("Y", "Z"), ("X", "Z")):
+        m.add_relation("r", subject, obj)
+    m.add_modifier(RawModifier(SYMMETRIC, "r"))
+    before = m.element_count()
+    with pytest.raises(FixpointOverflow) as exc:
+        normalize(m, bound=before + 4)
+    assert exc.value.count == before + 5
+    # the input past the bound is refused before any rule runs
+    with pytest.raises(FixpointOverflow) as exc:
+        normalize(m, bound=before - 1)
+    assert exc.value.count == before
 
 
 def test_transitive_closure_matches_oracle_through_normalize():
