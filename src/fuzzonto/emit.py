@@ -2,21 +2,21 @@
 
 Everything here is byte-deterministic: collections are emitted in canonical
 sort order, JSON uses sorted keys and a fixed indent, and the RDF/XML writer
-builds the document textually from sorted blocks.  Exact rational mu values
-are rendered to six decimal places (banker's rounding) only at this layer.
+builds the document textually from sorted blocks.  A grade mu = 1/n arrives
+as the integer n and is rendered as num 1, den n and 1/n to six decimal
+places (banker's rounding) only at this layer.
 
-The rules writers work on runs of rules that share premise and mu (see
+The rules writers work on runs of rules that share premise and n (see
 rules.py).  The rules JSON and text, the traces and the traced report each
 have one writer that yields chunks, one per run or trace, for the CLI to
 write in blocks; a caller that wants one document joins them, as
 ``b"".join(runs_json_chunks(runs))``; the list shim ``rules_to_json`` does
-that for (premise, conclusion, mu) tuples, grouped into runs first.
+that for (premise, conclusion, n) tuples, grouped into runs first.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring as _quote
 
 from .errors import NotNormalized
@@ -26,14 +26,13 @@ from .model import DATATYPE, ELEMENT_KINDS, INTERSECTION, INVERSE, OBJECT, Ontol
 from .rules import premise_text, rule_runs
 
 
-def decimal6(value: Fraction) -> str:
-    """Six-fractional-digit decimal string, round half to even, exact at any
-    size; a negative value keeps its sign when it rounds to zero."""
-    millionths, rest = divmod(abs(value.numerator) * 10**6, value.denominator)
-    if 2 * rest > value.denominator or (2 * rest == value.denominator and millionths & 1):
+def decimal6(n: int) -> str:
+    """1/n as a six-fractional-digit decimal string, round half to even."""
+    millionths, rest = divmod(10**6, n)
+    if 2 * rest > n or (2 * rest == n and millionths & 1):
         millionths += 1
     whole, fraction = divmod(millionths, 10**6)
-    return f"{'-' if value.numerator < 0 else ''}{whole}.{fraction:06d}"
+    return f"{whole}.{fraction:06d}"
 
 
 def dump_json(obj) -> bytes:
@@ -139,12 +138,12 @@ def emit_normalized_rdf(m: OntologyModel) -> bytes:
     emitted_props = {key[0] for keys in blocks.values() for key in keys}
     for name, kind in sorted(m.properties.items()):
         if name not in emitted_props:
-            blocks[DATATYPE if kind == DATATYPE else OBJECT].append((name, ""))
+            blocks[DATATYPE if kind == DATATYPE else OBJECT].append((name,))
 
     for kind, tag in ((DATATYPE, "owl:DatatypeProperty"), (OBJECT, "owl:ObjectProperty")):
         for name, *ends in sorted(blocks[kind]):  # ends: the domain, then the range if any
             opener = f"  <{tag} rdf:about={quoteattr('#' + name)}"
-            if ends[0]:
+            if ends:
                 lines.append(opener + ">")
                 lines.extend(
                     f"    <rdfs:{end} rdf:resource={quoteattr('#' + target)}/>"
@@ -161,8 +160,8 @@ def emit_normalized_rdf(m: OntologyModel) -> bytes:
 # -- membership and rules -----------------------------------------------------------
 
 
-def mu_to_obj(mu: Fraction) -> dict:
-    return {"num": mu.numerator, "den": mu.denominator, "decimal": decimal6(mu)}
+def mu_to_obj(n: int) -> dict:
+    return {"num": 1, "den": n, "decimal": decimal6(n)}
 
 
 def _key_to_obj(kind: str, key) -> dict:
@@ -178,7 +177,7 @@ def annotated_to_json(annotated: AnnotatedOntology) -> bytes:
         {
             "key": _key_to_obj(kind, key),
             "kind": kind,
-            "mu": mu_to_obj(entry.mu),
+            "mu": mu_to_obj(entry.n),
             "determiners": list(entry.determiners),
         }
         for kind, key, entry in annotated.table.entries()
@@ -212,10 +211,10 @@ def _premise_block(premise) -> str:
     )
 
 
-def _mu_block(mu: Fraction) -> str:
+def _mu_block(n: int) -> str:
     return (
-        f'{{\n        "decimal": "{decimal6(mu)}",\n'
-        f'        "den": {mu.denominator},\n        "num": {mu.numerator}\n      }}'
+        f'{{\n        "decimal": "{decimal6(n)}",\n'
+        f'        "den": {n},\n        "num": 1\n      }}'
     )
 
 
@@ -237,11 +236,10 @@ def runs_json_chunks(runs):
     head = '    {\n      "category": "identifying",\n      "conclusion": '
     yield b'{\n  "rules": ['
     sep = "\n"
-    for (premise, mu), conclusions in runs:
-        mu_key = (mu.numerator, mu.denominator)  # cheaper to hash than a Fraction
-        mu_block = mu_blocks.get(mu_key)
+    for (premise, n), conclusions in runs:
+        mu_block = mu_blocks.get(n)
         if mu_block is None:
-            mu_block = mu_blocks[mu_key] = _mu_block(mu)
+            mu_block = mu_blocks[n] = _mu_block(n)
         tail = (
             f',\n      "mu": {mu_block},\n'
             f'      "premise": {_premise_block(premise)}\n    }}'
@@ -257,11 +255,10 @@ def runs_text_chunks(runs):
     """One "IF premise (mu=...) THEN conclusion" line per rule, one chunk per
     run; the line prefix is built once per run."""
     decimals: dict = {}
-    for (premise, mu), conclusions in runs:
-        mu_key = (mu.numerator, mu.denominator)
-        decimal = decimals.get(mu_key)
+    for (premise, n), conclusions in runs:
+        decimal = decimals.get(n)
         if decimal is None:
-            decimal = decimals[mu_key] = decimal6(mu)
+            decimal = decimals[n] = decimal6(n)
         prefix = f"IF {premise_text(premise)} (mu={decimal}) THEN "
         yield prefix + ("\n" + prefix).join(conclusions) + "\n"
 

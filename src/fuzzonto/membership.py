@@ -9,10 +9,10 @@ one per equivalence group:
 * any other relation complex (one per distinct predicate/object pair) is
   determined by the subjects pointing at its resulting class.
 
-Values are exact rationals, one ``Fraction`` per distinct n; rendering to
-decimals happens at serialization only.  After assignment, determining sets
-are widened so that every member of an equivalence group appears wherever
-its representative does — mu itself never changes, because n is counted over
+An entry holds the integer n, not 1/n: every grade is a unit fraction, and
+the writers render 1/n.  After assignment, determining sets are widened so
+that every member of an equivalence group appears wherever its
+representative does — n itself never changes, because it is counted over
 representatives.
 
 The equivalence groups are the map ``closure.groups`` returns: each class in
@@ -27,8 +27,6 @@ sorts the keys for the assign JSON, ``rules.premise_runs`` by premise text.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 
 from . import closure
@@ -68,8 +66,8 @@ class ComplexKey(namedtuple("ComplexKey", "kind predicate resulting_class")):
         return f"{self.predicate} {self.resulting_class}"
 
 
-class MembershipEntry(namedtuple("MembershipEntry", "mu determiners")):
-    """A key's mu (a Fraction) and its determining classes, sorted; widened
+class MembershipEntry(namedtuple("MembershipEntry", "n determiners")):
+    """A key's n, for mu = 1/n, and its determining classes, sorted; widened
     by copy_to_equivalents."""
 
     __slots__ = ()
@@ -127,13 +125,6 @@ _DETERMINED_BY = {
 }
 
 
-@lru_cache(maxsize=4096)
-def _unit_fraction(n: int) -> Fraction:
-    """1/n, one shared object per n: a Fraction is immutable, and the bound
-    caps what a long-lived process keeps."""
-    return Fraction(1, n)
-
-
 def _entries(m: OntologyModel, kind: str, groups: dict, asserted_only: bool) -> dict:
     """Every key of one kind mapped to its entry, from a determiner index
     built in one pass: property -> holders, superclass -> subclasses, or
@@ -153,7 +144,7 @@ def _entries(m: OntologyModel, kind: str, groups: dict, asserted_only: bool) -> 
     for key, determiners in index.items():
         determiners.sort()
         n = len(representatives(groups, determiners)) if groups else len(determiners)
-        index[key] = _new(MembershipEntry, (_unit_fraction(n), tuple(determiners)))
+        index[key] = _new(MembershipEntry, (n, tuple(determiners)))
     return index
 
 
@@ -180,7 +171,7 @@ def assign_relation_mu(
 def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
     """Widen every determining set with the equivalents of its members.
 
-    mu values stay as computed: representatives of the widened set are the
+    n stays as computed: representatives of the widened set are the
     representatives of the original set.  With no groups, annotated itself
     is returned.
     """
@@ -195,7 +186,7 @@ def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
         widened = set(entry.determiners)
         for name in in_groups & widened:
             widened.update(group_of[name])
-        return MembershipEntry(entry.mu, tuple(sorted(widened)))
+        return MembershipEntry(entry.n, tuple(sorted(widened)))
 
     table = MembershipTable(
         property_mu={k: widen(v) for k, v in annotated.table.property_mu.items()},

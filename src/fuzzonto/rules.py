@@ -1,16 +1,17 @@
 """Identifying fuzzy rules from an annotated ontology.
 
 Each table key becomes a premise; each class in its (widened) determining set
-becomes one conclusion.  Rules therefore satisfy, by construction,
-mu(premise) * |representative conclusions| = 1 — the check re-verifies that
-identity from the rules alone.  Every rule is identifying, so a rule carries
-no category; the writers print the one there is.
+becomes one conclusion.  A rule's grade is mu = 1/n, carried as the integer
+n, so rules satisfy, by construction, n = |representative conclusions| —
+the check re-verifies that identity from the rules alone.  Every rule is
+identifying, so a rule carries no category; the writers print the one there
+is.
 
-All rules of one key share its premise and mu, so the rules API is runs:
-``((premise, mu), conclusions)`` pairs.  ``premise_runs`` builds them with
+All rules of one key share its premise and n, so the rules API is runs:
+``((premise, n), conclusions)`` pairs.  ``premise_runs`` builds them with
 one sort by premise text, and the CLI hands them to ``check_runs`` and the
 writers.  ``generate_rules``, ``check_consistency`` and ``emit.rules_to_json``
-are list shims over plain ``(premise, conclusion, mu)`` tuples, kept because
+are list shims over plain ``(premise, conclusion, n)`` tuples, kept because
 the traced benchmark harness times them.
 """
 
@@ -42,12 +43,12 @@ def premise_runs(annotated: AnnotatedOntology) -> list[tuple]:
     for here, after in zip(premises, premises[1:] + [(None,)]):
         if here[0] != after[0] and not alike:
             _, key, entry = here
-            runs.append(((key, entry.mu), entry.determiners))
+            runs.append(((key, entry.n), entry.determiners))
             continue
         alike.append(here)
         if here[0] != after[0]:  # the last of them: table order (properties first), then conclusion
             alike.sort(key=lambda premise: (not isinstance(premise[1], str), premise[1]))
-            merged = [(key, c, entry.mu) for _, key, entry in alike for c in entry.determiners]
+            merged = [(key, c, entry.n) for _, key, entry in alike for c in entry.determiners]
             merged.sort(key=itemgetter(1))  # stable
             runs += rule_runs(merged)
             alike = []
@@ -55,23 +56,18 @@ def premise_runs(annotated: AnnotatedOntology) -> list[tuple]:
 
 
 def generate_rules(annotated: AnnotatedOntology) -> list[tuple]:
-    """List shim: the rules of premise_runs as (premise, conclusion, mu)
+    """List shim: the rules of premise_runs as (premise, conclusion, n)
     tuples, in the same order."""
     return [
-        (premise, conclusion, mu)
-        for (premise, mu), conclusions in premise_runs(annotated)
+        (premise, conclusion, n)
+        for (premise, n), conclusions in premise_runs(annotated)
         for conclusion in conclusions
     ]
 
 
 def rule_runs(rules):
-    """Maximal runs of consecutive rules that share premise and mu, as
-    ((premise, mu), conclusions) pairs, conclusions a tuple.
-
-    Fields compare by identity first, so on generator output, where a
-    premise's rules share one key and one mu object, only run boundaries
-    reach ``__eq__``.
-    """
+    """Maximal runs of consecutive rules that share premise and n, as
+    ((premise, n), conclusions) pairs, conclusions a tuple."""
     for shared, run in groupby(rules, itemgetter(0, 2)):
         yield shared, tuple(map(itemgetter(1), run))
 
@@ -98,10 +94,10 @@ def check_runs(runs, annotated: AnnotatedOntology) -> list[Diagnostic]:
 
     groups = annotated.groups
     out: list[Diagnostic] = []
-    for premise, ((_, mu), conclusions) in first.items():
+    for premise, ((_, n), conclusions) in first.items():
         parts = split.get(premise)
         if parts is not None:
-            if any(other is not mu and other != mu for (_, other), _ in parts):
+            if any(other != n for (_, other), _ in parts):
                 text = premise_text(premise)
                 values = len({other for (_, other), _ in parts})
                 out.append(
@@ -115,13 +111,13 @@ def check_runs(runs, annotated: AnnotatedOntology) -> list[Diagnostic]:
                 continue
             conclusions = [c for _, part in parts for c in part]
         reps = len(representatives(groups, conclusions) if groups else set(conclusions))
-        if mu.numerator * reps != mu.denominator:
+        if reps != n:
             text = premise_text(premise)
             out.append(
                 Diagnostic(
                     "identity-violation",
                     "error",
-                    f"premise {text!r}: mu={mu} but {reps} representative conclusions",
+                    f"premise {text!r}: mu=1/{n} but {reps} representative conclusions",
                     text,
                 )
             )

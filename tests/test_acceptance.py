@@ -7,7 +7,6 @@ the run log; run `pytest tests/test_acceptance.py -v` for the full picture.
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
 
@@ -135,8 +134,7 @@ def test_criterion_3_mu_formulas_match_brute_force():
             assert set(got) == set(expected), f"seed {seed}: key sets differ"
             for table_key, (n, _) in expected.items():
                 entry = got[table_key]
-                assert entry.mu == Fraction(1, n), f"seed {seed}: {table_key}"
-                assert entry.mu * n == 1, f"seed {seed}: {table_key}"
+                assert entry.n == n, f"seed {seed}: {table_key}"
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.3f}s"
 
@@ -145,12 +143,12 @@ def _assert_identity(annotated) -> None:
     rules = generate_rules(annotated)
     assert check_consistency(rules, annotated) == []
     by_premise: dict = {}
-    for premise, conclusion, mu in rules:
-        by_premise.setdefault(premise_text(premise), []).append((conclusion, mu))
+    for premise, conclusion, n in rules:
+        by_premise.setdefault(premise_text(premise), []).append((conclusion, n))
     for premise, bucket in by_premise.items():
-        assert len({mu for _, mu in bucket}) == 1, premise
+        assert len({n for _, n in bucket}) == 1, premise
         reps = representatives(annotated.groups, (c for c, _ in bucket))
-        assert bucket[0][1] * len(reps) == 1, premise
+        assert bucket[0][1] == len(reps), premise  # mu = 1/n
 
 
 def test_criterion_4_reciprocity_identity():
@@ -238,10 +236,10 @@ def test_criterion_7_end_to_end_single_rule():
         annotated = assign_all(normalize(model).model)
         rules = generate_rules(annotated)
         assert len(rules) == 1
-        premise, conclusion, mu = rules[0]
+        premise, conclusion, n = rules[0]
         assert premise_text(premise) == "part_of France"
         assert conclusion == "Paris"
-        assert mu == Fraction(1)
+        assert n == 1
         text = "".join(runs_text_chunks(premise_runs(annotated)))
         assert text == "IF part_of France (mu=1.000000) THEN Paris\n"
         assert fixture_path("paris_france.owl").exists()

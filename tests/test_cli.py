@@ -511,6 +511,28 @@ def test_cli_import_leaves_dataclasses_out():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_leaves_fractions_and_decimal_out():
+    # a grade is the integer n of mu = 1/n, rendered with integer arithmetic;
+    # fractions imports decimal, which every run would pay for at start-up
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, fuzzonto.cli\n"
+            "names = ('fractions', 'decimal')\n"
+            "print([m for m in names if m in sys.modules], file=sys.stderr)\n"
+            "code = fuzzonto.cli.main(['rules', sys.argv[1], '--format', 'text'])\n"
+            "print(code, [m for m in names if m in sys.modules], file=sys.stderr)\n",
+            str(fixture_path("transitive_areas.owl")),
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert "IF subAreaOf EU (mu=0.500000) THEN Latvia\n" in proc.stdout
+    assert proc.stderr == "[]\n0 []\n"
+
+
 def test_rules_command_goes_from_runs_to_bytes(capsys, monkeypatch):
     """The rules command writes from premise runs: the list entry points,
     which build one tuple per rule and regroup them, are not called."""

@@ -1,13 +1,13 @@
 import json
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
-from fractions import Fraction
 
 import pytest
 
 from conftest import FIXTURE_NAMES, normalize_fixture, parse_fixture
 from fuzzonto import (
     NotNormalized,
+    OntologyModel,
     assign_all,
     emit_json,
     emit_normalized_rdf,
@@ -32,53 +32,41 @@ from randmodels import intersection_model, random_model
 
 
 @pytest.mark.parametrize(
-    ("fraction", "text"),
+    ("n", "text"),
     [
-        (Fraction(1), "1.000000"),
-        (Fraction(1, 2), "0.500000"),
-        (Fraction(1, 3), "0.333333"),
-        (Fraction(2, 3), "0.666667"),
-        (Fraction(1, 6), "0.166667"),
-        (Fraction(1, 7), "0.142857"),
+        (1, "1.000000"),
+        (2, "0.500000"),
+        (3, "0.333333"),
+        (6, "0.166667"),
+        (7, "0.142857"),
         # ties round half to even on the sixth digit
-        (Fraction(1, 2000000), "0.000000"),
-        (Fraction(3, 2000000), "0.000002"),
-        (Fraction(5, 2000000), "0.000002"),
-        (Fraction(2999999, 2000000), "1.500000"),
-        # more digits than Decimal's default 28-digit context can quantize
-        (Fraction(10**22), "10000000000000000000000.000000"),
-        (Fraction(10**30 + 1, 3), "333333333333333333333333333333.666667"),
-        # a negative value keeps its sign, also when it rounds to zero
-        (Fraction(-1, 2000000), "-0.000000"),
-        (Fraction(-3, 2000000), "-0.000002"),
-        (Fraction(-7, 3), "-2.333333"),
+        (2000000, "0.000000"),
+        (400000, "0.000002"),
     ],
 )
-def test_decimal6(fraction, text):
-    assert decimal6(fraction) == text
+def test_decimal6(n, text):
+    assert decimal6(n) == text
 
 
-def decimal6_oracle(value: Fraction) -> str:
-    """The Decimal formula, in a context wide enough that the division is
-    exact to far more places than the rounding reads."""
+def decimal6_oracle(n: int) -> str:
+    """The Decimal formula for 1/n, in a context wide enough that the
+    division is exact to far more places than the rounding reads."""
     with localcontext() as context:
         context.prec = 80
-        quantized = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
+        quantized = (Decimal(1) / Decimal(n)).quantize(
             Decimal("0.000001"), rounding=ROUND_HALF_EVEN
         )
     return str(quantized)
 
 
 def test_decimal6_matches_the_decimal_formula():
-    """1/n, random signed fractions of every size and exact ties."""
+    """1/n for every small n, random n up to 10**7 and the exact ties."""
     rng = random.Random(6)
-    values = [Fraction(1, n) for n in range(1, 3001)]
-    for _ in range(3000):
-        den = rng.randint(1, 10 ** rng.randint(1, 12))
-        values.append(Fraction(rng.randint(-(10 ** rng.randint(1, 30)), 10**30), den))
-    values += [Fraction(rng.randint(-(10**9), 10**9), 2 * 10**6) for _ in range(1000)]
-    for value in values:
-        assert decimal6(value) == decimal6_oracle(value), value
+    values = list(range(1, 3001))
+    values += [rng.randint(1, 10**7) for _ in range(1000)]
+    values += [2_000_000, 400_000]
+    for n in values:
+        assert decimal6(n) == decimal6_oracle(n), n
 
 
 IRI_MODEL = json.dumps(
@@ -174,6 +162,27 @@ def test_emit_rdf_round_trips_through_parse_and_normalize(name):
         assert again.same_elements(model), f"{name} {i}"
 
 
+def test_emit_rdf_round_trips_the_empty_class_name():
+    """A relation and a holding whose subject is the class named "" keep
+    their domain; a declared property that none names stays a bare block."""
+    m = OntologyModel()
+    for name in ("", "B"):
+        m.touch_class(name)
+    m.declare_property("p", "object")
+    m.declare_property("d", "datatype")
+    m.declare_property("unused", "object")
+    m.add_relation("p", "", "B")
+    m.add_holding("d", "")
+    model = normalize(m).model
+    text = emit_normalized_rdf(model).decode()
+    assert '<rdfs:domain rdf:resource="#"/>' in text
+    assert '<owl:ObjectProperty rdf:about="#unused"/>' in text
+    again = normalize(parse_document(text.encode(), "rdfxml")).model
+    assert again.relations.keys() == {("p", "", "B")}
+    assert again.holdings.keys() == {("d", "")}
+    assert again.same_elements(model)
+
+
 def test_annotated_json_shape():
     annotated = assign_all(normalize_fixture("transitive_areas.owl").model)
     doc = json.loads(annotated_to_json(annotated))
@@ -226,10 +235,10 @@ def generic_rules_json(rules) -> bytes:
                 {
                     "premise": premise(p),
                     "conclusion": conclusion,
-                    "mu": {"num": mu.numerator, "den": mu.denominator, "decimal": decimal6(mu)},
+                    "mu": {"num": 1, "den": n, "decimal": decimal6(n)},
                     "category": "identifying",
                 }
-                for p, conclusion, mu in rules
+                for p, conclusion, n in rules
             ],
         }
     )
@@ -243,8 +252,8 @@ def test_rules_json_equals_generic_encoding_on_random_models():
 
 def generic_rules_text(rules) -> str:
     return "".join(
-        f"IF {premise_text(premise)} (mu={decimal6(mu)}) THEN {conclusion}\n"
-        for premise, conclusion, mu in rules
+        f"IF {premise_text(premise)} (mu={decimal6(n)}) THEN {conclusion}\n"
+        for premise, conclusion, n in rules
     )
 
 
@@ -255,17 +264,17 @@ def test_rules_json_equals_generic_encoding_on_awkward_strings():
     awkward = ['q"uote', "back\\slash", "\u00c4rger", "line\u2028sep", "tab\tnl\n\x00\x1f"]
     rules = []
     for i, name in enumerate(awkward):
-        mu = Fraction(1, i + 1)
+        n = i + 1
         part_of = ComplexKey.part_of(name)
         rules += [
-            (name, name, mu),
-            (part_of, "C", mu),
-            (part_of, name, mu),
-            (part_of, "D", Fraction(1, i + 1)),
-            (part_of, "F", Fraction(1, 9)),  # mu changes
-            (ComplexKey.relation(name, name), name, Fraction(1, 7)),
-            (ComplexKey.relation(name, name), "C", Fraction(1, 7)),
-            (name, "G", mu),  # back after other premises
+            (name, name, n),
+            (part_of, "C", n),
+            (part_of, name, n),
+            (part_of, "D", n),
+            (part_of, "F", 9),  # mu changes
+            (ComplexKey.relation(name, name), name, 7),
+            (ComplexKey.relation(name, name), "C", 7),
+            (name, "G", n),  # back after other premises
         ]
     assert rules_to_json(rules) == generic_rules_json(rules)
     assert rules_to_text(rules) == generic_rules_text(rules)

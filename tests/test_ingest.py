@@ -88,6 +88,11 @@ def test_full_iri_reference():
     assert m.classes["Town"] == "http://example.org/ns#Town"
 
 
+def test_iri_reference_names_after_the_last_hash():
+    m = parse_document(doc('<owl:Class rdf:about="http://x#a#b"/>'), "rdfxml")
+    assert m.classes == {"b": "http://x#a#b"}
+
+
 def test_malformed_xml():
     with pytest.raises(MalformedDocument):
         parse_document(b"<rdf:RDF", "rdfxml")

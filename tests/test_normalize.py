@@ -137,6 +137,22 @@ def test_rewrite_intersection_single_member():
     assert set(out.subclass_axioms) == {("C", "M")}
 
 
+def test_intersection_listing_its_own_target_gives_no_self_subclass():
+    """C = C ∩ D: the member C would be the vacuous C ⊑ C, so only C ⊑ D is
+    derived, with one trace and no warning."""
+    m = OntologyModel()
+    m.touch_class("C")
+    m.touch_class("D")
+    m.add_modifier(RawModifier(INTERSECTION, "C", members=("C", "D")))
+    result = normalize(m, trace=True)
+    assert result.model.subclass_axioms == {("C", "D"): RULE_INTERSECTION}
+    assert result.warnings == ()
+    assert [(t.rule, t.produced) for t in result.traces] == [
+        (RULE_INTERSECTION, "subclass C -> D")
+    ]
+    assert sum(result.tally.values()) == result.tally[RULE_INTERSECTION] == 1
+
+
 def test_rewrite_intersection_empty_warns_and_drops():
     m = OntologyModel()
     m.touch_class("C")

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 from conftest import normalize_fixture
 from fuzzonto import assign_all, normalize
 from fuzzonto.membership import ComplexKey
@@ -25,8 +23,8 @@ def codes(*results):
 
 
 def printed(rules):
-    """(premise text, conclusion, mu) per (premise, conclusion, mu) rule."""
-    return [(premise_text(premise), conclusion, mu) for premise, conclusion, mu in rules]
+    """(premise text, conclusion, n) per (premise, conclusion, n) rule."""
+    return [(premise_text(premise), conclusion, n) for premise, conclusion, n in rules]
 
 
 def test_property_premise_yields_one_rule_per_holder():
@@ -39,14 +37,14 @@ def test_property_premise_yields_one_rule_per_holder():
     m.normalized = True
     rules = generate_rules(assign_all(m))
     assert printed(rules) == [
-        ("hasAge", "Man", Fraction(1, 2)),
-        ("hasAge", "Woman", Fraction(1, 2)),
+        ("hasAge", "Man", 2),
+        ("hasAge", "Woman", 2),
     ]
 
 
 def test_sole_subclass_yields_single_full_rule():
     rules = generate_rules(annotated_fixture("paris_france.owl"))
-    assert printed(rules) == [("part_of France", "Paris", Fraction(1))]
+    assert printed(rules) == [("part_of France", "Paris", 1)]
 
 
 def test_empty_model_has_no_rules():
@@ -62,10 +60,10 @@ def test_rules_are_sorted_by_premise_then_conclusion():
 def test_equivalence_widened_conclusions_share_mu():
     rules = generate_rules(annotated_fixture("equivalent_property_copy.owl"))
     by_premise = {}
-    for text, conclusion, mu in printed(rules):
-        by_premise.setdefault(text, []).append((conclusion, mu))
+    for text, conclusion, n in printed(rules):
+        by_premise.setdefault(text, []).append((conclusion, n))
     assert {conclusion for conclusion, _ in by_premise["hasAge"]} == {"Human", "Person"}
-    assert {mu for _, mu in by_premise["hasAge"]} == {Fraction(1)}
+    assert {n for _, n in by_premise["hasAge"]} == {1}
 
 
 def test_consistency_holds_on_generator_output():
@@ -89,8 +87,8 @@ def test_consistency_holds_on_random_models():
 
 def test_consistency_flags_wrong_denominator():
     annotated = annotated_fixture("empty.owl")
-    rules = [("p", c, Fraction(1, 2)) for c in ("A", "B", "C")]
-    runs = [(("p", Fraction(1, 2)), ("A", "B", "C"))]
+    rules = [("p", c, 2) for c in ("A", "B", "C")]
+    runs = [(("p", 2), ("A", "B", "C"))]
     # the list entry point and the run entry point, side by side
     assert codes(check_consistency(rules, annotated), check_runs(runs, annotated)) == (
         ["identity-violation"],
@@ -98,14 +96,26 @@ def test_consistency_flags_wrong_denominator():
     )
 
 
+def test_check_runs_sorts_violations_by_location():
+    """Two violations from runs given out of premise order come back sorted
+    by location."""
+    annotated = annotated_fixture("empty.owl")
+    runs = [(("q", 2), ("A",)), (("p", 3), ("A", "B"))]
+    violations = check_runs(runs, annotated)
+    assert [(v.code, v.location, v.message) for v in violations] == [
+        ("identity-violation", "p", "premise 'p': mu=1/3 but 2 representative conclusions"),
+        ("identity-violation", "q", "premise 'q': mu=1/2 but 1 representative conclusions"),
+    ]
+
+
 def test_consistency_flags_mixed_mu():
     annotated = annotated_fixture("empty.owl")
-    rules = [("p", "A", Fraction(1, 2)), ("p", "B", Fraction(1, 3))]
-    # a mu change splits the premise's rules into two runs, which the run
+    rules = [("p", "A", 2), ("p", "B", 3)]
+    # an n change splits the premise's rules into two runs, which the run
     # check merges again
     runs = [
-        (("p", Fraction(1, 2)), ("A",)),
-        (("p", Fraction(1, 3)), ("B",)),
+        (("p", 2), ("A",)),
+        (("p", 3), ("B",)),
     ]
     assert codes(check_consistency(rules, annotated), check_runs(runs, annotated)) == (
         ["mixed-mu"],
@@ -128,14 +138,14 @@ def test_consistency_tells_apart_premises_that_print_alike():
     annotated = assign_all(normalize(m).model)
     rules = generate_rules(annotated)
     assert printed(rules) == [
-        ("part_of X", "A", Fraction(1)),
-        ("part_of X", "B", Fraction(1, 2)),
-        ("part_of X", "C", Fraction(1, 2)),
+        ("part_of X", "A", 1),
+        ("part_of X", "B", 2),
+        ("part_of X", "C", 2),
     ]
     assert check_consistency(rules, annotated) == []
 
-    # a wrong mu under either key is still caught, and reported by its text
-    wrong = [rules[0], rules[1], (rules[2][0], "C", Fraction(1, 3))]
+    # a wrong n under either key is still caught, and reported by its text
+    wrong = [rules[0], rules[1], (rules[2][0], "C", 3)]
     violations = check_consistency(wrong, annotated)
     assert [(v.code, v.location) for v in violations] == [("mixed-mu", "part_of X")]
 
@@ -147,15 +157,15 @@ def test_consistency_collapses_equivalent_conclusions():
     m.add_equivalence("A", "B")
     m.normalized = True
     annotated = assign_all(m)
-    rules = [(ComplexKey.part_of("X"), c, Fraction(1, 2)) for c in ("A", "B", "C")]
+    rules = [(ComplexKey.part_of("X"), c, 2) for c in ("A", "B", "C")]
     assert check_consistency(rules, annotated) == []  # representatives are {A, C}
 
 
 def sorted_entries_rules(annotated):
-    """The plain definition: one (premise, conclusion, mu) rule per (key,
+    """The plain definition: one (premise, conclusion, n) rule per (key,
     determiner) from entries(), sorted by (premise text, conclusion)."""
     rules = [
-        (key, conclusion, entry.mu)
+        (key, conclusion, entry.n)
         for _, key, entry in annotated.table.entries()
         for conclusion in entry.determiners
     ]
@@ -242,20 +252,15 @@ def test_generate_rules_merges_premises_that_print_alike():
     annotated = assign_all(normalize(m).model)
     runs = premise_runs(annotated)
     assert runs == list(rule_runs(sorted_entries_rules(annotated)))
-    assert runs[-1] == ((ComplexKey.part_of("X"), Fraction(1, 4)), ("Y1", "Y2"))
+    assert runs[-1] == ((ComplexKey.part_of("X"), 4), ("Y1", "Y2"))
 
 
 def test_consistency_merges_a_premise_split_over_non_adjacent_runs():
     annotated = annotated_fixture("empty.owl")
-    half = Fraction(1, 2)
-    split = [
-        ("p", "A", half),
-        ("q", "B", Fraction(1)),
-        ("p", "C", Fraction(1, 2)),  # equal to half, not identical
-    ]
+    split = [("p", "A", 2), ("q", "B", 1), ("p", "C", 2)]
     assert check_consistency(split, annotated) == []  # p has two conclusions
 
-    mixed = split[:2] + [("p", "C", Fraction(1, 3))]
+    mixed = split[:2] + [("p", "C", 3)]
     violations = check_consistency(mixed, annotated)
     assert [(v.code, v.location) for v in violations] == [("mixed-mu", "p")]
 
@@ -264,10 +269,10 @@ def test_consistency_merges_equal_but_not_identical_keys():
     annotated = annotated_fixture("empty.owl")
     first, second = ComplexKey.part_of("X"), ComplexKey.part_of("X")
     assert first == second and first is not second
-    rules = [(first, "A", Fraction(1, 2)), (second, "B", Fraction(1, 3))]
+    rules = [(first, "A", 2), (second, "B", 3)]
     violations = check_consistency(rules, annotated)
     assert [(v.code, v.location) for v in violations] == [("mixed-mu", "part_of X")]
-    agreeing = [rules[0], (second, "B", Fraction(1, 2))]
+    agreeing = [rules[0], (second, "B", 2)]
     assert check_consistency(agreeing, annotated) == []
 
 
@@ -278,7 +283,7 @@ def test_check_runs_without_groups_recounts_split_premises():
     annotated = annotated_fixture("empty.owl")
     assert not annotated.groups
     key = ComplexKey.relation("r", "X")
-    half, third, one = Fraction(1, 2), Fraction(1, 3), Fraction(1)
+    half, third, one = 2, 3, 1  # n for mu = 1/2, 1/3 and 1
     cases = [
         ([((key, half), ("A",)), (("q", one), ("B",)), ((key, half), ("C",))], []),
         ([((key, half), ("A",)), ((key, half), ("A",))], ["identity-violation"]),
@@ -290,5 +295,5 @@ def test_check_runs_without_groups_recounts_split_premises():
     for runs, expected in cases:
         violations = check_runs(runs, annotated)
         assert [(v.code, v.location) for v in violations] == [(c, "r X") for c in expected], runs
-        rules = [(premise, c, mu) for (premise, mu), conclusions in runs for c in conclusions]
+        rules = [(premise, c, n) for (premise, n), conclusions in runs for c in conclusions]
         assert codes(check_consistency(rules, annotated)) == (expected,), runs
