@@ -8,9 +8,9 @@ relation elements nested inside an owl:Class (e.g. <subAreaOf
 rdf:resource="#Latvia"/>).  Anything else is recorded as a warning, or raises
 UnsupportedConstruct in strict mode.  The document root must be rdf:RDF.
 
-The RDF/XML reader builds the model in one expat pass and keeps no tree.  It
-reads entities as ElementTree's parser did, and reports a syntax error
-anywhere in the document before any other error.
+The RDF/XML reader runs one expat pass and keeps one top-level element at a
+time.  It reads entities as ElementTree's parser did, and reports a syntax
+error anywhere in the document before any other error.
 """
 
 from __future__ import annotations
@@ -104,18 +104,17 @@ def _expat_parse(data: bytes, start, end) -> None:
 
 
 class _RdfXmlParser:
-    """Builds the model from expat's events as the elements arrive: judge[d]
-    judges the element at depth d (the root's is 1) from its start tag while
-    d <= limit, and its whole subtree unless it calls _expect for the children."""
+    """Builds the model one top-level element at a time: the start handler
+    keeps each element's tag, attributes and children down to depth 4 (the
+    root's is 1), the deepest the subset reads, and the end tag of a
+    top-level element takes it off the root and reads it."""
 
     def __init__(self, strict: bool):
         self.strict = strict
         self.model = OntologyModel()
         self.warnings: list[Diagnostic] = []
         self.declared: dict[str, str] = {}  # name -> class | datatype | object
-        self.depth, self.limit = 0, 1
-        self.judge = [None, self._root, None, None, None]
-        self.close = [None] * 5  # called at the end tag of the open element at a depth
+        self.path: list = []  # the open elements' children lists, or None below depth 4
 
     def parse(self, data) -> OntologyModel:
         if isinstance(data, str):
@@ -125,29 +124,27 @@ class _RdfXmlParser:
         except (MalformedDocument, DuplicateIdentifier, UnsupportedConstruct):
             _expat_parse(data, None, None)  # a syntax error comes first, wherever it is
             raise
-        finally:  # the handlers hold self; the CLI runs with the collector off
-            self.judge = self.close = None
         self.model.parse_warnings = tuple(self.warnings)
         return self.model
 
     def _start(self, tag: str, attrs: dict) -> None:
-        depth = self.depth = self.depth + 1
-        if depth <= self.limit:
-            self.judge[depth](tag, attrs)
+        path = self.path
+        if len(path) >= 4:  # below depth 4, which nothing reads
+            path.append(None)
+        elif path:
+            children: list = []
+            path[-1].append((tag, attrs, children))
+            path.append(children)
+        elif tag == _RDF + "RDF":
+            path.append([])
+        else:
+            raise MalformedDocument(f"root element must be rdf:RDF, got {tag.rpartition('}')[2]!r}")
 
     def _end(self, tag: str) -> None:
-        depth = self.depth
-        self.depth = depth - 1
-        if depth < self.limit:  # it called _expect
-            self.limit = depth
-            close, self.close[depth] = self.close[depth], None
-            if close is not None:
-                close()
-
-    def _expect(self, judge, close=None) -> None:
-        """Judge the open element's children; call close() at its end tag."""
-        depth = self.depth
-        self.judge[depth + 1], self.close[depth], self.limit = judge, close, depth + 1
+        path = self.path
+        path.pop()
+        if len(path) == 1:  # a top-level element ended
+            self._top_level(*path[0].pop())
 
     def _warn(self, code: str, message: str, location: str | None = None) -> None:
         self.warnings.append(Diagnostic(code, "warning", message, location))
@@ -182,104 +179,84 @@ class _RdfXmlParser:
         self._unsupported(f"anonymous {what}")
         return None
 
-    def _expect_classes(self, location: str, what: str, take, close, first=False) -> None:
-        """Judge the open element's children as owl:Class elements, calling take(name) for
-        each named one; if first, the first named one or other child ends the judging."""
-
-        def member(tag: str, attrs: dict) -> None:
-            if tag == _CLASS:
-                name = self._element_name(attrs, "class")
-                if name is None:
-                    return
-                self.model.touch_class(name)
-                take(name)
-            else:
-                self._unsupported(f"{what} {tag.rpartition('}')[2]}", location)
-            if first:  # no later child is judged, and the parent's end calls no close()
-                self.limit = self.depth - 1
-
-        self._expect(member, close)
-
-    def _class_target(self, attrs: dict, location: str, use) -> None:
-        """use(name) for the class named by rdf:resource or the first named owl:Class child."""
+    def _class_target(self, attrs: dict, children: list, location: str) -> str | None:
+        """The class named by rdf:resource or by the first named owl:Class child."""
         value = attrs.get(_RESOURCE)
         if value is not None:
             name, iri = _ref_name(value)
             self.model.touch_class(name, iri)
-            use(name)
-            return
+            return name
+        for tag, attrs, _ in children:
+            if tag != _CLASS:
+                self._unsupported(f"nested {tag.rpartition('}')[2]}", location)
+                return None
+            name = self._element_name(attrs, "class")
+            if name is not None:
+                self.model.touch_class(name)
+                return name
+        self._unsupported("empty class reference", location)
+        return None
 
-        def empty() -> None:
-            self._unsupported("empty class reference", location)
-
-        self._expect_classes(location, "nested", use, empty, first=True)
-
-    def _root(self, tag: str, attrs: dict) -> None:
-        if tag != _RDF + "RDF":
-            raise MalformedDocument(f"root element must be rdf:RDF, got {tag.rpartition('}')[2]!r}")
-        self._expect(self._top_level)
-
-    def _top_level(self, tag: str, attrs: dict) -> None:
+    def _top_level(self, tag: str, attrs: dict, children: list) -> None:
         if tag == _CLASS:
-            self._class(attrs)
+            self._class(attrs, children)
         elif tag in _PROPERTY_TAGS:
-            self._property(attrs, *_PROPERTY_TAGS[tag])
+            self._property(attrs, children, *_PROPERTY_TAGS[tag])
         elif tag == _OWL + "Ontology":
-            self._expect(self._header_element)
+            for tag, _, _ in children:
+                if tag == _OWL + "imports":
+                    self._warn("imports-ignored", "owl:imports is ignored", "owl:Ontology")
+                else:
+                    what = f"ontology header element {tag.rpartition('}')[2]}"
+                    self._unsupported(what, "owl:Ontology")
         else:
             self._unsupported(f"top-level element {tag.rpartition('}')[2]}")
 
-    def _header_element(self, tag: str, attrs: dict) -> None:
-        if tag == _OWL + "imports":
-            self._warn("imports-ignored", "owl:imports is ignored", "owl:Ontology")
-        else:
-            self._unsupported(f"ontology header element {tag.rpartition('}')[2]}", "owl:Ontology")
-
-    def _class(self, attrs: dict) -> None:
+    def _class(self, attrs: dict, children: list) -> None:
         name = self._element_name(attrs, "class")
         if name is None:
             return
         location = f"owl:Class {name}"
         self._declare(name, "class", location)
         model = self.model
-
-        def equivalent(target: str) -> None:
-            if not model.add_equivalence(name, target) and name == target:
-                self._warn("self-equivalence", f"self-equivalence dropped for {name}", location)
-
-        def child(tag: str, attrs: dict) -> None:
+        for tag, attrs, nested in children:
             ns, _, local = tag.rpartition("}")
             if ns not in _VOCABULARIES:  # a relation element, such as <subAreaOf>
                 value = attrs.get(_RESOURCE)
                 if value is None:
                     self._unsupported(f"relation element {local} without rdf:resource", location)
-                    return
+                    continue
                 obj, iri = _ref_name(value)
                 model.touch_class(obj, iri)
                 model.add_relation(local, name, obj, ASSERTED)
             elif tag == _RDFS + "subClassOf":
-                self._class_target(attrs, location, lambda target: model.add_subclass(name, target))
+                target = self._class_target(attrs, nested, location)
+                if target is not None:
+                    model.add_subclass(name, target)
             elif tag == _OWL + "equivalentClass":
-                self._class_target(attrs, location, equivalent)
+                target = self._class_target(attrs, nested, location)
+                if target == name:
+                    self._warn("self-equivalence", f"self-equivalence dropped for {name}", location)
+                elif target is not None:
+                    model.add_equivalence(name, target)
             elif tag == _OWL + "intersectionOf":
                 if attrs.get(_RDF + "parseType") != "Collection":
                     self._unsupported("intersectionOf without parseType Collection", location)
-                else:
-                    self._intersection(name, location)
+                    continue
+                members = []
+                for tag, attrs, _ in nested:
+                    if tag != _CLASS:
+                        self._unsupported(f"intersection member {tag.rpartition('}')[2]}", location)
+                        continue
+                    member = self._element_name(attrs, "class")
+                    if member is not None:
+                        model.touch_class(member)
+                        members.append(member)
+                model.add_modifier(RawModifier(INTERSECTION, name, members=tuple(members)))
             elif tag != _RDF + "type":
                 self._unsupported(f"class element {local}", location)
 
-        self._expect(child)
-
-    def _intersection(self, name: str, location: str) -> None:
-        members: list[str] = []
-
-        def close() -> None:
-            self.model.add_modifier(RawModifier(INTERSECTION, name, members=tuple(members)))
-
-        self._expect_classes(location, "intersection member", members.append, close)
-
-    def _property(self, attrs: dict, kind: str, modifier_kind: str | None) -> None:
+    def _property(self, attrs: dict, children: list, kind: str, modifier_kind: str | None) -> None:
         name = self._element_name(attrs, "property")
         if name is None:
             return
@@ -288,8 +265,7 @@ class _RdfXmlParser:
         model = self.model
         domains: list[str] = []
         ranges: list[str] = []
-
-        def child(tag: str, attrs: dict) -> None:
+        for tag, attrs, _ in children:
             local, value = tag.rpartition("}")[2], attrs.get(_RESOURCE)
             if tag not in (_RDFS + "domain", _RDFS + "range", _OWL + "inverseOf"):
                 if tag != _RDF + "type":
@@ -304,18 +280,14 @@ class _RdfXmlParser:
                 target, iri = _ref_name(value)
                 model.touch_class(target, iri)
                 (domains if local == "domain" else ranges).append(target)
-
-        def close() -> None:
-            if modifier_kind is not None:
-                model.add_modifier(RawModifier(modifier_kind, name))
-            for d in domains:
-                if kind == OBJECT:
-                    for r in ranges:
-                        model.add_relation(name, d, r, ASSERTED)
-                else:
-                    model.add_holding(name, d, ASSERTED)
-
-        self._expect(child, close)
+        if modifier_kind is not None:
+            model.add_modifier(RawModifier(modifier_kind, name))
+        for d in domains:
+            if kind == OBJECT:
+                for r in ranges:
+                    model.add_relation(name, d, r, ASSERTED)
+            else:
+                model.add_holding(name, d, ASSERTED)
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -173,7 +173,8 @@ def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
 
     n stays as computed: representatives of the widened set are the
     representatives of the original set.  With no groups, annotated itself
-    is returned.
+    is returned, and an entry that gains no class is kept as it is: the
+    equivalence copy in normalize already gives most groups in full.
     """
     group_of = annotated.groups
     in_groups = group_of.keys()
@@ -186,6 +187,8 @@ def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
         widened = set(entry.determiners)
         for name in in_groups & widened:
             widened.update(group_of[name])
+        if len(widened) <= len(entry.determiners):
+            return entry
         return MembershipEntry(entry.n, tuple(sorted(widened)))
 
     table = MembershipTable(

@@ -15,6 +15,7 @@ from fuzzonto import (
     OntologyModel,
     UnsupportedConstruct,
     emit_json,
+    ingest,
     load_json,
     parse_document,
     validate_model,
@@ -191,6 +192,43 @@ EDGE_DOCUMENTS = [
     b'<x:Other xmlns:x="urn:x"><oops></x:Other>',
 ]
 
+# an element with children below depth 4, where the root's is 1: the reader
+# keeps elements down to depth 4, and must read nothing deeper
+_DEEP = (
+    '<owl:Class rdf:ID="Deep"><p rdf:resource="#Z"/><rdfs:subClassOf rdf:resource="#Z"/>'
+    "</owl:Class>"
+)
+EDGE_DOCUMENTS += [
+    doc(f'<owl:Class rdf:ID="A"><p rdf:resource="#B">{_DEEP}</p><q>{_DEEP}</q></owl:Class>'),
+    doc(
+        f'<owl:ObjectProperty rdf:ID="p"><rdfs:domain rdf:resource="#A">{_DEEP}</rdfs:domain>'
+        f'<rdfs:range rdf:resource="#B">{_DEEP}</rdfs:range><rdfs:range>{_DEEP}</rdfs:range>'
+        f'<owl:inverseOf rdf:resource="#q">{_DEEP}</owl:inverseOf></owl:ObjectProperty>'
+        f'<owl:DatatypeProperty rdf:ID="d"><rdfs:domain>{_DEEP}</rdfs:domain>'
+        f'<rdfs:range rdf:resource="#B">{_DEEP}</rdfs:range></owl:DatatypeProperty>'
+    ),
+    doc(
+        f'<owl:Class rdf:ID="A"><rdfs:subClassOf><owl:Class rdf:ID="B">{_DEEP}</owl:Class>'
+        f"</rdfs:subClassOf><owl:equivalentClass><owl:Class>{_DEEP}</owl:Class>"
+        f'<owl:Class rdf:about="#C">{_DEEP}</owl:Class></owl:equivalentClass>'
+        f'<rdfs:subClassOf><owl:Restriction>{_DEEP}</owl:Restriction>'
+        f'<owl:Class rdf:ID="D"/></rdfs:subClassOf></owl:Class>'
+    ),
+    doc(
+        f'<owl:Class rdf:ID="M"><owl:intersectionOf rdf:parseType="Collection">'
+        f'<owl:Class rdf:about="#X">{_DEEP}</owl:Class><owl:Class>{_DEEP}</owl:Class>'
+        f"<owl:Restriction>{_DEEP}</owl:Restriction></owl:intersectionOf>"
+        f'<owl:intersectionOf rdf:parseType="Collection"><owl:Class rdf:about="#Y">'
+        f'<owl:intersectionOf rdf:parseType="Collection">{_DEEP}</owl:intersectionOf>'
+        f"</owl:Class></owl:intersectionOf></owl:Class>"
+    ),
+    doc(
+        f'<owl:Ontology rdf:about=""><owl:imports rdf:resource="urn:o">{_DEEP}</owl:imports>'
+        f"</owl:Ontology><owl:Restriction><owl:onProperty>{_DEEP}</owl:onProperty>"
+        f"</owl:Restriction>"
+    ),
+]
+
 
 def _reading(read, data: bytes, strict: bool):
     """Everything a reader gives: the model with the order of every dict and
@@ -236,6 +274,26 @@ def test_reader_matches_the_element_tree_reference():
         ("MalformedDocument", False),  # the root element
         ("MalformedDocument", True),
     } <= outcomes
+
+
+def test_reader_holds_one_top_level_element_at_a_time(monkeypatch):
+    """When a top-level element is read, the root keeps no other one: the
+    earlier ones are let go, and the next one has not begun."""
+    open_at_read = []
+    top_level = ingest._RdfXmlParser._top_level
+
+    def spy(self, *element):
+        open_at_read.append(repr(self.path))
+        top_level(self, *element)
+
+    monkeypatch.setattr(ingest._RdfXmlParser, "_top_level", spy)
+    body = "".join(
+        f'<owl:Class rdf:ID="C{i}"><rdfs:subClassOf rdf:resource="#C{i + 1}"/></owl:Class>'
+        for i in range(50)
+    )
+    m = parse_document(doc(body + '<owl:Ontology rdf:about=""/>'), "rdfxml")
+    assert len(m.subclass_axioms) == 50
+    assert open_at_read == ["[[]]"] * 51
 
 
 def test_reader_leaves_no_reference_cycles():

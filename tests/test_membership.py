@@ -206,6 +206,29 @@ def test_copy_keeps_entries_without_shared_determiners():
     assert copy_to_equivalents(annotated).table.property_mu["solo"] is entry
 
 
+def test_copy_keeps_complete_entries_and_widens_part_of():
+    """A holding that the whole group already has comes back as the same
+    entry; subclass axioms are not copied to equivalents, so a part_of
+    entry with one member of the group still widens."""
+    m = blank_normalized("A", "B", "C")
+    m.add_equivalence("A", "B")
+    m.declare_property("p", "datatype")
+    m.add_holding("p", "A")
+    m.add_holding("p", "B")
+    m.add_subclass("A", "C")
+    groups = build_equivalence_groups(m)
+    raw = AnnotatedOntology(
+        m,
+        MembershipTable(assign_property_mu(m, groups), assign_partof_mu(m, groups)),
+        groups,
+    )
+    table = copy_to_equivalents(raw).table
+    assert table.property_mu["p"] is raw.table.property_mu["p"]
+    part_of = table.complex_mu[ComplexKey.part_of("C")]
+    assert raw.table.complex_mu[ComplexKey.part_of("C")].determiners == ("A",)
+    assert part_of.n == 1 and part_of.determiners == ("A", "B")
+
+
 def test_copy_without_equivalences_is_identity():
     m = normalized("relation_lift.owl")
     annotated = assign_all(m)
