@@ -52,18 +52,26 @@ def _element_budget(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = (
+    ("normalize", ("json", "rdfxml"), "emit the normalized model"),
+    ("assign", ("json",), "emit the membership-annotated model"),
+    ("rules", ("json", "text"), "emit identifying fuzzy rules"),
+)
+
+
+def _build_parser(args: list[str]) -> argparse.ArgumentParser:
+    """The parser for args.  When the first argument names a command, only
+    that command's parser is built, and the metavar keeps all three names in
+    the usage line; otherwise all three are built, for help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="fuzzonto",
         description="Normalize OWL subset ontologies, assign membership values, "
         "and generate identifying fuzzy rules.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, formats, summary in (
-        ("normalize", ("json", "rdfxml"), "emit the normalized model"),
-        ("assign", ("json",), "emit the membership-annotated model"),
-        ("rules", ("json", "text"), "emit identifying fuzzy rules"),
-    ):
+    chosen = [entry for entry in _COMMANDS if args[:1] == [entry[0]]]
+    metavar = "{normalize,assign,rules}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for command, formats, summary in chosen or _COMMANDS:
         p = sub.add_parser(command, help=summary)
         p.add_argument("source", help="input document (RDF/XML or model JSON)")
         p.add_argument(
@@ -191,7 +199,7 @@ def run_pipeline(args: list[str]) -> int:
 
 
 def _run(args: list[str]) -> int:
-    options = _build_parser().parse_args(args)
+    options = _build_parser(args).parse_args(args)
     timings: dict[str, float] = {}
 
     try:
@@ -210,6 +218,7 @@ def _run(args: list[str]) -> int:
     except (MalformedDocument, DuplicateIdentifier) as exc:
         _print_diagnostics([Diagnostic("parse", "error", str(exc))])
         return EXIT_PARSE
+    del data  # a 50 MB document would otherwise stay alive through every phase
     timings["ingest"] = time.perf_counter() - started
 
     diagnostics = list(model.parse_warnings) + ingest.validate_model(model)

@@ -47,7 +47,7 @@ class Reachability:
     Bit v of rows[u] is set exactly when v is reachable from u by a path of
     length >= 1, so bit u is set exactly when u lies on a cycle.  cycles
     lists the strongly connected components that lie on a cycle, each sorted.
-    len() is the number of pairs; iterating yields them in sorted order.
+    len() is the number of pairs.
     """
 
     __slots__ = ("rows", "cycles", "_successors", "_total")
@@ -60,11 +60,6 @@ class Reachability:
 
     def __len__(self) -> int:
         return self._total
-
-    def __iter__(self):
-        for u, row in enumerate(self.rows):
-            for v in bits(row):
-                yield u, v
 
     def derived(self):
         """(u, targets) for every u that reaches a node it has no input edge

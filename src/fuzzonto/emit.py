@@ -263,13 +263,6 @@ def runs_text_chunks(runs):
         yield prefix + ("\n" + prefix).join(conclusions) + "\n"
 
 
-def traces_to_obj(traces) -> list[dict]:
-    return [
-        {"rule": t.rule, "produced": t.produced, "sources": list(t.sources)}
-        for t in traces
-    ]
-
-
 def traces_chunks(traces, pad: str = "", end: bytes = b"\n"):
     """The traces array as dump_json renders it with every line after the
     first indented by pad, one chunk per trace, then end."""
@@ -297,12 +290,12 @@ _TRACES_PLACEHOLDER = "\x00traces\x00"
 
 
 def report_to_json(report: dict, traces):
-    """The bytes dump_json gives for report with "traces" set to
-    traces_to_obj(traces), as the report's head, one chunk per trace and its
-    tail: dump_json writes the report with a placeholder there, which the
-    fixed-shape writer's traces replace.  The placeholder holds NUL
-    characters, which XML text cannot, so its first match is the one
-    dump_json wrote."""
+    """The bytes dump_json gives for report with "traces" set to the list of
+    {"rule", "produced", "sources"} records of traces, as the report's head,
+    one chunk per trace and its tail: dump_json writes the report with a
+    placeholder there, which the fixed-shape writer's traces replace.  The
+    placeholder holds NUL characters, which XML text cannot, so its first
+    match is the one dump_json wrote."""
     head, _, tail = dump_json({**report, "traces": _TRACES_PLACEHOLDER}).partition(
         _quote(_TRACES_PLACEHOLDER).encode("utf-8")
     )

@@ -50,14 +50,6 @@ class ComplexKey(namedtuple("ComplexKey", "kind predicate resulting_class")):
 
     __slots__ = ()
 
-    @classmethod
-    def part_of(cls, resulting_class: str) -> ComplexKey:
-        return cls(PART_OF, None, resulting_class)
-
-    @classmethod
-    def relation(cls, predicate: str, resulting_class: str) -> ComplexKey:
-        return cls(RELATION, predicate, resulting_class)
-
     @property
     def text(self) -> str:
         """The premise as rules print it."""

@@ -203,7 +203,7 @@ class OntologyModel:
         counts["total"] = self.element_count()
         return counts
 
-    # -- copying / equality ------------------------------------------------
+    # -- copying ---------------------------------------------------------
 
     def copy(self) -> OntologyModel:
         new = OntologyModel()
@@ -212,28 +212,3 @@ class OntologyModel:
         new.normalized = self.normalized
         new.parse_warnings = self.parse_warnings
         return new
-
-    def canonical(self, with_origins: bool = True) -> tuple:
-        """Each collection sorted, in COLLECTIONS order, then the normalized
-        flag; without origins an element kind gives its sorted keys."""
-        keys_only = () if with_origins else [kind.attr for kind in ELEMENT_KINDS]
-        parts = []
-        for attr in COLLECTIONS.values():
-            value = getattr(self, attr)
-            if attr == "modifiers":
-                value = map(RawModifier.key, value)
-            elif isinstance(value, dict) and attr not in keys_only:
-                value = value.items()
-            parts.append(tuple(sorted(value)))
-        return (*parts, self.normalized)
-
-    def same_elements(self, other: OntologyModel) -> bool:
-        """Structural equality ignoring origin tags and the normalized flag."""
-        return self.canonical(with_origins=False)[:-1] == other.canonical(
-            with_origins=False
-        )[:-1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OntologyModel):
-            return NotImplemented
-        return self.canonical() == other.canonical()

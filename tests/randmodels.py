@@ -8,17 +8,26 @@ reference_validate_model is the validator as it was before it filtered
 elements by lookups: it sorts and renders every element.
 reference_parse_rdfxml is the RDF/XML reader as it was when it built an
 ElementTree and walked it; random_rdfxml writes documents for it.
+
+Models define no equality.  A test compares two models by their emit_json
+bytes, by element_keys where origins must not count, and by model_state
+where it checks the JSON writer or reader itself, since comparing a lossy
+writer's bytes with themselves would pass.  traces_to_obj is the generic
+encoder's input for traces, the oracle of the fixed-shape trace writers.
 """
 
 import random
 import xml.etree.ElementTree as ET
 
+from fuzzonto import closure
 from fuzzonto.errors import DuplicateIdentifier, MalformedDocument, UnsupportedConstruct
 from fuzzonto.ingest import OWL_NS, RDF_NS, RDFS_NS
 
 from fuzzonto.model import (
     ASSERTED,
+    COLLECTIONS,
     DATATYPE,
+    ELEMENT_KINDS,
     Diagnostic,
     INTERSECTION,
     INVERSE,
@@ -40,6 +49,36 @@ from fuzzonto.normalize import (
     _rewrite_modifiers,
     _Run,
 )
+
+def element_keys(m: OntologyModel) -> dict:
+    """m without origins and the normalized flag: classes with their IRIs,
+    properties with their kinds, and every other collection's keys, each as
+    a new set."""
+    keys = {attr: set(getattr(m, attr)) for attr in COLLECTIONS.values()}
+    keys["classes"] = set(m.classes.items())
+    keys["properties"] = set(m.properties.items())
+    return keys
+
+
+def model_state(m: OntologyModel) -> dict:
+    """Every collection of m, copied, with the origins, and the normalized
+    flag."""
+    state = {attr: getattr(m, attr).copy() for attr in COLLECTIONS.values()}
+    state["normalized"] = m.normalized
+    return state
+
+
+def closed_pairs(reach) -> list:
+    """The (u, v) pairs of a closure.Reachability, sorted, read from its rows."""
+    return [(u, v) for u, row in enumerate(reach.rows) for v in closure.bits(row)]
+
+
+def traces_to_obj(traces) -> list[dict]:
+    return [
+        {"rule": t.rule, "produced": t.produced, "sources": list(t.sources)}
+        for t in traces
+    ]
+
 
 CLASS_POOL = [f"C{i}" for i in range(10)]
 DT_POOL = ["p0", "p1", "p2", "p3"]
@@ -203,6 +242,66 @@ def intersection_model(seed: int) -> OntologyModel:
     return m
 
 
+# the empty name and 17 names that XML, JSON or the RDF/XML writer must
+# escape, keep whole or tell apart from a reference
+AWKWARD_NAMES = [
+    "",
+    "a b",
+    "a#b",
+    "a&b",
+    "a<b",
+    "a>b",
+    'a"b',
+    "a'b",
+    "a\tb",
+    "a\nb",
+    "a\rb",
+    "a\u00a0b",
+    "\u00c4rger",
+    "\u65e5\u672c",
+    "1st",
+    "a\\b",
+    "a/b",
+    "a\u2028b",
+]
+
+
+def awkward_model(seed: int) -> OntologyModel:
+    """intersection_model(seed) with every class renamed to one of
+    AWKWARD_NAMES, in a seeded order, and every property to its own name
+    followed by one; so no class and property share a name."""
+    source = intersection_model(seed)
+    rng = random.Random(f"awkward/{seed}")
+    renamed = dict(zip(sorted(source.classes), rng.sample(AWKWARD_NAMES, len(source.classes))))
+    props = set(source.properties) | {key[0] for key in (*source.holdings, *source.relations)}
+    for mod in source.modifiers:
+        if mod.kind != INTERSECTION:
+            props.update(filter(None, (mod.target, mod.counterpart)))
+    renamed.update((name, name + rng.choice(AWKWARD_NAMES)) for name in sorted(props))
+
+    m = OntologyModel()
+    for name, iri in source.classes.items():
+        m.touch_class(renamed[name], iri)
+    for name, kind in source.properties.items():
+        m.declare_property(renamed[name], kind)
+    for kind in ELEMENT_KINDS:
+        elements = getattr(m, kind.attr)
+        for key, origin in getattr(source, kind.attr).items():
+            elements[tuple(renamed[name] for name in key)] = origin
+    for a, b in source.equivalences:
+        m.add_equivalence(renamed[a], renamed[b])
+    for mod in source.modifiers:
+        m.add_modifier(
+            RawModifier(
+                mod.kind,
+                renamed[mod.target],
+                mod.counterpart and renamed[mod.counterpart],
+                tuple(renamed[name] for name in mod.members),
+            )
+        )
+    return m
+
+
 def _reference_propagate(m: OntologyModel, run: _Run) -> None:
     """Equivalence copies by a sorted rescan of the whole model per group."""
     for members in sorted(brute_groups((), m.equivalences).values(), key=min):
@@ -256,7 +355,7 @@ def _reference_lift(m: OntologyModel, run: _Run) -> None:
 def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
     """The fixpoint evaluated naively: every pass rescans for equivalence
     copies, reruns the subclass closure from scratch, re-lifts every relation
-    and compares canonical() before and after to decide whether to go on.
+    and compares element_keys before and after to decide whether to go on.
 
     Unlike the oracles above it shares the subclass closure and the stage-2
     modifier rewrite with the production code; what it checks is the delta-driven
@@ -270,14 +369,14 @@ def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
     run = _Run(work, True, bound)
     passes = 0
     while True:
-        before = work.canonical()
+        before = element_keys(work)
         _reference_propagate(work, run)
         run.closed, run.warned = None, set()  # the closure starts fresh
         _close_subclass_hierarchy(work, run)
         _reference_lift(work, run)
         _rewrite_modifiers(work, run)
         passes += 1
-        if work.canonical() == before:
+        if element_keys(work) == before:
             break
     work.normalized = True
     return work, tuple(run.traces), run.warnings, passes, run.tally

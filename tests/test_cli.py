@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 from conftest import fixture_path
-from fuzzonto import MalformedDocument, OntologyModel, cli, emit_json, load_json, parse_document
+from fuzzonto import (
+    MalformedDocument,
+    OntologyModel,
+    cli,
+    emit_json,
+    load_json,
+    normalize,
+    parse_document,
+)
 from fuzzonto.cli import run_pipeline
 from fuzzonto.emit import dump_json
 from test_digests import recipe_model
@@ -782,3 +790,197 @@ def test_writers_stream_without_a_whole_document(tmp_path, capsys, monkeypatch):
     for size in (1, 64, cli.BLOCK_SIZE):
         monkeypatch.setattr(cli, "BLOCK_SIZE", size)
         assert list(outputs()) == expected, size
+
+
+_TOP_USAGE = "usage: fuzzonto [-h] {normalize,assign,rules} ...\n"
+_NORMALIZE_USAGE = (
+    "usage: fuzzonto normalize [-h] [--format {json,rdfxml}] [--strict] [--trace]\n"
+    "                          [--report PATH] [--max-elements N] [--out PATH]\n"
+    "                          source\n"
+)
+_ASSIGN_USAGE = (
+    "usage: fuzzonto assign [-h] [--format {json}] [--strict] [--trace]\n"
+    "                       [--report PATH] [--max-elements N] [--out PATH]\n"
+    "                       [--asserted-only]\n"
+    "                       source\n"
+)
+_RULES_USAGE = (
+    "usage: fuzzonto rules [-h] [--format {json,text}] [--strict] [--trace]\n"
+    "                      [--report PATH] [--max-elements N] [--out PATH]\n"
+    "                      [--asserted-only]\n"
+    "                      source\n"
+)
+
+# (arguments, exit code, stdout, stderr) of a run at 80 columns
+USAGE_PINS = [
+    (
+        ["--help"],
+        0,
+        _TOP_USAGE
+        + "\n"
+        "Normalize OWL subset ontologies, assign membership values, and generate\n"
+        "identifying fuzzy rules.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {normalize,assign,rules}\n"
+        "    normalize           emit the normalized model\n"
+        "    assign              emit the membership-annotated model\n"
+        "    rules               emit identifying fuzzy rules\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    (
+        ["normalize", "--help"],
+        0,
+        _NORMALIZE_USAGE
+        + "\n"
+        "positional arguments:\n"
+        "  source                input document (RDF/XML or model JSON)\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {json,rdfxml}\n"
+        "                        output format (default: json)\n"
+        "  --strict              fail on unsupported constructs and validation errors\n"
+        "  --trace               record rewrite traces\n"
+        "  --report PATH         write a run report to PATH\n"
+        "  --max-elements N      element budget for normalization, 0 for none (default\n"
+        "                        100000)\n"
+        "  --out PATH            write output to PATH, not stdout\n",
+        "",
+    ),
+    (
+        ["assign", "--help"],
+        0,
+        _ASSIGN_USAGE
+        + "\n"
+        "positional arguments:\n"
+        "  source            input document (RDF/XML or model JSON)\n"
+        "\n"
+        "options:\n"
+        "  -h, --help        show this help message and exit\n"
+        "  --format {json}   output format (default: json)\n"
+        "  --strict          fail on unsupported constructs and validation errors\n"
+        "  --trace           record rewrite traces\n"
+        "  --report PATH     write a run report to PATH\n"
+        "  --max-elements N  element budget for normalization, 0 for none (default\n"
+        "                    100000)\n"
+        "  --out PATH        write output to PATH, not stdout\n"
+        "  --asserted-only   count only asserted elements as determiners\n",
+        "",
+    ),
+    (
+        ["rules", "--help"],
+        0,
+        _RULES_USAGE
+        + "\n"
+        "positional arguments:\n"
+        "  source                input document (RDF/XML or model JSON)\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {json,text}  output format (default: json)\n"
+        "  --strict              fail on unsupported constructs and validation errors\n"
+        "  --trace               record rewrite traces\n"
+        "  --report PATH         write a run report to PATH\n"
+        "  --max-elements N      element budget for normalization, 0 for none (default\n"
+        "                        100000)\n"
+        "  --out PATH            write output to PATH, not stdout\n"
+        "  --asserted-only       count only asserted elements as determiners\n",
+        "",
+    ),
+    (
+        [],
+        2,
+        "",
+        _TOP_USAGE + "fuzzonto: error: the following arguments are required: command\n",
+    ),
+    (
+        ["bogus"],
+        2,
+        "",
+        _TOP_USAGE + "fuzzonto: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'normalize', 'assign', 'rules')\n",
+    ),
+    *(
+        (
+            [command, "x", "--bogus"],
+            2,
+            "",
+            _TOP_USAGE + "fuzzonto: error: unrecognized arguments: --bogus\n",
+        )
+        for command in ("normalize", "assign", "rules")
+    ),
+    (
+        ["normalize", "x", "--asserted-only"],
+        2,
+        "",
+        _TOP_USAGE + "fuzzonto: error: unrecognized arguments: --asserted-only\n",
+    ),
+    (
+        ["normalize", "x", "--format", "text"],
+        2,
+        "",
+        _NORMALIZE_USAGE + "fuzzonto normalize: error: argument --format: invalid choice: "
+        "'text' (choose from 'json', 'rdfxml')\n",
+    ),
+    (
+        ["assign", "x", "--format", "text"],
+        2,
+        "",
+        _ASSIGN_USAGE + "fuzzonto assign: error: argument --format: invalid choice: "
+        "'text' (choose from 'json')\n",
+    ),
+    (
+        ["rules", "x", "--format", "rdfxml"],
+        2,
+        "",
+        _RULES_USAGE + "fuzzonto rules: error: argument --format: invalid choice: "
+        "'rdfxml' (choose from 'json', 'text')\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code, out, err", USAGE_PINS, ids=[" ".join(pin[0]) or "no-args" for pin in USAGE_PINS]
+)
+def test_help_and_usage_errors_are_pinned(args, code, out, err, monkeypatch, capsys):
+    """Help texts and usage errors, top level and under each command, in
+    process: test_module_exit_codes_are_run_pipelines holds `python -m
+    fuzzonto` to the same bytes.  Newer argparse releases print the choices
+    of an invalid choice without quotes, so quotes are compared away."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run_pipeline(args)
+    captured = capsys.readouterr()
+    assert exc.value.code == code
+    assert captured.out == out
+    assert captured.err.replace("'", "") == err.replace("'", "")
+
+
+def test_a_named_command_builds_only_its_parser():
+    def built(args):
+        (commands,) = [a.choices for a in cli._build_parser(args)._actions if a.choices]
+        return list(commands)
+
+    assert built(["rules", "x"]) == ["rules"]
+    assert built(["normalize", "--help"]) == ["normalize"]
+    for args in ([], ["--help"], ["bogus"], ["-h", "rules"]):
+        assert built(args) == ["normalize", "assign", "rules"], args
+
+
+def test_input_bytes_are_released_after_the_parse(monkeypatch, capsys):
+    """Normalize and everything after it run without the input document:
+    _run holds no reference to its bytes by then."""
+    held = []
+
+    def spy(model, **options):
+        held.append("data" in sys._getframe(1).f_locals)
+        return normalize(model, **options)
+
+    monkeypatch.setattr(cli, "normalize", spy)
+    code, out, _ = run(capsys, "rules", str(fixture_path("paris_france.owl")), "--format", "text")
+    assert (code, out) == (0, "IF part_of France (mu=1.000000) THEN Paris\n")
+    assert held == [False]

@@ -14,6 +14,7 @@ from fuzzonto import (
     load_json,
     normalize,
     parse_document,
+    validate_model,
 )
 from fuzzonto.emit import (
     annotated_to_json,
@@ -23,12 +24,19 @@ from fuzzonto.emit import (
     rules_to_json,
     runs_text_chunks,
     traces_chunks,
-    traces_to_obj,
 )
-from fuzzonto.membership import ComplexKey
+from fuzzonto.membership import PART_OF, RELATION, ComplexKey
 from fuzzonto.normalize import RewriteTrace
 from fuzzonto.rules import generate_rules, premise_text, rule_runs
-from randmodels import intersection_model, random_model
+from randmodels import (
+    AWKWARD_NAMES,
+    awkward_model,
+    element_keys,
+    intersection_model,
+    model_state,
+    random_model,
+    traces_to_obj,
+)
 
 
 @pytest.mark.parametrize(
@@ -96,7 +104,7 @@ def test_emit_json_round_trips_normalized_fixture():
     derived = 0
     for model in models:
         again = load_json(emit_json(model))
-        assert again == model
+        assert model_state(again) == model_state(model)
         assert again.classes == model.classes  # name -> IRI
         assert again.holdings == model.holdings  # key -> origin
         assert again.relations == model.relations
@@ -159,7 +167,7 @@ def test_emit_rdf_round_trips_through_parse_and_normalize(name):
     for i, model in enumerate(models):
         reparsed = parse_document(emit_normalized_rdf(model), "rdfxml")
         again = normalize(reparsed).model
-        assert again.same_elements(model), f"{name} {i}"
+        assert element_keys(again) == element_keys(model), f"{name} {i}"
 
 
 def test_emit_rdf_round_trips_the_empty_class_name():
@@ -180,7 +188,31 @@ def test_emit_rdf_round_trips_the_empty_class_name():
     again = normalize(parse_document(text.encode(), "rdfxml")).model
     assert again.relations.keys() == {("p", "", "B")}
     assert again.holdings.keys() == {("d", "")}
-    assert again.same_elements(model)
+    assert element_keys(again) == element_keys(model)
+
+
+def test_every_valid_model_survives_every_format():
+    """Random, intersection and awkward-name models that validate_model
+    finds no error in keep their element key sets through model JSON, raw
+    and normalized, and once normalized through RDF/XML."""
+    checked = 0
+    names = set()
+    for make in (random_model, intersection_model, awkward_model):
+        for seed in range(200):
+            m = make(seed)
+            if any(d.severity == "error" for d in validate_model(m)):
+                continue
+            checked += 1
+            normal = normalize(m, bound=0).model
+            label = f"{make.__name__}({seed})"
+            for model in (m, normal):
+                assert element_keys(load_json(emit_json(model))) == element_keys(model), label
+            back = parse_document(emit_normalized_rdf(normal), "rdfxml")
+            assert element_keys(back) == element_keys(normal), label
+            if make is awkward_model:
+                names.update(normal.classes)
+    assert checked > 500
+    assert names >= set(AWKWARD_NAMES)
 
 
 def test_annotated_json_shape():
@@ -265,15 +297,15 @@ def test_rules_json_equals_generic_encoding_on_awkward_strings():
     rules = []
     for i, name in enumerate(awkward):
         n = i + 1
-        part_of = ComplexKey.part_of(name)
+        part_of = ComplexKey(PART_OF, None, name)
         rules += [
             (name, name, n),
             (part_of, "C", n),
             (part_of, name, n),
             (part_of, "D", n),
             (part_of, "F", 9),  # mu changes
-            (ComplexKey.relation(name, name), name, 7),
-            (ComplexKey.relation(name, name), "C", 7),
+            (ComplexKey(RELATION, name, name), name, 7),
+            (ComplexKey(RELATION, name, name), "C", 7),
             (name, "G", n),  # back after other premises
         ]
     assert rules_to_json(rules) == generic_rules_json(rules)
@@ -290,7 +322,7 @@ def test_rules_text_equals_generic_rendering_on_random_models():
 
 def test_traces_serialize_to_plain_objects():
     result = normalize_fixture("subclass_chain.owl")
-    objs = traces_to_obj(result.traces)
+    objs = json.loads(b"".join(traces_chunks(result.traces)))
     assert objs == [
         {
             "rule": "subclass-closure",
@@ -298,7 +330,6 @@ def test_traces_serialize_to_plain_objects():
             "sources": ["subclass House -> City", "subclass City -> Country"],
         }
     ]
-    dump_json(objs)  # must be JSON-serializable as-is
 
 
 def test_traces_json_equals_generic_encoding():

@@ -83,7 +83,7 @@ def test_count_collapses_equivalent_holders():
 def test_count_partof_complex():
     m = blank_normalized("Paris", "France")
     m.add_subclass("Paris", "France")
-    entry = assign_partof_mu(m, build_equivalence_groups(m))[ComplexKey.part_of("France")]
+    entry = assign_partof_mu(m, build_equivalence_groups(m))[ComplexKey(PART_OF, None, "France")]
     assert entry.n == 1
     assert entry.determiners == ("Paris",)
 
@@ -92,8 +92,8 @@ def test_absent_key_has_no_entry():
     m = blank_normalized("A")
     table = assign_all(m).table
     assert "ghost" not in table.property_mu
-    assert ComplexKey.relation("r", "A") not in table.complex_mu
-    assert ComplexKey.part_of("A") not in table.complex_mu
+    assert ComplexKey(RELATION, "r", "A") not in table.complex_mu
+    assert ComplexKey(PART_OF, None, "A") not in table.complex_mu
 
 
 # -- assignment -----------------------------------------------------------------
@@ -124,10 +124,10 @@ def test_property_mu_with_equivalent_pair():
 def test_partof_mu_on_closed_chain():
     m = normalized("subclass_chain.owl")
     table = assign_partof_mu(m, build_equivalence_groups(m))
-    assert table[ComplexKey.part_of("City")].n == 1
-    assert table[ComplexKey.part_of("City")].determiners == ("House",)
-    assert table[ComplexKey.part_of("Country")].n == 2
-    assert table[ComplexKey.part_of("Country")].determiners == ("City", "House")
+    assert table[ComplexKey(PART_OF, None, "City")].n == 1
+    assert table[ComplexKey(PART_OF, None, "City")].determiners == ("House",)
+    assert table[ComplexKey(PART_OF, None, "Country")].n == 2
+    assert table[ComplexKey(PART_OF, None, "Country")].determiners == ("City", "House")
 
 
 def test_partof_mu_two_subclasses():
@@ -135,14 +135,14 @@ def test_partof_mu_two_subclasses():
     m.add_subclass("Paris", "France")
     m.add_subclass("Lyon", "France")
     table = assign_partof_mu(m, build_equivalence_groups(m))
-    assert table[ComplexKey.part_of("France")].n == 2
+    assert table[ComplexKey(PART_OF, None, "France")].n == 2
 
 
 def test_relation_mu_on_expanded_symmetric_fixture():
     m = normalized("symmetric_colleagues.owl")
     table = assign_relation_mu(m, build_equivalence_groups(m))
-    engineer = table[ComplexKey.relation("colleagueOf", "Engineer")]
-    programmer = table[ComplexKey.relation("colleagueOf", "Programmer")]
+    engineer = table[ComplexKey(RELATION, "colleagueOf", "Engineer")]
+    programmer = table[ComplexKey(RELATION, "colleagueOf", "Programmer")]
     assert engineer.n == 1 and engineer.determiners == ("Programmer",)
     assert programmer.n == 1 and programmer.determiners == ("Engineer",)
 
@@ -153,7 +153,7 @@ def test_relation_mu_shared_object():
     m.add_relation("livesIn", "Man", "City")
     m.add_relation("livesIn", "Woman", "City")
     table = assign_relation_mu(m, build_equivalence_groups(m))
-    assert table[ComplexKey.relation("livesIn", "City")].n == 2
+    assert table[ComplexKey(RELATION, "livesIn", "City")].n == 2
 
 
 def test_copy_to_equivalents_widens_determiners_not_mu():
@@ -224,8 +224,8 @@ def test_copy_keeps_complete_entries_and_widens_part_of():
     )
     table = copy_to_equivalents(raw).table
     assert table.property_mu["p"] is raw.table.property_mu["p"]
-    part_of = table.complex_mu[ComplexKey.part_of("C")]
-    assert raw.table.complex_mu[ComplexKey.part_of("C")].determiners == ("A",)
+    part_of = table.complex_mu[ComplexKey(PART_OF, None, "C")]
+    assert raw.table.complex_mu[ComplexKey(PART_OF, None, "C")].determiners == ("A",)
     assert part_of.n == 1 and part_of.determiners == ("A", "B")
 
 
@@ -250,9 +250,9 @@ def test_assign_all_empty_model():
 def test_assign_all_transitive_fixture_entries():
     annotated = assign_all(normalized("transitive_areas.owl"))
     table = annotated.table.complex_mu
-    assert table[ComplexKey.relation("subAreaOf", "Latvia")].n == 1
-    assert table[ComplexKey.relation("subAreaOf", "EU")].n == 2
-    assert table[ComplexKey.relation("subAreaOf", "EU")].determiners == (
+    assert table[ComplexKey(RELATION, "subAreaOf", "Latvia")].n == 1
+    assert table[ComplexKey(RELATION, "subAreaOf", "EU")].n == 2
+    assert table[ComplexKey(RELATION, "subAreaOf", "EU")].determiners == (
         "Latgale",
         "Latvia",
     )
@@ -307,16 +307,16 @@ def test_asserted_only_ignores_derived_determiners():
     m = normalized("relation_lift.owl")
     annotated = assign_all(m, asserted_only=True)
     keys = set(annotated.table.complex_mu)
-    assert ComplexKey.relation("livesIn", "House") in keys
-    assert ComplexKey.relation("livesIn", "City") not in keys  # lifted only
-    assert ComplexKey.part_of("City") in keys
+    assert ComplexKey(RELATION, "livesIn", "House") in keys
+    assert ComplexKey(RELATION, "livesIn", "City") not in keys  # lifted only
+    assert ComplexKey(PART_OF, None, "City") in keys
 
 
 def test_asserted_only_affects_denominator():
     m = normalized("subclass_chain.owl")
-    default = assign_all(m).table.complex_mu[ComplexKey.part_of("Country")]
+    default = assign_all(m).table.complex_mu[ComplexKey(PART_OF, None, "Country")]
     restricted = assign_all(m, asserted_only=True).table.complex_mu[
-        ComplexKey.part_of("Country")
+        ComplexKey(PART_OF, None, "Country")
     ]
     assert default.n == 2
     assert restricted.n == 1  # only City -> Country is asserted

@@ -1,4 +1,5 @@
 import fuzzonto
+from fuzzonto import emit_json
 from fuzzonto.model import OntologyModel, RawModifier
 
 
@@ -45,24 +46,7 @@ def test_copy_is_independent():
     clone.add_modifier(RawModifier("symmetric", "q"))
     assert ("p", "B") not in m.holdings
     assert not m.modifiers
-    assert m == build_small()
-
-
-def test_equality_includes_origins_same_elements_does_not():
-    a = build_small()
-    b = build_small()
-    assert a == b
-    b.holdings[("p", "A")] = "derived-tag"
-    assert a != b
-    assert a.same_elements(b)
-
-
-def test_same_elements_ignores_normalized_flag():
-    a = build_small()
-    b = build_small()
-    b.normalized = True
-    assert a != b
-    assert a.same_elements(b)
+    assert emit_json(m) == emit_json(build_small())
 
 
 def test_counts():

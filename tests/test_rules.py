@@ -1,6 +1,6 @@
 from conftest import normalize_fixture
 from fuzzonto import assign_all, normalize
-from fuzzonto.membership import ComplexKey
+from fuzzonto.membership import PART_OF, RELATION, ComplexKey
 from fuzzonto.model import OntologyModel
 from fuzzonto.rules import (
     check_consistency,
@@ -157,7 +157,7 @@ def test_consistency_collapses_equivalent_conclusions():
     m.add_equivalence("A", "B")
     m.normalized = True
     annotated = assign_all(m)
-    rules = [(ComplexKey.part_of("X"), c, 2) for c in ("A", "B", "C")]
+    rules = [(ComplexKey(PART_OF, None, "X"), c, 2) for c in ("A", "B", "C")]
     assert check_consistency(rules, annotated) == []  # representatives are {A, C}
 
 
@@ -252,7 +252,7 @@ def test_generate_rules_merges_premises_that_print_alike():
     annotated = assign_all(normalize(m).model)
     runs = premise_runs(annotated)
     assert runs == list(rule_runs(sorted_entries_rules(annotated)))
-    assert runs[-1] == ((ComplexKey.part_of("X"), 4), ("Y1", "Y2"))
+    assert runs[-1] == ((ComplexKey(PART_OF, None, "X"), 4), ("Y1", "Y2"))
 
 
 def test_consistency_merges_a_premise_split_over_non_adjacent_runs():
@@ -267,7 +267,7 @@ def test_consistency_merges_a_premise_split_over_non_adjacent_runs():
 
 def test_consistency_merges_equal_but_not_identical_keys():
     annotated = annotated_fixture("empty.owl")
-    first, second = ComplexKey.part_of("X"), ComplexKey.part_of("X")
+    first, second = ComplexKey(PART_OF, None, "X"), ComplexKey(PART_OF, None, "X")
     assert first == second and first is not second
     rules = [(first, "A", 2), (second, "B", 3)]
     violations = check_consistency(rules, annotated)
@@ -282,7 +282,7 @@ def test_check_runs_without_groups_recounts_split_premises():
     a repeated conclusion counts once, and two mu values are mixed."""
     annotated = annotated_fixture("empty.owl")
     assert not annotated.groups
-    key = ComplexKey.relation("r", "X")
+    key = ComplexKey(RELATION, "r", "X")
     half, third, one = 2, 3, 1  # n for mu = 1/2, 1/3 and 1
     cases = [
         ([((key, half), ("A",)), (("q", one), ("B",)), ((key, half), ("C",))], []),
