@@ -60,16 +60,16 @@ _COMMANDS = (
 
 
 def _build_parser(args: list[str]) -> argparse.ArgumentParser:
-    """The parser for args.  When the first argument names a command, only
-    that command's parser is built, and the metavar keeps all three names in
-    the usage line; otherwise all three are built, for help and usage errors."""
+    """The parser for args: only the named command's, under a metavar that
+    keeps all three names in the usage line, or else all three, under the
+    metavar that names the command "command" in help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="fuzzonto",
         description="Normalize OWL subset ontologies, assign membership values, "
         "and generate identifying fuzzy rules.",
     )
     chosen = [entry for entry in _COMMANDS if args[:1] == [entry[0]]]
-    metavar = "{normalize,assign,rules}" if chosen else None
+    metavar = "{" + ",".join(entry[0] for entry in _COMMANDS) + "}" if chosen else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for command, formats, summary in chosen or _COMMANDS:
         p = sub.add_parser(command, help=summary)

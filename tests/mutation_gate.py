@@ -7,27 +7,23 @@ mutant is killed when they fail.  A mutant that changes no behaviour is
 marked equivalent with the reason, and is not run.
 
 The gate fails if an old text does not occur exactly once, if a module
-of src/fuzzonto has no mutant (when every mutant runs), if a mutant
+of src/fuzzonto has no mutant, if a mutant
 survives, if pytest ends other than pass or fail (say, a test name that no
 longer exists), or if the named tests fail on the unmutated source.  Tests
 still running after TIMEOUT seconds count as a kill, since they never pass;
 such a mutant costs the whole timeout, so prefer one that ends.
 
 Run it from anywhere, with pytest installed (pytest does not collect this
-file):
+file); it takes no options and runs JOBS mutants at once:
 
-    python tests/mutation_gate.py           # every mutant
-    python tests/mutation_gate.py -j 2      # two at a time
-    python tests/mutation_gate.py -k ingest # the mutants whose name or file holds "ingest"
+    python tests/mutation_gate.py
 
 A change that adds a rule or a writer adds its mutants here.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import queue
 import shutil
 import subprocess
 import sys
@@ -41,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fuzzonto"
 
 TIMEOUT = 300  # seconds for one mutant's tests
+JOBS = min(os.cpu_count() or 1, 4)  # each is one pytest process
 
 Mutant = namedtuple("Mutant", "name file old new tests equivalent", defaults=(None,))
 
@@ -420,8 +417,15 @@ MUTANTS = [
     Mutant(
         "one-command-usage-names-only-it",
         "cli.py",
-        'metavar = "{normalize,assign,rules}" if chosen else None',
-        "metavar = None",
+        '+ "}" if chosen else None',
+        '+ "}" if False else None',
+        [T_CLI + "test_help_and_usage_errors_are_pinned"],
+    ),
+    Mutant(
+        "every-usage-error-names-the-command-by-its-choices",
+        "cli.py",
+        '+ "}" if chosen else None',
+        '+ "}"',
         [T_CLI + "test_help_and_usage_errors_are_pinned"],
     ),
     Mutant(
@@ -518,64 +522,49 @@ def _check_table(mutants) -> list[str]:
     return problems
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-j", "--jobs", type=int, default=1, help="mutants run at once")
-    parser.add_argument("-k", metavar="TEXT", help="only mutants whose name or file holds TEXT")
-    options = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if not options.k or options.k in m.name + " " + m.file]
-
-    problems = _check_table(mutants)
-    if not options.k:
-        untested = sorted({path.name for path in PACKAGE.glob("*.py")} - {m.file for m in MUTANTS})
-        problems += [f"{name}: no mutant in this module" for name in untested]
+def main() -> int:
+    problems = _check_table(MUTANTS)
+    untested = sorted({path.name for path in PACKAGE.glob("*.py")} - {m.file for m in MUTANTS})
+    problems += [f"{name}: no mutant in this module" for name in untested]
     for problem in problems:
         print(f"TABLE    {problem}", flush=True)
     if problems:
         return 1
 
     started = time.perf_counter()
-    modules = {m.file for m in mutants}
-    runnable = [m for m in mutants if not m.equivalent]
+    runnable = [m for m in MUTANTS if not m.equivalent]
     named = sorted({test for m in runnable for test in m.tests})
     with tempfile.TemporaryDirectory(prefix="fuzzonto-mutants-") as tmp:
-        workdirs: queue.Queue = queue.Queue()
-        for i in range(max(1, options.jobs)):
-            workdirs.put(_copy_source(Path(tmp) / str(i)))
-        baseline = _pytest(Path(tmp) / "0" / "src", named) if named else 0
+        baseline = _pytest(_copy_source(Path(tmp) / "baseline"), named)
         if baseline != 0:
             print(f"BASELINE the named tests end with pytest exit code {baseline} "
                   "on the unmutated source")
             return 1
 
         def run(m: Mutant) -> tuple[Mutant, int, float]:
-            src = workdirs.get()
+            src = _copy_source(Path(tmp) / m.name)
             target = src / "fuzzonto" / m.file
-            original = target.read_text(encoding="utf-8")
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(m.old, m.new), encoding="utf-8")
             began = time.perf_counter()
-            try:
-                target.write_text(original.replace(m.old, m.new), encoding="utf-8")
-                return m, _pytest(src, m.tests), time.perf_counter() - began
-            finally:
-                target.write_text(original, encoding="utf-8")
-                workdirs.put(src)
+            return m, _pytest(src, m.tests), time.perf_counter() - began
 
         failed = 0
-        with ThreadPoolExecutor(max_workers=max(1, options.jobs)) as pool:
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
             for m, code, seconds in pool.map(run, runnable):
                 verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
                 failed += code != 1
                 print(f"{verdict:<8} {m.name} ({m.file}, {seconds:.1f} s)", flush=True)
-    for m in mutants:
+    for m in MUTANTS:
         if m.equivalent:
             print(f"{'equiv':<8} {m.name} ({m.file}): {m.equivalent}")
-    killed = len(runnable) - failed
+    modules = {m.file for m in MUTANTS}
     print(
-        f"{killed} of {len(runnable)} mutants killed, {len(mutants) - len(runnable)} "
-        f"equivalent, {len(modules)} modules, {time.perf_counter() - started:.0f} s"
+        f"{len(runnable) - failed} of {len(runnable)} mutants killed, "
+        f"{len(MUTANTS) - len(runnable)} equivalent, {len(modules)} modules, "
+        f"{time.perf_counter() - started:.0f} s"
     )
     return 1 if failed else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
