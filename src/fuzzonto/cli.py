@@ -10,8 +10,8 @@ Primary output goes to stdout unless --out is given; diagnostics go to
 stderr; --report writes a machine-readable run report.  Output is written in
 blocks as the writers yield it.  All file writes are atomic (temp file +
 rename).  Exit codes: 0 ok, 1 parse failure, unreadable input or unwritable
-output, 2 validation errors under --strict, 3 unsupported construct under
---strict, 4 element budget exceeded.
+output (a name that RDF/XML cannot carry included), 2 validation errors under
+--strict, 3 unsupported construct under --strict, 4 element budget exceeded.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     FixpointOverflow,
     MalformedDocument,
     UnsupportedConstruct,
+    UnwritableName,
 )
 from .model import Diagnostic
 from .normalize import DEFAULT_BOUND, normalize
@@ -253,7 +254,11 @@ def _run(args: list[str]) -> int:
 
     if options.command == "normalize":
         if options.format == "rdfxml":
-            output = [emit.emit_normalized_rdf(result.model)]
+            try:
+                output = [emit.emit_normalized_rdf(result.model)]
+            except UnwritableName as exc:
+                _print_diagnostics([Diagnostic("unwritable-name", "error", str(exc))])
+                return EXIT_PARSE
         else:
             output = [emit.emit_json(result.model)]
     elif options.command == "assign":

@@ -17,9 +17,10 @@ that for (premise, conclusion, n) tuples, grouped into runs first.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring as _quote
 
-from .errors import NotNormalized
+from .errors import NotNormalized, UnwritableName
 from .ingest import OWL_NS, RDF_NS, RDFS_NS, SCHEMA_VERSION
 from .membership import PART_OF, PROPERTY, AnnotatedOntology
 from .model import DATATYPE, ELEMENT_KINDS, INTERSECTION, INVERSE, OBJECT, OntologyModel
@@ -94,9 +95,16 @@ def emit_json(m: OntologyModel) -> bytes:
 def emit_normalized_rdf(m: OntologyModel) -> bytes:
     """RDF/XML holding only classes, plain properties, subclass and
     equivalence axioms.  One property block per domain/range assertion so a
-    re-parse recovers exactly the same relation set."""
+    re-parse recovers exactly the same relation set.  A name or IRI with a
+    character outside XML 1.0's Char production raises UnwritableName."""
     if not m.normalized:
         raise NotNormalized("RDF export is defined for normalized models only")
+    names = {*m.classes, *filter(None, m.classes.values()), *m.properties}  # each checked once
+    names.update(*m.holdings, *m.relations, *m.subclass_axioms, *m.equivalences)
+    bad = re.search("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", "\t".join(names))
+    if bad:
+        name = min(name for name in names if bad[0] in name)
+        raise UnwritableName(f"{name!r} holds U+{ord(bad[0]):04X}, which XML 1.0 cannot carry")
     # imported here: xml.sax.saxutils pulls in urllib.request, http.client and
     # ssl, which every other command would pay for at start-up
     from xml.sax.saxutils import quoteattr

@@ -28,3 +28,7 @@ class FixpointOverflow(FuzzontoError):
 
 class NotNormalized(FuzzontoError):
     """An operation requiring a normalized model received a raw one."""
+
+
+class UnwritableName(FuzzontoError):
+    """A name holds a character that XML 1.0 cannot carry, even escaped."""

@@ -6,19 +6,21 @@ order:
 * stage 1 adds implied elements: equivalence copies of holdings and
   subject-position relations, the subclass closure (cycles become
   equivalences), and the lift of relations up the subclass hierarchy;
-* stage 2 replaces the modifiers by plain elements, kind by kind: symmetric
-  and inverse properties mirror relations, an intersection becomes subclass
-  axioms and a transitive property is closed.  Then the modifiers are gone.
+* stage 2, in pass 1 only, replaces the modifiers by plain elements, kind by
+  kind: symmetric and inverse properties mirror relations, an intersection
+  becomes subclass axioms and a transitive property is closed.
 
 Passes repeat until one leaves the model unchanged, so elements produced by
 stage 2 (say, a relation expanded from a symmetric property) still feed
-stage-1 rules on the next pass.  Every rule only ever adds elements or drops
-the modifiers, so the fixpoint exists; a configurable element budget guards
-against pathological blow-up.  The budget refuses each batch of insertions
-that would take the model past it, before the batch goes in, and a closure
-stops as soon as its pairs pass the room that is left.  One _Run object
-carries a run's state: the model, the bound, the warnings, what each rule
-keeps from pass to pass, and the tally and traces.
+stage-1 rules on the next pass.  Rules only add elements (the first closure
+drops the input's self-subclass axioms), so the fixpoint exists; an element
+budget guards against pathological blow-up.  It counts what the output can
+hold: the modifiers leave the working model when the run starts, and the
+self-axioms do not count.  It refuses each batch of insertions that would
+take the count past it, before the batch goes in, and a closure stops as
+soon as its pairs pass the room that is left.  One _Run object carries a
+run's state: the model, the modifiers by kind, the bound, the warnings, what
+each rule keeps from pass to pass, and the tally and traces.
 
 Passes after the first only redo what the previous pass's additions call for
 (semi-naive evaluation): the subclass closure reruns only when the axiom set
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 from . import closure
 from .closure import bits
@@ -114,14 +116,21 @@ class NormalizeResult:
 
 
 class _Run:
-    """One normalize run: the model it rewrites, the element bound, the tally,
-    the traces when tracing, the warnings, and what the rules carry from pass
-    to pass, so that a pass redoes only what the previous pass's additions
-    call for.  A fresh instance makes every rule start from scratch.
+    """One normalize run: the model it rewrites, its modifiers, the bound, the
+    tally, the traces when tracing, the warnings, and what the rules carry
+    from pass to pass, so that a pass redoes only what the previous pass's
+    additions call for.  A fresh instance makes every rule start from scratch.
     """
 
     def __init__(self, m: OntologyModel, trace: bool, bound: int) -> None:
         self.m = m
+        # the modifiers leave the model, by kind in the order stage 2 applies them
+        # (RawModifier.key order would put intersection first and change traces)
+        self.modifiers = {kind: [] for kind in (SYMMETRIC, INVERSE, INTERSECTION, TRANSITIVE)}
+        for mod in m.sorted_modifiers():
+            self.modifiers[mod.kind].append(mod)
+        m.modifiers = set()
+        self.self_axioms = sum(sub == sup for sub, sup in m.subclass_axioms)  # until dropped
         self.trace = trace
         self.bound = bound
         self.tally = dict.fromkeys(ALL_RULES, 0)
@@ -134,11 +143,15 @@ class _Run:
         self.group_of: dict[str, tuple[str, ...]] = {}  # name -> its group, sorted
         self.copied = (0, 0)  # len(holdings), len(relations) at the last copy
 
+    def count(self) -> int:
+        """The budget's count: the elements, less the input's self-axioms not dropped yet."""
+        return self.m.element_count() - self.self_axioms
+
     def admit(self, growth: int) -> None:
-        """Refuse a batch of growth new elements that would take the model
+        """Refuse a batch of growth new elements that would take the count
         past the bound; FixpointOverflow gives the count it would reach."""
         if self.bound:
-            count = self.m.element_count() + growth
+            count = self.count() + growth
             if count > self.bound:
                 raise FixpointOverflow(count, self.bound)
 
@@ -259,13 +272,13 @@ def _close(edges, run: _Run, drops_self_pairs: bool = False):
     names = sorted({n for edge in edges for n in edge})
     index = {n: i for i, n in enumerate(names)}
     free = len(edges) + (len(names) if drops_self_pairs else 0)
-    limit = run.bound - run.m.element_count() + free if run.bound else 0
+    limit = run.bound - run.count() + free if run.bound else 0
     try:
         reach = closure.reachable_pairs(
             len(names), [(index[a], index[b]) for a, b in edges], limit=limit
         )
     except closure.PairLimitExceeded as exc:
-        raise FixpointOverflow(run.m.element_count() - free + exc.pairs, run.bound) from None
+        raise FixpointOverflow(run.count() - free + exc.pairs, run.bound) from None
     return names, index, reach
 
 
@@ -320,6 +333,7 @@ def _close_subclass_hierarchy(m: OntologyModel, run: _Run) -> bool:
     dropped = [(name, name) for cycle in cycles for name in cycle if (name, name) in axioms]
     for key in dropped:
         del axioms[key]  # self-axioms are dropped
+    run.self_axioms = 0  # the input's were among them, and no rule adds one
     added = run.add(
         axioms,
         RULE_SUBCLASS_CLOSURE,
@@ -452,11 +466,6 @@ def _lift_relations(m: OntologyModel, run: _Run) -> bool:
 
 # -- stage 2 -------------------------------------------------------------------
 
-# the order in which stage 2 applies the modifier kinds; not RawModifier.key
-# order, which would put intersection first and change origins and traces
-_STAGE2_ORDER = {SYMMETRIC: 0, INVERSE: 1, INTERSECTION: 2, TRANSITIVE: 3}
-
-
 def _mirror(m: OntologyModel, run: _Run, rule: str, mod: RawModifier, counterpart: str) -> None:
     """Add counterpart(o, s) for every target(s, o); a symmetric property is
     its own counterpart.  The sources go in sorted order only when tracing."""
@@ -476,13 +485,11 @@ def _mirror(m: OntologyModel, run: _Run, rule: str, mod: RawModifier, counterpar
 
 
 def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
-    """Replace every modifier by the plain elements it implies, then drop
-    them all.  Kinds go in _STAGE2_ORDER, so a transitive closure sees the
-    relations that mirroring added; within a kind, modifiers go in
-    RawModifier.key order."""
-    if not m.modifiers:
-        return False
-    for mod in sorted(m.modifiers, key=lambda mod: (_STAGE2_ORDER[mod.kind], mod.key())):
+    """Replace the run's modifiers by the plain elements they imply; a pass
+    that applies any changes the output, which holds none.  Kinds go in
+    run.modifiers order, so a transitive closure sees the relations that
+    mirroring added; within a kind, modifiers go in RawModifier.key order."""
+    for mod in chain.from_iterable(run.modifiers.values()):
         if mod.kind == SYMMETRIC:
             _mirror(m, run, RULE_SYMMETRIC, mod, mod.target)
         elif mod.kind == INVERSE:
@@ -534,8 +541,7 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
                     _sources(names, reach.rows, index[key[1]], index[key[2]], render),
                 ),
             )
-    m.modifiers.clear()
-    return True
+    return any(run.modifiers.values())
 
 
 # -- fixpoint driver -------------------------------------------------------------
@@ -557,11 +563,11 @@ def normalize(
 
     changed = True
     while changed:
-        # every rule runs; |= does not short-circuit
+        # every stage-1 rule runs on every pass; |= does not short-circuit
         changed = _propagate_equivalents(work, run)
         changed |= _close_subclass_hierarchy(work, run)
         changed |= _lift_relations(work, run)
-        changed |= _rewrite_modifiers(work, run)
+        changed |= passes == 0 and _rewrite_modifiers(work, run)  # in pass 1 only
         passes += 1
 
     work.normalized = True

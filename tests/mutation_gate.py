@@ -55,6 +55,8 @@ REFERENCE = T_NORMALIZE + "test_normalize_matches_full_reevaluation_reference"
 DIGESTS = T_DIGESTS + "test_output_digests_are_pinned"
 JSON_ROUND_TRIP = T_EMIT + "test_emit_json_round_trips_normalized_fixture"
 EVERY_FORMAT = T_EMIT + "test_every_valid_model_survives_every_format"
+EXACT_FIT = T_NORMALIZE + "test_a_bound_equal_to_the_output_count_fits"
+SOUND = T_NORMALIZE + "test_output_is_sound_against_the_rule_table"
 
 MUTANTS = [
     # -- normalize.py ----------------------------------------------------------
@@ -110,8 +112,8 @@ MUTANTS = [
     Mutant(
         "transitive-before-mirroring",
         "normalize.py",
-        "{SYMMETRIC: 0, INVERSE: 1, INTERSECTION: 2, TRANSITIVE: 3}",
-        "{SYMMETRIC: 1, INVERSE: 2, INTERSECTION: 3, TRANSITIVE: 0}",
+        "(SYMMETRIC, INVERSE, INTERSECTION, TRANSITIVE)",
+        "(TRANSITIVE, SYMMETRIC, INVERSE, INTERSECTION)",
         [DIGESTS],
     ),
     Mutant(
@@ -124,9 +126,44 @@ MUTANTS = [
     Mutant(
         "stage-2-output-ends-the-fixpoint",
         "normalize.py",
-        "        changed |= _rewrite_modifiers(work, run)",
-        "        _rewrite_modifiers(work, run)",
+        "        changed |= passes == 0 and _rewrite_modifiers(work, run)",
+        "        passes == 0 and _rewrite_modifiers(work, run)",
         [T_NORMALIZE + "test_normalize_is_idempotent_on_random_models"],
+    ),
+    Mutant(
+        "budget-counts-the-modifiers",
+        "normalize.py",
+        "return self.m.element_count() - self.self_axioms",
+        "return self.m.element_count() - self.self_axioms + sum(map(len, self.modifiers.values()))",
+        [EXACT_FIT],
+    ),
+    Mutant(
+        "budget-counts-the-self-axioms",
+        "normalize.py",
+        "self.self_axioms = sum(sub == sup for sub, sup in m.subclass_axioms)",
+        "self.self_axioms = 0",
+        [EXACT_FIT],
+    ),
+    Mutant(
+        "closure-limit-one-short",
+        "normalize.py",
+        "limit = run.bound - run.count() + free if run.bound else 0",
+        "limit = run.bound - run.count() + free - 1 if run.bound else 0",
+        [EXACT_FIT],
+    ),
+    Mutant(
+        "mirror-keeps-its-ends",
+        "normalize.py",
+        "(key := (counterpart, obj, subject))",
+        "(key := (counterpart, subject, obj))",
+        [SOUND],
+    ),
+    Mutant(
+        "lift-to-a-subclass",
+        "normalize.py",
+        "        supers.setdefault(sub, []).append(sup)",
+        "        supers.setdefault(sup, []).append(sub)",
+        [SOUND],
     ),
     # -- closure.py ------------------------------------------------------------
     Mutant(
@@ -296,6 +333,13 @@ MUTANTS = [
         'item["members"] = list(mod.members)',
         'item["members"] = sorted(mod.members)',
         [JSON_ROUND_TRIP],
+    ),
+    Mutant(
+        "xml-name-check-lets-ufffe-through",
+        "emit.py",
+        "\\ue000-\\ufffd",
+        "\\ue000-\\ufffe",
+        [EVERY_FORMAT, T_CLI + "test_a_name_that_xml_cannot_carry_is_refused_by_rdfxml_only"],
     ),
     Mutant(
         "rdfxml-drops-equivalences",

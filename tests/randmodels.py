@@ -3,7 +3,10 @@
 The oracles re-derive results from first principles (repeat-until-fixed pair
 composition, naive set merging, direct comprehension over model collections)
 so they share no code with the production implementations they check.
-reference_normalize is the exception and says what it shares.
+reference_normalize is the exception and says what it shares.  RULES
+writes down once what normalize may derive, as OWL 2 RL rules, and saturate
+evaluates the table naively; neither calls anything in fuzzonto.normalize or
+fuzzonto.closure.
 reference_validate_model is the validator as it was before it filtered
 elements by lookups: it sorts and renders every element.
 reference_parse_rdfxml is the RDF/XML reader as it was when it built an
@@ -265,19 +268,24 @@ AWKWARD_NAMES = [
     "a\u2028b",
 ]
 
+# names that model JSON carries and XML 1.0 cannot, even as a character
+# reference: a C0 control other than tab, newline and carriage return, and
+# the two noncharacters at the end of the Basic Multilingual Plane
+UNWRITABLE_NAMES = ["a\x01b", "a\ufffeb", "a\uffffb"]
 
-def awkward_model(seed: int) -> OntologyModel:
-    """intersection_model(seed) with every class renamed to one of
-    AWKWARD_NAMES, in a seeded order, and every property to its own name
-    followed by one; so no class and property share a name."""
+
+def awkward_model(seed: int, names=AWKWARD_NAMES) -> OntologyModel:
+    """intersection_model(seed) with every class renamed to one of names,
+    AWKWARD_NAMES unless given, in a seeded order, and every property to its
+    own name followed by one; so no class and property share a name."""
     source = intersection_model(seed)
     rng = random.Random(f"awkward/{seed}")
-    renamed = dict(zip(sorted(source.classes), rng.sample(AWKWARD_NAMES, len(source.classes))))
+    renamed = dict(zip(sorted(source.classes), rng.sample(names, len(source.classes))))
     props = set(source.properties) | {key[0] for key in (*source.holdings, *source.relations)}
     for mod in source.modifiers:
         if mod.kind != INTERSECTION:
             props.update(filter(None, (mod.target, mod.counterpart)))
-    renamed.update((name, name + rng.choice(AWKWARD_NAMES)) for name in sorted(props))
+    renamed.update((name, name + rng.choice(names)) for name in sorted(props))
 
     m = OntologyModel()
     for name, iri in source.classes.items():
@@ -374,12 +382,125 @@ def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
         run.closed, run.warned = None, set()  # the closure starts fresh
         _close_subclass_hierarchy(work, run)
         _reference_lift(work, run)
-        _rewrite_modifiers(work, run)
+        rewrote = passes == 0 and _rewrite_modifiers(work, run)  # they left work with _Run
         passes += 1
-        if element_keys(work) == before:
+        if element_keys(work) == before and not rewrote:
             break
     work.normalized = True
     return work, tuple(run.traces), run.warnings, passes, run.tally
+
+
+# -- the rule table: what normalize may derive, as OWL 2 RL states it ---------------
+
+# Each rule is (name, premise patterns, conclusion pattern).  A pattern is a
+# fact's kind followed by variable names; a fact is a kind followed by names:
+# ("holding", p, c), ("relation", r, s, o), ("subclass", sub, sup),
+# ("equivalence", a, b), ("symmetric", p), ("transitive", p),
+# ("inverse", p, q) and one ("intersection", c, member) per member.  The
+# rules named scm-* and prp-* are those of W3C OWL 2 Profiles, section 4.3,
+# tables 5 and 9; equivalence-sym states that owl:equivalentClass is
+# symmetric, and the last three are normalize's own.
+RULES = (
+    ("scm-sco", (("subclass", "a", "b"), ("subclass", "b", "c")), ("subclass", "a", "c")),
+    ("scm-eqc2", (("subclass", "a", "b"), ("subclass", "b", "a")), ("equivalence", "a", "b")),
+    ("equivalence-sym", (("equivalence", "a", "b"),), ("equivalence", "b", "a")),
+    ("prp-symp", (("symmetric", "p"), ("relation", "p", "x", "y")), ("relation", "p", "y", "x")),
+    (
+        "prp-inv1",
+        (("inverse", "p", "q"), ("relation", "p", "x", "y")),
+        ("relation", "q", "y", "x"),
+    ),
+    (
+        "prp-inv2",
+        (("inverse", "p", "q"), ("relation", "q", "x", "y")),
+        ("relation", "p", "y", "x"),
+    ),
+    (
+        "prp-trp",
+        (("transitive", "p"), ("relation", "p", "x", "y"), ("relation", "p", "y", "z")),
+        ("relation", "p", "x", "z"),
+    ),
+    ("scm-int", (("intersection", "c", "m"),), ("subclass", "c", "m")),
+    (
+        "relation-lift",
+        (("relation", "r", "s", "o"), ("subclass", "o", "sup")),
+        ("relation", "r", "s", "sup"),
+    ),
+    (
+        "holding-copy",
+        (("holding", "p", "a"), ("equivalence", "a", "b")),
+        ("holding", "p", "b"),
+    ),
+    (
+        "subject-copy",
+        (("relation", "r", "a", "o"), ("equivalence", "a", "b")),
+        ("relation", "r", "b", "o"),
+    ),
+)
+
+
+def model_facts(m: OntologyModel) -> set:
+    """m's elements and modifiers as facts; classes and properties are none."""
+    facts = {("holding", *key) for key in m.holdings}
+    facts |= {("relation", *key) for key in m.relations}
+    facts |= {("subclass", *key) for key in m.subclass_axioms}
+    facts |= {("equivalence", *pair) for pair in m.equivalences}
+    for mod in m.modifiers:
+        if mod.kind == INVERSE:
+            facts.add((INVERSE, mod.target, mod.counterpart or mod.target))
+        elif mod.kind == INTERSECTION:
+            facts |= {(INTERSECTION, mod.target, member) for member in mod.members}
+        else:
+            facts.add((mod.kind, mod.target))
+    return facts
+
+
+def _bindings(premises, binding: dict, index: dict):
+    """Every extension of binding that matches all premises to facts.  index
+    maps (kind, arity) and (kind, arity, position, name) to the facts that
+    have them; a premise scans the shortest list its bound names allow."""
+    if not premises:
+        yield binding
+        return
+    kind, *names = premises[0]
+    arity = len(names)
+    candidates = index.get((kind, arity), ())
+    for position, name in enumerate(names):
+        if name in binding:
+            narrowed = index.get((kind, arity, position, binding[name]), ())
+            if len(narrowed) < len(candidates):
+                candidates = narrowed
+    for fact in candidates:
+        extended = dict(binding)
+        if all(extended.setdefault(name, value) == value for name, value in zip(names, fact[1:])):
+            yield from _bindings(premises[1:], extended, index)
+
+
+def rule_step(facts: set) -> dict:
+    """Each rule's conclusions over facts that facts does not hold yet."""
+    index: dict = {}
+    for fact in facts:
+        arity = len(fact) - 1
+        index.setdefault((fact[0], arity), []).append(fact)
+        for position, value in enumerate(fact[1:]):
+            index.setdefault((fact[0], arity, position, value), []).append(fact)
+    found = {}
+    for name, premises, (kind, *names) in RULES:
+        derived = {(kind, *(b[n] for n in names)) for b in _bindings(premises, {}, index)}
+        found[name] = derived - facts
+    return found
+
+
+def saturate(facts: set) -> set:
+    """The least superset of facts that every rule of RULES leaves unchanged:
+    every rule applied to every fact, round after round, until a round finds
+    nothing new."""
+    facts = set(facts)
+    while True:
+        new = set().union(*rule_step(facts).values())
+        if not new:
+            return facts
+        facts |= new
 
 
 def undeclared_model(seed: int) -> OntologyModel:

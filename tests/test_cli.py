@@ -21,6 +21,7 @@ from fuzzonto import (
 )
 from fuzzonto.cli import run_pipeline
 from fuzzonto.emit import dump_json
+from fuzzonto.model import SYMMETRIC, RawModifier
 from test_digests import recipe_model
 
 
@@ -236,6 +237,53 @@ def test_exit_4_on_fixpoint_overflow(capsys):
     )
     assert code == 4
     assert "fixpoint-overflow" in err
+
+
+def test_a_budget_equal_to_the_output_count_fits(tmp_path, capsys):
+    """--max-elements counts only what the output can hold: with the total
+    from an unbudgeted run's report as the budget the run succeeds with the
+    same bytes, and one less ends in exit 4.  The input holds a self-subclass
+    axiom and a modifier, which the output never holds."""
+    m = OntologyModel()
+    for name in ("A", "B", "C"):
+        m.touch_class(name)
+    for sub, sup in (("A", "A"), ("A", "B"), ("B", "C")):
+        m.add_subclass(sub, sup)
+    m.declare_property("r", "object")
+    m.add_relation("r", "C", "A")
+    m.add_modifier(RawModifier(SYMMETRIC, "r"))
+    source, report = tmp_path / "model.json", tmp_path / "report.json"
+    source.write_bytes(emit_json(m))
+    args = ["normalize", str(source), "--max-elements"]
+    code, full, _ = run(capsys, *args, "0", "--report", str(report))
+    assert code == 0
+    total = json.loads(report.read_text())["counts"]["after"]["total"]
+    assert run(capsys, *args, str(total))[:2] == (0, full)
+    message = f"element count {total} exceeds bound {total - 1}"
+    assert run(capsys, *args, str(total - 1)) == (4, "", f"error[fixpoint-overflow]: {message}\n")
+
+
+def test_a_name_that_xml_cannot_carry_is_refused_by_rdfxml_only(tmp_path, capsys):
+    """Model JSON keeps a name that holds a character outside XML 1.0's Char
+    production; the RDF/XML writer refuses it with one error line and exit 1,
+    and leaves neither the --out file nor a temp file."""
+    for name in ("a\x01b", "a\ufffeb", "a\uffffb"):
+        m = OntologyModel()
+        m.touch_class(name)
+        m.touch_class("B")
+        m.add_subclass(name, "B")
+        source, out = tmp_path / "model.json", tmp_path / "out" / "model.owl"
+        source.write_bytes(emit_json(m))
+        out.parent.mkdir(exist_ok=True)
+        code, stdout, err = run(
+            capsys, "normalize", str(source), "--format", "rdfxml", "--out", str(out)
+        )
+        message = f"{name!r} holds U+{ord(name[1]):04X}, which XML 1.0 cannot carry"
+        assert (code, stdout, err) == (1, "", f"error[unwritable-name]: {message}\n"), name
+        assert list(out.parent.iterdir()) == [], name
+        code, stdout, err = run(capsys, "normalize", str(source))
+        assert (code, err) == (0, ""), name
+        assert name in load_json(stdout).classes, name
 
 
 def test_negative_element_budget_is_a_usage_error(capsys):

@@ -25,11 +25,13 @@ from fuzzonto.emit import (
     runs_text_chunks,
     traces_chunks,
 )
+from fuzzonto.errors import UnwritableName
 from fuzzonto.membership import PART_OF, RELATION, ComplexKey
 from fuzzonto.normalize import RewriteTrace
 from fuzzonto.rules import generate_rules, premise_text, rule_runs
 from randmodels import (
     AWKWARD_NAMES,
+    UNWRITABLE_NAMES,
     awkward_model,
     element_keys,
     intersection_model,
@@ -191,13 +193,19 @@ def test_emit_rdf_round_trips_the_empty_class_name():
     assert element_keys(again) == element_keys(model)
 
 
+def unwritable_model(seed: int) -> OntologyModel:
+    return awkward_model(seed, AWKWARD_NAMES + UNWRITABLE_NAMES)
+
+
 def test_every_valid_model_survives_every_format():
     """Random, intersection and awkward-name models that validate_model
     finds no error in keep their element key sets through model JSON, raw
-    and normalized, and once normalized through RDF/XML."""
-    checked = 0
-    names = set()
-    for make in (random_model, intersection_model, awkward_model):
+    and normalized, and once normalized through RDF/XML; unless a name holds
+    a character that XML 1.0 cannot carry, which model JSON keeps and the
+    RDF/XML writer refuses."""
+    checked = refused = 0
+    names, unwritable = set(), set()
+    for make in (random_model, intersection_model, awkward_model, unwritable_model):
         for seed in range(200):
             m = make(seed)
             if any(d.severity == "error" for d in validate_model(m)):
@@ -207,12 +215,20 @@ def test_every_valid_model_survives_every_format():
             label = f"{make.__name__}({seed})"
             for model in (m, normal):
                 assert element_keys(load_json(emit_json(model))) == element_keys(model), label
+            written = {*normal.classes, *normal.properties}  # every name, in a valid model
+            if any(bad in name for name in written for bad in "\x01\ufffe\uffff"):
+                with pytest.raises(UnwritableName, match="XML 1.0 cannot carry$"):
+                    emit_normalized_rdf(normal)
+                refused += 1
+                unwritable.update(written & set(UNWRITABLE_NAMES))
+                continue
             back = parse_document(emit_normalized_rdf(normal), "rdfxml")
             assert element_keys(back) == element_keys(normal), label
             if make is awkward_model:
                 names.update(normal.classes)
-    assert checked > 500
+    assert checked > 600 and refused > 100, (checked, refused)
     assert names >= set(AWKWARD_NAMES)
+    assert unwritable == set(UNWRITABLE_NAMES)
 
 
 def test_annotated_json_shape():

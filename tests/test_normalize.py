@@ -34,9 +34,11 @@ from randmodels import (
     brute_witness,
     closed_pairs,
     intersection_model,
+    model_facts,
     random_graph,
     random_model,
     reference_normalize,
+    saturate,
 )
 
 NORMALIZE = sys.modules["fuzzonto.normalize"]  # fuzzonto.normalize is the function
@@ -441,8 +443,9 @@ def test_closure_past_the_budget_reports_a_count_past_the_bound():
 def test_budget_refuses_the_batch_that_crosses_it():
     """The equivalence copy adds 5 holdings and crosses the bound; the pass
     would go on to mirror 3 relations, but the overflow comes at the copy
-    and reports the count with its batch.  A bound equal to the run's peak,
-    the mirror's batch while the modifier still counts, is not crossed."""
+    and reports the count with its batch.  The modifier is no element of
+    the output and never counts, so a bound equal to the output's count is
+    not crossed."""
     m = OntologyModel()
     for name in ("A", "B", "X", "Y", "Z"):
         m.touch_class(name)
@@ -454,15 +457,47 @@ def test_budget_refuses_the_batch_that_crosses_it():
     for subject, obj in (("X", "Y"), ("Y", "Z"), ("X", "Z")):
         m.add_relation("r", subject, obj)
     m.add_modifier(RawModifier(SYMMETRIC, "r"))
-    before = m.element_count()
+    before = m.element_count()  # the modifier's 1 included
     with pytest.raises(FixpointOverflow) as exc:
-        normalize(m, bound=before + 4)
-    assert exc.value.count == before + 5
+        normalize(m, bound=before + 3)
+    assert exc.value.count == before + 4
     # the input past the bound is refused before any rule runs
     with pytest.raises(FixpointOverflow) as exc:
-        normalize(m, bound=before - 1)
-    assert exc.value.count == before
-    assert normalize(m, bound=before + 8).model.element_count() == before + 7
+        normalize(m, bound=before - 2)
+    assert exc.value.count == before - 1
+    assert normalize(m, bound=before + 7).model.element_count() == before + 7
+    with pytest.raises(FixpointOverflow) as exc:
+        normalize(m, bound=before + 6)
+    assert exc.value.count == before + 7
+
+
+def test_a_bound_equal_to_the_output_count_fits():
+    """Every count on the way is at most the output's, so a bound equal to
+    the output's element count passes and one less overflows, on models with
+    modifiers and self-subclass axioms, which the output never holds."""
+    for make in (random_model, intersection_model):
+        for seed in range(200):
+            m = make(seed)
+            n = normalize(m, bound=0).model.element_count()
+            label = f"{make.__name__}({seed})"
+            assert normalize(m, bound=n).model.element_count() == n, label
+            with pytest.raises(FixpointOverflow) as exc:
+                normalize(m, bound=n - 1)
+            assert exc.value.count == n, label
+
+
+def test_output_is_sound_against_the_rule_table():
+    """Every element of the output follows from the input by the rules of
+    randmodels.RULES, whose naive evaluator shares no code with normalize.
+    The saturation may hold more: completeness is not asserted, since the
+    modifiers are applied in pass 1 only."""
+    models = [(name, parse_fixture(name)) for name in FIXTURE_NAMES]
+    for make in (random_model, intersection_model):
+        models += [(f"{make.__name__}({seed})", make(seed)) for seed in range(200)]
+    for label, m in models:
+        out = normalize(m, bound=0).model
+        assert not out.modifiers, label
+        assert model_facts(out) <= saturate(model_facts(m)), label
 
 
 def test_transitive_closure_matches_oracle_through_normalize():
