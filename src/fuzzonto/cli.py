@@ -8,10 +8,11 @@ Subcommands pick how far the pipeline runs and what gets serialized:
 
 Primary output goes to stdout unless --out is given; diagnostics go to
 stderr; --report writes a machine-readable run report.  Output is written in
-blocks as the writers yield it.  All file writes are atomic (temp file +
-rename).  Exit codes: 0 ok, 1 parse failure, unreadable input or unwritable
-output (a name that RDF/XML cannot carry included), 2 validation errors under
---strict, 3 unsupported construct under --strict, 4 element budget exceeded.
+blocks as the writers yield it.  A file is written atomically (temp file +
+rename), but a FIFO or a device in place.  Exit codes: 0 ok, 2 validation
+errors under --strict, or the exit status a FuzzontoError states: 1 parse
+failure, unreadable input or unwritable output (a name that RDF/XML cannot
+carry included), 3 unsupported construct under --strict, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -24,21 +25,12 @@ import tempfile
 import time
 
 from . import emit, ingest, membership, rules as rulegen
-from .errors import (
-    DuplicateIdentifier,
-    FixpointOverflow,
-    MalformedDocument,
-    UnsupportedConstruct,
-    UnwritableName,
-)
+from .errors import FuzzontoError, IOFailure
 from .model import Diagnostic
 from .normalize import DEFAULT_BOUND, normalize
 
 EXIT_OK = 0
-EXIT_PARSE = 1
 EXIT_VALIDATION = 2
-EXIT_UNSUPPORTED = 3
-EXIT_OVERFLOW = 4
 
 BLOCK_SIZE = 1 << 18  # bytes per write: a write per chunk costs more, a bigger block holds more
 
@@ -129,37 +121,42 @@ def _write_blocks(handle, chunks) -> None:
 
 
 def write_atomic(path: str, chunks) -> None:
-    """Write byte chunks to path through a temp file and a rename, with the
+    """Write byte chunks to path: in place if it exists and is not a regular
+    file, such as a FIFO, a device or /dev/fd/N, which a rename would replace;
+    else, following a symlink, through a temp file and a rename, with the
     mode of the file replaced, or for a new file the mode open() gives."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as handle:
+            _write_blocks(handle, chunks)
+        return
+    path = os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode & 0o7777
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fuzzonto-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".fuzzonto-")
     try:
         with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), mode)
             _write_blocks(handle, chunks)
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
-def _write_file(path: str, chunks) -> bool:
-    """write_atomic, reporting a failure as error[io] and returning False.
-    The message takes strerror, since the exception's text names the temp
-    file."""
+def _write(path: str | None, chunks) -> None:
+    """Write byte chunks to path, or to stdout without one.  A failed write
+    is an IOFailure with strerror, since the OSError may name the temp file."""
+    if not path:
+        _write_stream(sys.stdout, chunks)
+        return
     try:
         write_atomic(path, chunks)
     except OSError as exc:
-        _print_diagnostics([Diagnostic("io", "error", f"cannot write {path}: {exc.strerror}")])
-        return False
-    return True
+        raise IOFailure(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_stream(stream, chunks) -> None:
@@ -175,15 +172,9 @@ def _write_stream(stream, chunks) -> None:
         os.close(devnull)
 
 
-def _emit_output(chunks, out_path: str | None) -> bool:
-    if out_path:
-        return _write_file(out_path, chunks)
-    _write_stream(sys.stdout, chunks)
-    return True
-
-
 def run_pipeline(args: list[str]) -> int:
-    """Run one command and return its exit code.
+    """Run one command and return its exit code.  A FuzzontoError ends the
+    run with one error line, under its code, and its exit status.
 
     The cyclic garbage collector is off for the run and back in its previous
     state on every exit: the pipeline builds no reference cycles, and the
@@ -194,6 +185,9 @@ def run_pipeline(args: list[str]) -> int:
     gc.disable()
     try:
         return _run(args)
+    except FuzzontoError as exc:
+        _print_diagnostics([Diagnostic(exc.code, "error", str(exc))])
+        return exc.exit_status
     finally:
         if enabled:
             gc.enable()
@@ -207,18 +201,10 @@ def _run(args: list[str]) -> int:
         with open(options.source, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        _print_diagnostics([Diagnostic("io", "error", f"cannot read {options.source}: {exc}")])
-        return EXIT_PARSE
+        raise IOFailure(f"cannot read {options.source}: {exc}") from None
 
     started = time.perf_counter()
-    try:
-        model = ingest.parse_document(data, _sniff_format(data), strict=options.strict)
-    except UnsupportedConstruct as exc:
-        _print_diagnostics([Diagnostic("unsupported-construct", "error", str(exc))])
-        return EXIT_UNSUPPORTED
-    except (MalformedDocument, DuplicateIdentifier) as exc:
-        _print_diagnostics([Diagnostic("parse", "error", str(exc))])
-        return EXIT_PARSE
+    model = ingest.parse_document(data, _sniff_format(data), strict=options.strict)
     del data  # a 50 MB document would otherwise stay alive through every phase
     timings["ingest"] = time.perf_counter() - started
 
@@ -228,11 +214,7 @@ def _run(args: list[str]) -> int:
         return EXIT_VALIDATION
 
     started = time.perf_counter()
-    try:
-        result = normalize(model, bound=options.max_elements)
-    except FixpointOverflow as exc:
-        _print_diagnostics([Diagnostic("fixpoint-overflow", "error", str(exc))])
-        return EXIT_OVERFLOW
+    result = normalize(model, bound=options.max_elements)
     timings["normalize"] = time.perf_counter() - started
     _print_diagnostics(result.warnings)
     diagnostics += list(result.warnings)
@@ -254,11 +236,7 @@ def _run(args: list[str]) -> int:
 
     if options.command == "normalize":
         if options.format == "rdfxml":
-            try:
-                output = [emit.emit_normalized_rdf(result.model)]
-            except UnwritableName as exc:
-                _print_diagnostics([Diagnostic("unwritable-name", "error", str(exc))])
-                return EXIT_PARSE
+            output = [emit.emit_normalized_rdf(result.model)]
         else:
             output = [emit.emit_json(result.model)]
     elif options.command == "assign":
@@ -267,8 +245,7 @@ def _run(args: list[str]) -> int:
         output = map(str.encode, emit.runs_text_chunks(runs))
     else:
         output = emit.runs_json_chunks(runs)
-    if not _emit_output(output, options.out):
-        return EXIT_PARSE
+    _write(options.out, output)
 
     if options.trace:
         from .trace import traces  # only a traced run loads the module
@@ -280,8 +257,7 @@ def _run(args: list[str]) -> int:
             document = emit.report_to_json(report, traces(result))
         else:
             document = [emit.dump_json(report)]
-        if not _write_file(options.report, document):
-            return EXIT_PARSE
+        _write(options.report, document)
     return EXIT_OK
 
 

@@ -427,7 +427,8 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
     each class or property position, less the declared ones, are the missing
     names, and only the elements that hold one are sorted and rendered.  A
     property that its declaration and uses give both kinds is an error: the
-    RDF/XML writer would declare it as both, which the reader rejects.
+    RDF/XML writer would declare it as both, which the reader rejects.  So is
+    a name that is both a class and a property, which both readers reject.
     """
     out: list[Diagnostic] = []
     classes, properties = model.classes, model.properties
@@ -528,6 +529,12 @@ def validate_model(model: OntologyModel) -> list[Diagnostic]:
                 "error",
                 f"property {name} used both as datatype and as object",
                 name,
+            )
+        )
+    for name in sorted(classes.keys() & (used[DATATYPE] | used[OBJECT])):
+        out.append(
+            Diagnostic(
+                "class-property-conflict", "error", f"{name} is both a class and a property", name
             )
         )
 

@@ -437,6 +437,13 @@ MUTANTS = [
         "for name in ():",
         [T_CLI + "test_strict_refuses_a_property_used_with_both_kinds"],
     ),
+    Mutant(
+        "class-property-conflict-not-reported",
+        "ingest.py",
+        "for name in sorted(classes.keys() & (used[DATATYPE] | used[OBJECT])):",
+        "for name in ():",
+        [T_CLI + "test_a_class_that_names_a_property_is_a_validation_error"],
+    ),
     # -- model.py --------------------------------------------------------------
     Mutant(
         "copy-shares-the-collections",
@@ -537,7 +544,28 @@ MUTANTS = [
         "pass",
         [T_CLI + "test_output_files_get_the_mode_open_gives"],
     ),
+    Mutant(
+        "fifo-replaced-by-a-rename",
+        "cli.py",
+        "    if os.path.exists(path) and not os.path.isfile(path):",
+        "    if False:",
+        [T_CLI + "test_a_fifo_is_written_in_place"],
+    ),
+    Mutant(
+        "symlink-replaced-by-a-rename",
+        "cli.py",
+        "    path = os.path.realpath(path)\n",
+        "",
+        [T_CLI + "test_a_symlink_stays_and_its_target_is_written"],
+    ),
     # -- errors.py, __init__.py, __main__.py -------------------------------------
+    Mutant(
+        "unsupported-construct-exits-1",
+        "errors.py",
+        'code, exit_status = "unsupported-construct", 3',
+        'code, exit_status = "unsupported-construct", 1',
+        [T_CLI + "test_exit_3_on_unsupported_construct_in_strict_mode"],
+    ),
     Mutant(
         "overflow-count-is-the-bound",
         "errors.py",

@@ -352,12 +352,33 @@ def awkward_model(seed: int, names=AWKWARD_NAMES) -> OntologyModel:
     source = intersection_model(seed)
     rng = random.Random(f"awkward/{seed}")
     renamed = dict(zip(sorted(source.classes), rng.sample(names, len(source.classes))))
-    props = set(source.properties) | {key[0] for key in (*source.holdings, *source.relations)}
-    for mod in source.modifiers:
+    renamed.update((name, name + rng.choice(names)) for name in sorted(_property_names(source)))
+    return renamed_model(source, renamed)
+
+
+def _property_names(m: OntologyModel) -> set:
+    """Every name m declares or uses as a property."""
+    props = set(m.properties) | {key[0] for key in (*m.holdings, *m.relations)}
+    for mod in m.modifiers:
         if mod.kind != INTERSECTION:
             props.update(filter(None, (mod.target, mod.counterpart)))
-    renamed.update((name, name + rng.choice(names)) for name in sorted(props))
+    return props
 
+
+def clash_model(seed: int) -> OntologyModel:
+    """random_model(seed) with its properties renamed to distinct names of
+    CLASS_POOL, so that a property may share its name with a class of the
+    model, or with one that the model lacks."""
+    source = random_model(seed)
+    rng = random.Random(f"clash/{seed}")
+    props = sorted(_property_names(source))
+    renamed = {name: name for name in source.classes}
+    renamed.update(zip(props, rng.sample(CLASS_POOL, len(props))))
+    return renamed_model(source, renamed)
+
+
+def renamed_model(source: OntologyModel, renamed: dict) -> OntologyModel:
+    """source with every class and property name looked up in renamed."""
     m = OntologyModel()
     for name, iri in source.classes.items():
         m.touch_class(renamed[name], iri)
@@ -687,6 +708,12 @@ def reference_validate_model(model: OntologyModel) -> list:
                     name,
                 )
             )
+    for name in sorted(model.classes.keys() & kinds.keys()):
+        out.append(
+            Diagnostic(
+                "class-property-conflict", "error", f"{name} is both a class and a property", name
+            )
+        )
 
     if model.normalized and model.modifiers:
         out.append(

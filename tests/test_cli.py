@@ -212,6 +212,67 @@ def test_strict_refuses_a_property_used_with_both_kinds(tmp_path, capsys, text, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "body, warning",
+    [
+        (
+            '<owl:Class rdf:ID="A"><rdfs:subClassOf rdf:resource="#B"/></owl:Class>'
+            '<owl:ObjectProperty rdf:ID="B"/>',
+            "warning[property-unused]: property B has no domain/range assertions (B)\n",
+        ),
+        (
+            '<owl:Class rdf:ID="A"><B rdf:resource="#C"/></owl:Class><owl:Class rdf:ID="B"/>',
+            "warning[undeclared-property]: property B used but not declared (relation B(A, C))\n",
+        ),
+    ],
+    ids=["superclass-declared-as-property", "class-used-as-predicate"],
+)
+def test_a_class_that_names_a_property_is_a_validation_error(tmp_path, capsys, body, warning):
+    """Such a model's normalized JSON and RDF/XML declare the name both ways,
+    which both readers reject; it is a validation error, so --strict ends in
+    exit 2 and writes nothing."""
+    source, out = tmp_path / "source.owl", tmp_path / "out"
+    source.write_text(_RDF_OPEN + body + "</rdf:RDF>")
+    line = "error[class-property-conflict]: B is both a class and a property (B)\n"
+    code, stdout, err = run(capsys, "rules", str(source))
+    assert (code, err) == (0, warning + line) and json.loads(stdout)["rules"]
+    for fmt in ("json", "rdfxml"):
+        args = ["normalize", str(source), "--format", fmt, "--strict", "--out", str(out)]
+        assert run(capsys, *args) == (2, "", warning + line), fmt
+        assert not out.exists(), fmt
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('"classes": [{"name": "A", "iri": 1}]', "classes[0].iri must be a string"),
+        (
+            '"modifiers": [{"kind": "intersection", "target": "A", "members": ["B", 1]}]',
+            "modifiers[0].members must be a list of strings",
+        ),
+        ('"relations": [1]', "relations[0] must be an object"),
+        (
+            '"holdings": [{"property": "p", "holder": "A", "origin": 1}]',
+            "holdings[0].origin must be a string",
+        ),
+        (
+            '"properties": [{"name": "p", "kind": "datatype"}, {"name": "p", "kind": "object"}]',
+            "property 'p' declared both as datatype and as object",
+        ),
+    ],
+    ids=["class-iri", "intersection-members", "relation-record", "origin", "property-kinds"],
+)
+def test_json_reader_errors_end_in_one_parse_error(tmp_path, capsys, document, message):
+    source, out = tmp_path / "model.json", tmp_path / "rules.json"
+    source.write_text('{"schema": "fuzzonto/1", ' + document + "}")
+    assert run(capsys, "rules", str(source), "--out", str(out)) == (
+        1,
+        "",
+        f"error[parse]: {message}\n",
+    )
+    assert not out.exists()
+
+
 def test_exit_3_on_unsupported_construct_in_strict_mode(tmp_path, capsys):
     doc = tmp_path / "union.owl"
     doc.write_text(
@@ -745,6 +806,73 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys, option):
         assert out.startswith("{") == (option == "--report")  # the rules went out first
     assert [p.name for p in tmp_path.iterdir()] == ["dir"]
     assert list((tmp_path / "dir").iterdir()) == []
+
+
+def test_a_fifo_is_written_in_place(tmp_path, capsys):
+    """--out and --report open a FIFO and write to it: it stays a FIFO and
+    its reader, opened first, gets the bytes.  Each output fits the pipe
+    buffer, so the run cannot block."""
+    source = str(fixture_path("paris_france.owl"))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for option in ("--out", "--report"):
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, err = run(capsys, "rules", source, "--format", "text", option, str(fifo))
+            got = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert (code, err) == (0, ""), option
+        assert stat.S_ISFIFO(fifo.lstat().st_mode), option
+        if option == "--out":
+            assert (out, got) == ("", "IF part_of France (mu=1.000000) THEN Paris\n")
+        else:
+            assert out == "IF part_of France (mu=1.000000) THEN Paris\n"
+            assert json.loads(got)["command"] == "rules"
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_a_symlink_stays_and_its_target_is_written(tmp_path, capsys):
+    """The target of a symlink gets the temp file, the rename and the mode
+    rules of a regular file, and the link is left as it was; a dangling link
+    creates its target."""
+    source = str(fixture_path("paris_france.owl"))
+    (tmp_path / "link").symlink_to("target.txt")
+    (tmp_path / "dangling").symlink_to("new.txt")
+    (tmp_path / "target.txt").write_text("old")
+    (tmp_path / "target.txt").chmod(0o640)
+    for link in ("link", "dangling"):
+        path = str(tmp_path / link)
+        assert run(capsys, "rules", source, "--format", "text", "--out", path) == (0, "", "")
+    assert [os.readlink(tmp_path / link) for link in ("link", "dangling")] == [
+        "target.txt",
+        "new.txt",
+    ]
+    for name in ("target.txt", "new.txt"):
+        assert (tmp_path / name).read_text() == "IF part_of France (mu=1.000000) THEN Paris\n"
+    assert stat.S_IMODE((tmp_path / "target.txt").stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling",
+        "link",
+        "new.txt",
+        "target.txt",
+    ]
+
+
+def test_a_dev_fd_path_of_a_pipe_gets_the_bytes(capsys):
+    """/dev/fd/N names a descriptor the caller holds, as a shell's >(...)
+    does; the path cannot take a temp file, so it is written in place."""
+    source = str(fixture_path("paris_france.owl"))
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader:
+        try:
+            path = f"/dev/fd/{write_end}"
+            result = run(capsys, "rules", source, "--format", "text", "--out", path)
+        finally:
+            os.close(write_end)
+        got = reader.read()
+    assert result == (0, "", "")
+    assert got == b"IF part_of France (mu=1.000000) THEN Paris\n"
 
 
 def test_closed_stdout_pipe_ends_quietly(tmp_path):

@@ -33,6 +33,7 @@ from randmodels import (
     AWKWARD_NAMES,
     UNWRITABLE_NAMES,
     awkward_model,
+    clash_model,
     element_keys,
     intersection_model,
     model_state,
@@ -198,14 +199,14 @@ def unwritable_model(seed: int) -> OntologyModel:
 
 
 def test_every_valid_model_survives_every_format():
-    """Random, intersection and awkward-name models that validate_model
-    finds no error in keep their element key sets through model JSON, raw
-    and normalized, and once normalized through RDF/XML; unless a name holds
-    a character that XML 1.0 cannot carry, which model JSON keeps and the
-    RDF/XML writer refuses."""
+    """Random, intersection, awkward-name and class-name-clash models that
+    validate_model finds no error in keep their element key sets through
+    model JSON, raw and normalized, and once normalized through RDF/XML;
+    unless a name holds a character that XML 1.0 cannot carry, which model
+    JSON keeps and the RDF/XML writer refuses."""
     checked = refused = 0
     names, unwritable = set(), set()
-    for make in (random_model, intersection_model, awkward_model, unwritable_model):
+    for make in (random_model, intersection_model, awkward_model, unwritable_model, clash_model):
         for seed in range(200):
             m = make(seed)
             if any(d.severity == "error" for d in validate_model(m)):

@@ -3,7 +3,18 @@ a known way.  They need no second implementation, so they can catch a defect
 that an oracle copies from the code it checks.
 """
 
-from fuzzonto import assign_all, emit_json, normalize
+import importlib.util
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+from xml.parsers import expat
+
+from conftest import FIXTURE_NAMES, fixture_bytes
+from fuzzonto import annotated_to_json, assign_all, emit_json, normalize, parse_document
+from fuzzonto.emit import runs_json_chunks, traces_chunks
+from fuzzonto.rules import premise_runs
+from fuzzonto.trace import traces
 from randmodels import intersection_model, random_model
 
 MAKES = (random_model, intersection_model)
@@ -57,3 +68,81 @@ def test_a_fresh_equivalent_class_joins_the_determiners_and_keeps_every_n():
             )
             gained += bool(new)
     assert gained > 50, gained  # keys gained through relations mirrored onto Z
+
+
+def load_gen(monkeypatch):
+    """perfbench/gen.py, which writes the benchmark's seeded RDF/XML inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def shuffled(document: bytes, seed: int) -> bytes:
+    """document with the top-level elements under its root in a seeded order.
+    Each element takes along the text up to the next one, so every byte of
+    the document is kept."""
+    parser = expat.ParserCreate()
+    starts, depth, end = [], 0, 0
+
+    def start(tag, attrs):
+        nonlocal depth
+        depth += 1
+        if depth == 2:
+            starts.append(parser.CurrentByteIndex)
+
+    def stop(tag):
+        nonlocal depth, end
+        depth -= 1
+        if depth == 0:
+            end = parser.CurrentByteIndex  # the root's end tag
+
+    parser.StartElementHandler, parser.EndElementHandler = start, stop
+    parser.Parse(document, True)
+    if not starts:
+        return document
+    bounds = starts + [end]
+    pieces = [document[a:b] for a, b in zip(bounds, bounds[1:])]
+    random.Random(seed).shuffle(pieces)
+    return document[: bounds[0]] + b"".join(pieces) + document[end:]
+
+
+def outputs(document: bytes):
+    """Everything a run derives from an RDF/XML document: the normalize,
+    assign and rules JSON, the traces, passes and tally as bytes or values,
+    and the parse and normalize warnings as multisets."""
+    model = parse_document(document, "rdfxml")
+    result = normalize(model, bound=0)
+    annotated = assign_all(result.model)
+    return (
+        emit_json(result.model),
+        annotated_to_json(annotated),
+        b"".join(runs_json_chunks(premise_runs(annotated))),
+        b"".join(traces_chunks(traces(result))),
+        result.passes,
+        result.tally,
+        Counter(model.parse_warnings),
+        Counter(result.warnings),
+    )
+
+
+def test_shuffling_top_level_elements_changes_no_output(monkeypatch):
+    """The reader takes each top-level element on its own, and every output
+    is sorted, so the document order of classes and property blocks shows
+    nowhere: not in the output bytes, the traces, the pass count or the
+    tally, and not in the warnings, counted as multisets."""
+    gen = load_gen(monkeypatch)
+    documents = [(name, fixture_bytes(name), 5) for name in FIXTURE_NAMES]
+    documents += [("hierarchy(120, 1)", gen.hierarchy(120, 1).to_rdfxml(), 1)]
+    documents += [("flat(300, 1)", gen.flat(300, 1).to_rdfxml(), 1)]
+    moved = 0
+    for name, document, shuffles in documents:
+        expected = outputs(document)
+        for seed in range(shuffles):
+            other = shuffled(document, seed)
+            assert len(other) == len(document), (name, seed)
+            moved += other != document
+            assert outputs(other) == expected, (name, seed)
+    assert moved > 20, moved
