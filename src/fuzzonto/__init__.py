@@ -5,7 +5,7 @@ standard form of classes / plain properties / relations, assign exact-rational
 membership values mu = 1/n, and generate identifying fuzzy rules.
 """
 
-from .emit import annotated_to_json, decimal6, emit_json, emit_normalized_rdf
+from .emit import decimal6, emit_json
 from .errors import (
     DuplicateIdentifier,
     FixpointOverflow,
@@ -14,7 +14,7 @@ from .errors import (
     NotNormalized,
     UnsupportedConstruct,
 )
-from .ingest import load_json, parse_document, validate_model
+from .ingest import parse_document, validate_model
 from .membership import (
     AnnotatedOntology,
     ComplexKey,
@@ -48,7 +48,6 @@ __all__ = [
     "OntologyModel",
     "RawModifier",
     "UnsupportedConstruct",
-    "annotated_to_json",
     "assign_all",
     "assign_partof_mu",
     "assign_property_mu",
@@ -58,8 +57,6 @@ __all__ = [
     "copy_to_equivalents",
     "decimal6",
     "emit_json",
-    "emit_normalized_rdf",
-    "load_json",
     "normalize",
     "parse_document",
     "premise_runs",

@@ -234,13 +234,15 @@ def _run(args: list[str]) -> int:
         diagnostics += violations
         timings["rules"] = time.perf_counter() - started
 
-    if options.command == "normalize":
-        if options.format == "rdfxml":
-            output = [emit.emit_normalized_rdf(result.model)]
+    if options.command == "normalize" and options.format == "json":
+        output = [emit.emit_json(result.model)]
+    elif options.command != "rules":
+        from . import staged  # the assign and RDF/XML writers; no other run loads it
+
+        if options.command == "assign":
+            output = [staged.annotated_to_json(annotated)]
         else:
-            output = [emit.emit_json(result.model)]
-    elif options.command == "assign":
-        output = [emit.annotated_to_json(annotated)]
+            output = [staged.emit_normalized_rdf(result.model)]
     elif options.format == "text":
         output = map(str.encode, emit.runs_text_chunks(runs))
     else:
@@ -248,13 +250,13 @@ def _run(args: list[str]) -> int:
     _write(options.out, output)
 
     if options.trace:
-        from .trace import traces  # only a traced run loads the module
+        from .trace import report_to_json, traces, traces_chunks  # only a traced run loads it
     if options.trace and not options.report:
-        _write_stream(sys.stderr, emit.traces_chunks(traces(result)))
+        _write_stream(sys.stderr, traces_chunks(traces(result)))
     if options.report:
         report = _build_report(options, model, result, diagnostics, timings)
         if options.trace:
-            document = emit.report_to_json(report, traces(result))
+            document = report_to_json(report, traces(result))
         else:
             document = [emit.dump_json(report)]
         _write(options.report, document)
@@ -262,7 +264,7 @@ def _run(args: list[str]) -> int:
 
 
 def _build_report(options, model, result, diagnostics, timings) -> dict:
-    """The run report; with --trace, emit.report_to_json adds the traces."""
+    """The run report; with --trace, trace.report_to_json adds the traces."""
     return {
         "schema": ingest.SCHEMA_VERSION,
         "command": options.command,

@@ -1,4 +1,4 @@
-"""Parsing of the recognized OWL/RDF-XML subset and the JSON interchange form.
+"""Parsing of the recognized OWL/RDF-XML subset, and model validation.
 
 Recognized RDF/XML constructs: owl:Class, rdfs:subClassOf, owl:equivalentClass,
 owl:ObjectProperty, owl:DatatypeProperty, owl:SymmetricProperty,
@@ -10,20 +10,18 @@ UnsupportedConstruct in strict mode.  The document root must be rdf:RDF.
 
 The RDF/XML reader runs one expat pass and keeps one top-level element at a
 time.  It reads entities as ElementTree's parser did, and reports a syntax
-error anywhere in the document before any other error.
+error anywhere in the document before any other error.  The JSON
+interchange form is read by staged.load_json, which only JSON input loads.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from operator import itemgetter
 from xml.parsers import expat
 
 from .errors import DuplicateIdentifier, MalformedDocument, UnsupportedConstruct
 from .model import (
     ASSERTED,
-    COLLECTIONS,
     DATATYPE,
     ELEMENT_KINDS,
     INTERSECTION,
@@ -42,17 +40,14 @@ OWL_NS = "http://www.w3.org/2002/07/owl#"
 
 SCHEMA_VERSION = "fuzzonto/1"
 
-# a \uD800-\uDFFF escape: strict UTF-8 decoding lets no other lone surrogate in
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-_MODIFIER_KINDS = (SYMMETRIC, TRANSITIVE, INVERSE, INTERSECTION)
-_MODEL_KEYS = {"schema", *COLLECTIONS, "normalized"}
-
 
 def parse_document(data, fmt: str = "rdfxml", strict: bool = False) -> OntologyModel:
     """Parse an UTF-8 document into a raw (non-normalized) model."""
     if fmt == "rdfxml":
         return _RdfXmlParser(strict).parse(data)
     if fmt == "json":
+        from .staged import load_json  # only JSON input loads json and the reader
+
         return load_json(data)
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -78,6 +73,17 @@ def _ref_name(value: str) -> tuple[str, str | None]:
     if "/" in value:
         return value.rsplit("/", 1)[1], value
     return value, None
+
+
+def _resource_class(model: OntologyModel, value: str) -> str:
+    """The class an rdf:resource value names, entered in the model."""
+    if value[:1] == "#":  # a local name, as most references are: no IRI
+        name = value[1:]
+        model.classes.setdefault(name, None)
+    else:
+        name, iri = _ref_name(value)
+        model.touch_class(name, iri)
+    return name
 
 
 def _expat_parse(data: bytes, start, end) -> None:
@@ -162,7 +168,7 @@ class _RdfXmlParser:
             )
         self.declared[name] = kind
         if kind == "class":
-            self.model.touch_class(name)
+            self.model.classes.setdefault(name, None)
         else:
             self.model.declare_property(name, kind)
 
@@ -183,9 +189,7 @@ class _RdfXmlParser:
         """The class named by rdf:resource or by the first named owl:Class child."""
         value = attrs.get(_RESOURCE)
         if value is not None:
-            name, iri = _ref_name(value)
-            self.model.touch_class(name, iri)
-            return name
+            return _resource_class(self.model, value)
         for tag, attrs, _ in children:
             if tag != _CLASS:
                 self._unsupported(f"nested {tag.rpartition('}')[2]}", location)
@@ -226,13 +230,12 @@ class _RdfXmlParser:
                 if value is None:
                     self._unsupported(f"relation element {local} without rdf:resource", location)
                     continue
-                obj, iri = _ref_name(value)
-                model.touch_class(obj, iri)
-                model.add_relation(local, name, obj, ASSERTED)
+                obj = _resource_class(model, value)
+                model.relations.setdefault((local, name, obj), ASSERTED)
             elif tag == _RDFS + "subClassOf":
                 target = self._class_target(attrs, nested, location)
                 if target is not None:
-                    model.add_subclass(name, target)
+                    model.subclass_axioms.setdefault((name, target), ASSERTED)
             elif tag == _OWL + "equivalentClass":
                 target = self._class_target(attrs, nested, location)
                 if target == name:
@@ -277,144 +280,16 @@ class _RdfXmlParser:
                 self._declare(counterpart, OBJECT, location)
                 model.add_modifier(RawModifier(INVERSE, name, counterpart=counterpart))
             elif local == "domain" or kind == OBJECT:  # datatype ranges (XSD types) name no class
-                target, iri = _ref_name(value)
-                model.touch_class(target, iri)
+                target = _resource_class(model, value)
                 (domains if local == "domain" else ranges).append(target)
         if modifier_kind is not None:
             model.add_modifier(RawModifier(modifier_kind, name))
         for d in domains:
             if kind == OBJECT:
                 for r in ranges:
-                    model.add_relation(name, d, r, ASSERTED)
+                    model.relations.setdefault((name, d, r), ASSERTED)
             else:
-                model.add_holding(name, d, ASSERTED)
-
-
-# -- JSON interchange ---------------------------------------------------------
-
-
-def load_json(data) -> OntologyModel:
-    """Load the JSON interchange form; inverse of emit.emit_json.  Bytes may
-    start with a UTF-8 byte order mark.  A lone surrogate, escaped or in a
-    str, which no UTF-8 output can carry, makes the document malformed."""
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8-sig")
-        else:
-            data.encode("utf-8")
-        doc = json.loads(data)
-        if _SURROGATE_ESCAPE.search(data):  # a pair is fine; a lone one cannot be written
-            json.dumps(doc, ensure_ascii=False).encode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"JSON syntax error: {exc}") from exc
-    except UnicodeEncodeError as exc:
-        raise MalformedDocument(f"lone surrogate {exc.object[exc.start]!r} in a string") from None
-    except RecursionError:
-        raise MalformedDocument("JSON nesting too deep") from None
-    if not isinstance(doc, dict):
-        raise MalformedDocument("top-level JSON value must be an object")
-
-    warnings: list[Diagnostic] = []
-    schema = doc.get("schema")
-    if schema is None:
-        warnings.append(Diagnostic("missing-schema", "warning", "schema field absent"))
-    elif schema != SCHEMA_VERSION:
-        raise MalformedDocument(f"unsupported schema {schema!r}")
-    for key in sorted(doc):
-        if key not in _MODEL_KEYS:
-            warnings.append(
-                Diagnostic("unknown-key", "warning", f"unknown key {key!r} ignored")
-            )
-
-    model = OntologyModel()
-
-    for i, item in enumerate(_array(doc, "classes")):
-        name = _field(item, "name", str, f"classes[{i}]")
-        iri = item.get("iri")
-        if iri is not None and not isinstance(iri, str):
-            raise MalformedDocument(f"classes[{i}].iri must be a string")
-        model.touch_class(name, iri)
-
-    for i, item in enumerate(_array(doc, "properties")):
-        where = f"properties[{i}]"
-        name = _field(item, "name", str, where)
-        kind = _field(item, "kind", str, where)
-        if kind not in (DATATYPE, OBJECT):
-            raise MalformedDocument(f"{where}.kind must be datatype or object")
-        if name in model.classes:
-            raise DuplicateIdentifier(f"{name!r} is both a class and a property")
-        model.declare_property(name, kind)
-
-    for kind in ELEMENT_KINDS:
-        elements = getattr(model, kind.attr)
-        for i, item in enumerate(_array(doc, kind.array)):
-            where = f"{kind.array}[{i}]"
-            key = tuple([_field(item, name, str, where) for name in kind.fields])
-            elements.setdefault(key, _origin(item, where))  # the first origin stays
-
-    for i, item in enumerate(_array(doc, "equivalences")):
-        where = f"equivalences[{i}]"
-        a = _field(item, "a", str, where)
-        b = _field(item, "b", str, where)
-        if a == b:
-            warnings.append(
-                Diagnostic(
-                    "self-equivalence", "warning", f"self-equivalence dropped for {a}", where
-                )
-            )
-            continue
-        model.add_equivalence(a, b)
-
-    for i, item in enumerate(_array(doc, "modifiers")):
-        where = f"modifiers[{i}]"
-        kind = _field(item, "kind", str, where)
-        target = _field(item, "target", str, where)
-        if kind not in _MODIFIER_KINDS:
-            raise MalformedDocument(f"{where}.kind must be one of {_MODIFIER_KINDS}")
-        counterpart = None
-        members: tuple[str, ...] = ()
-        if kind == INVERSE:
-            counterpart = _field(item, "counterpart", str, where)
-        if kind == INTERSECTION:
-            raw = item.get("members")
-            if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-                raise MalformedDocument(f"{where}.members must be a list of strings")
-            members = tuple(raw)
-        model.add_modifier(RawModifier(kind, target, counterpart, members))
-
-    normalized = doc.get("normalized", False)
-    if not isinstance(normalized, bool):
-        raise MalformedDocument("normalized must be a boolean")
-    if normalized and model.modifiers:
-        raise MalformedDocument("a normalized model must not carry modifiers")
-    model.normalized = normalized
-    model.parse_warnings = tuple(warnings)
-    return model
-
-
-def _array(doc: dict, key: str) -> list:
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise MalformedDocument(f"{key} must be an array")
-    return value
-
-
-def _field(item, name: str, typ, where: str):
-    if not isinstance(item, dict):
-        raise MalformedDocument(f"{where} must be an object")
-    value = item.get(name)
-    if not isinstance(value, typ):
-        raise MalformedDocument(f"{where}.{name} missing or not a {typ.__name__}")
-    return value
-
-
-def _origin(item: dict, where: str) -> str:
-    value = item.get("origin", ASSERTED)
-    if not isinstance(value, str):
-        raise MalformedDocument(f"{where}.origin must be a string")
-    return value
+                model.holdings.setdefault((name, d), ASSERTED)
 
 
 # -- validation ----------------------------------------------------------------

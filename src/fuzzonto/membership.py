@@ -20,13 +20,14 @@ a group of two or more mapped to its sorted group.  Any other class is its
 own representative: with no groups n is the length of a key's sorted
 determiner list, and otherwise counting and widening look up only the
 determiners in a shared group; widening keeps an entry with none.  Assign
-keeps the order in which the model's elements meet a key; ``entries()``
-sorts the keys for the assign JSON, ``rules.premise_runs`` by premise text.
+keeps the order in which the model's elements meet a key (relation keys by
+predicate); ``entries()`` sorts them for the assign JSON,
+``rules.premise_runs`` by premise text.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from operator import itemgetter
 
 from . import closure
@@ -113,19 +114,32 @@ def build_equivalence_groups(m: OntologyModel) -> dict[str, tuple[str, ...]]:
 _DETERMINED_BY = {
     PROPERTY: ("holdings", itemgetter(0), itemgetter(1)),
     PART_OF: ("subclass_axioms", itemgetter(1), itemgetter(0)),
-    RELATION: ("relations", itemgetter(0, 2), itemgetter(1)),
 }
+
+
+def _elements(m: OntologyModel, attr: str, asserted_only: bool):
+    elements = getattr(m, attr)
+    if asserted_only:
+        return [key for key, origin in elements.items() if origin == ASSERTED]
+    return elements
+
+
+def _entry(determiners: list[str], groups: dict) -> MembershipEntry:
+    """The entry of a key's determiners, each listed once; the list is sorted
+    in place.  Only determiners in a shared group need representatives."""
+    determiners.sort()
+    n = len(determiners)
+    if groups and not groups.keys().isdisjoint(determiners):
+        n = len(representatives(groups, determiners))
+    return _new(MembershipEntry, (n, tuple(determiners)))
 
 
 def _entries(m: OntologyModel, kind: str, groups: dict, asserted_only: bool) -> dict:
     """Every key of one kind mapped to its entry, from a determiner index
-    built in one pass: property -> holders, superclass -> subclasses, or
-    (predicate, object) -> subjects.  Each element is a dict key, so a key's
-    list holds each class once; it is sorted in place."""
+    built in one pass: property -> holders or superclass -> subclasses.  Each
+    element is a dict key, so a key's list holds each class once."""
     attr, key_of, determiner_of = _DETERMINED_BY[kind]
-    elements = getattr(m, attr)
-    if asserted_only:
-        elements = [key for key, origin in elements.items() if origin == ASSERTED]
+    elements = _elements(m, attr, asserted_only)
     index: dict = {}
     for key, determiner in zip(map(key_of, elements), map(determiner_of, elements)):
         found = index.get(key)
@@ -134,9 +148,7 @@ def _entries(m: OntologyModel, kind: str, groups: dict, asserted_only: bool) -> 
         else:
             found.append(determiner)
     for key, determiners in index.items():
-        determiners.sort()
-        n = len(representatives(groups, determiners)) if groups else len(determiners)
-        index[key] = _new(MembershipEntry, (n, tuple(determiners)))
+        index[key] = _entry(determiners, groups)
     return index
 
 
@@ -156,8 +168,21 @@ def assign_partof_mu(
 def assign_relation_mu(
     m: OntologyModel, groups: dict, asserted_only: bool = False
 ) -> dict[ComplexKey, MembershipEntry]:
-    entries = _entries(m, RELATION, groups, asserted_only)
-    return {_new(ComplexKey, (RELATION, *key)): entry for key, entry in entries.items()}
+    """Entries keyed by predicate, then object, from one pass that indexes
+    predicate -> object -> subjects; no (predicate, object) tuple is built."""
+    index: defaultdict[str, dict[str, list[str]]] = defaultdict(dict)
+    for predicate, subject, obj in _elements(m, "relations", asserted_only):
+        by_object = index[predicate]
+        found = by_object.get(obj)
+        if found is None:
+            by_object[obj] = [subject]
+        else:
+            found.append(subject)
+    return {
+        _new(ComplexKey, (RELATION, predicate, obj)): _entry(subjects, groups)
+        for predicate, by_object in index.items()
+        for obj, subjects in by_object.items()
+    }
 
 
 def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:

@@ -2,17 +2,20 @@
 
 A prefix of a collection of the result's model is what was present at a
 point of the run (see normalize.py), so each derived element's sources
-follow from the positions of its batch.  Only a traced run imports this
+follow from the positions of its batch.  The trace writers, for stderr and
+for the report, yield one chunk per trace.  Only a traced run imports this
 module.
 """
 
 from __future__ import annotations
 
+from _json import encode_basestring as _quote
 from collections import namedtuple
 from functools import partial
 from itertools import islice
 
 from . import closure
+from .emit import dump_json
 from .model import el_equivalence, el_holding, el_modifier, el_relation, el_subclass
 from .normalize import (
     RULE_EQUIV_PROPERTY,
@@ -118,3 +121,43 @@ def _closure(batch: list[tuple], pairs: list[tuple], render):
                 break
             candidates ^= low
         yield render(a, b), sources
+
+
+def traces_chunks(traces, pad: str = "", end: bytes = b"\n"):
+    """The traces array as dump_json renders it with every line after the
+    first indented by pad, one chunk per trace, then end."""
+    yield b"["
+    sep = "\n"
+    for t in traces:
+        sources = (
+            f"[\n{pad}      "
+            + f",\n{pad}      ".join(map(_quote, t.sources))
+            + f"\n{pad}    ]"
+            if t.sources
+            else "[]"
+        )
+        record = (
+            f'{sep}{pad}  {{\n{pad}    "produced": {_quote(t.produced)},\n'
+            f'{pad}    "rule": {_quote(t.rule)},\n{pad}    "sources": {sources}\n{pad}  }}'
+        )
+        yield record.encode("utf-8")
+        sep = ",\n"
+    yield b"]" if sep == "\n" else f"\n{pad}]".encode("utf-8")
+    yield end
+
+
+_TRACES_PLACEHOLDER = "\x00traces\x00"
+
+
+def report_to_json(report: dict, traces):
+    """The bytes dump_json gives for report with "traces" set to the list of
+    {"rule", "produced", "sources"} records of traces, as the report's head,
+    one chunk per trace and its tail: dump_json writes the report with a
+    placeholder there, which the fixed-shape writer's traces replace.  The
+    placeholder holds NUL characters, which XML text cannot, so its first
+    match is the one dump_json wrote."""
+    head, _, tail = dump_json({**report, "traces": _TRACES_PLACEHOLDER}).partition(
+        _quote(_TRACES_PLACEHOLDER).encode("utf-8")
+    )
+    yield head
+    yield from traces_chunks(traces, "  ", tail)

@@ -6,12 +6,13 @@ copy of src, and runs the named tests against that copy with pytest; the
 mutant is killed when they fail.  A mutant that changes no behaviour is
 marked equivalent with the reason, and is not run.
 
-The gate fails if an old text does not occur exactly once, if a module
-of src/fuzzonto has no mutant, if a mutant
-survives, if pytest ends other than pass or fail (say, a test name that no
-longer exists), or if the named tests fail on the unmutated source.  Tests
-still running after TIMEOUT seconds count as a kill, since they never pass;
-such a mutant costs the whole timeout, so prefer one that ends.
+The gate fails if an old text does not occur exactly once (in the source
+at start and in each mutant's copy), if a module of src/fuzzonto has no
+mutant, if a mutant survives, if pytest ends other than pass or fail (say,
+a test name that no longer exists), or if the named tests fail on the
+unmutated source.  Tests still running after TIMEOUT seconds count as a
+kill, since they never pass; such a mutant costs the whole timeout, so
+prefer one that ends.
 
 Run it from anywhere, with pytest installed (pytest does not collect this
 file); it takes no options and runs JOBS mutants at once:
@@ -195,6 +196,13 @@ MUTANTS = [
         "for key in relations[start:end]",
         [SCANNED, DIGESTS],
     ),
+    Mutant(
+        "report-traces-lose-their-indent",
+        "trace.py",
+        "f'{pad}    \"rule\": {_quote(t.rule)},",
+        "f'    \"rule\": {_quote(t.rule)},",
+        [T_EMIT + "test_report_json_equals_generic_encoding"],
+    ),
     # -- closure.py ------------------------------------------------------------
     Mutant(
         "derived-one-popcount-slot-for-every-row",
@@ -244,16 +252,30 @@ MUTANTS = [
     Mutant(
         "n-is-len-with-groups",
         "membership.py",
-        "n = len(representatives(groups, determiners)) if groups else len(determiners)",
-        "n = len(determiners)",
+        "n = len(representatives(groups, determiners))",
+        "n = len(set(determiners))",
         [T_MEMBERSHIP + "test_count_collapses_equivalent_holders"],
     ),
     Mutant(
         "wrong-n-without-groups",
         "membership.py",
-        "if groups else len(determiners)",
-        "if groups else len(determiners) + 1",
+        "    n = len(determiners)\n",
+        "    n = len(determiners) + 1\n",
         [T_MEMBERSHIP + "test_count_property_holders"],
+    ),
+    Mutant(
+        "relation-index-keeps-no-object",
+        "membership.py",
+        "by_object = index[predicate]\n",
+        "by_object = {}\n",
+        [T_MEMBERSHIP + "test_relation_mu_on_expanded_symmetric_fixture"],
+    ),
+    Mutant(
+        "a-relation-key-keeps-only-its-last-subject",
+        "membership.py",
+        "            found.append(subject)\n",
+        "            by_object[obj] = [subject]\n",
+        [T_MEMBERSHIP + "test_relation_mu_shared_object"],
     ),
     Mutant(
         "asserted-only-ignored",
@@ -323,18 +345,11 @@ MUTANTS = [
         [T_EMIT + "test_decimal6_matches_the_decimal_formula"],
     ),
     Mutant(
-        "empty-domain-is-a-bare-block",
+        "json-loaded-by-every-run",
         "emit.py",
-        "            if ends:\n",
-        "            if ends and ends[0]:\n",
-        [EVERY_FORMAT],
-    ),
-    Mutant(
-        "report-traces-lose-their-indent",
-        "emit.py",
-        "f'{pad}    \"rule\": {_quote(t.rule)},",
-        "f'    \"rule\": {_quote(t.rule)},",
-        [T_EMIT + "test_report_json_equals_generic_encoding"],
+        "from _json import encode_basestring as _quote\n",
+        "from json.encoder import encode_basestring as _quote\n",
+        [T_CLI + "test_a_rules_run_loads_neither_json_nor_the_staged_module"],
     ),
     Mutant(
         "empty-rules-array-spans-lines",
@@ -363,20 +378,6 @@ MUTANTS = [
         'item["members"] = list(mod.members)',
         'item["members"] = sorted(mod.members)',
         [JSON_ROUND_TRIP],
-    ),
-    Mutant(
-        "xml-name-check-lets-ufffe-through",
-        "emit.py",
-        "\\ue000-\\ufffd",
-        "\\ue000-\\ufffe",
-        [EVERY_FORMAT, T_CLI + "test_a_name_that_xml_cannot_carry_is_refused_by_rdfxml_only"],
-    ),
-    Mutant(
-        "rdfxml-drops-equivalences",
-        "emit.py",
-        "        equivalents.setdefault(a, []).append(b)",
-        "        pass",
-        [EVERY_FORMAT],
     ),
     # -- ingest.py -------------------------------------------------------------
     Mutant(
@@ -410,27 +411,6 @@ MUTANTS = [
         "costs memory and changes no output",
     ),
     Mutant(
-        "str-input-not-checked-for-surrogates",
-        "ingest.py",
-        '            data.encode("utf-8")\n',
-        "            pass\n",
-        [T_CLI + "test_lone_surrogate_in_a_name_is_a_parse_error"],
-    ),
-    Mutant(
-        "json-origins-read-as-asserted",
-        "ingest.py",
-        "elements.setdefault(key, _origin(item, where))",
-        "elements.setdefault(key, ASSERTED)",
-        [T_INGEST + "test_json_round_trip_preserves_everything"],
-    ),
-    Mutant(
-        "json-class-iris-dropped",
-        "ingest.py",
-        "        model.touch_class(name, iri)\n",
-        "        model.touch_class(name)\n",
-        [T_INGEST + "test_json_round_trip_preserves_everything"],
-    ),
-    Mutant(
         "kind-conflict-not-reported",
         "ingest.py",
         "for name in sorted(used[DATATYPE] & used[OBJECT]):",
@@ -443,6 +423,63 @@ MUTANTS = [
         "for name in sorted(classes.keys() & (used[DATATYPE] | used[OBJECT])):",
         "for name in ():",
         [T_CLI + "test_a_class_that_names_a_property_is_a_validation_error"],
+    ),
+    Mutant(
+        "declared-class-loses-its-iri",
+        "ingest.py",
+        "self.model.classes.setdefault(name, None)",
+        "self.model.classes[name] = None",
+        [T_INGEST + "test_reader_matches_the_element_tree_reference"],
+    ),
+    Mutant(
+        "local-resource-not-declared",
+        "ingest.py",
+        "        model.classes.setdefault(name, None)\n    else:",
+        "        pass\n    else:",
+        [T_INGEST + "test_reader_matches_the_element_tree_reference"],
+    ),
+    # -- staged.py -------------------------------------------------------------
+    Mutant(
+        "empty-domain-is-a-bare-block",
+        "staged.py",
+        "            if ends:\n",
+        "            if ends and ends[0]:\n",
+        [EVERY_FORMAT],
+    ),
+    Mutant(
+        "xml-name-check-lets-ufffe-through",
+        "staged.py",
+        "\\ue000-\\ufffd",
+        "\\ue000-\\ufffe",
+        [EVERY_FORMAT, T_CLI + "test_a_name_that_xml_cannot_carry_is_refused_by_rdfxml_only"],
+    ),
+    Mutant(
+        "rdfxml-drops-equivalences",
+        "staged.py",
+        "        equivalents.setdefault(a, []).append(b)",
+        "        pass",
+        [EVERY_FORMAT],
+    ),
+    Mutant(
+        "str-input-not-checked-for-surrogates",
+        "staged.py",
+        '            data.encode("utf-8")\n',
+        "            pass\n",
+        [T_CLI + "test_lone_surrogate_in_a_name_is_a_parse_error"],
+    ),
+    Mutant(
+        "json-origins-read-as-asserted",
+        "staged.py",
+        "elements.setdefault(key, _origin(item, where))",
+        "elements.setdefault(key, ASSERTED)",
+        [T_INGEST + "test_json_round_trip_preserves_everything"],
+    ),
+    Mutant(
+        "json-class-iris-dropped",
+        "staged.py",
+        "        model.touch_class(name, iri)\n",
+        "        model.touch_class(name)\n",
+        [T_INGEST + "test_json_round_trip_preserves_everything"],
     ),
     # -- model.py --------------------------------------------------------------
     Mutant(
@@ -494,6 +531,13 @@ MUTANTS = [
         "from .normalize import DEFAULT_BOUND, normalize\n",
         "from .normalize import DEFAULT_BOUND, normalize\nfrom . import trace as _trace\n",
         [T_CLI + "test_cli_leaves_fractions_and_decimal_out"],
+    ),
+    Mutant(
+        "staged-module-loaded-by-every-run",
+        "cli.py",
+        "from .normalize import DEFAULT_BOUND, normalize\n",
+        "from .normalize import DEFAULT_BOUND, normalize\nfrom . import staged as _staged\n",
+        [T_CLI + "test_a_rules_run_loads_neither_json_nor_the_staged_module"],
     ),
     Mutant(
         "input-bytes-kept",
@@ -576,8 +620,8 @@ MUTANTS = [
     Mutant(
         "package-misses-a-public-name",
         "__init__.py",
-        "from .emit import annotated_to_json, decimal6, emit_json, emit_normalized_rdf",
-        "from .emit import annotated_to_json, decimal6, emit_json",
+        "from .emit import decimal6, emit_json",
+        "from .emit import emit_json",
         [T_MODEL + "test_every_public_name_resolves"],
     ),
     Mutant(
@@ -650,10 +694,12 @@ def main() -> int:
                   "on the unmutated source")
             return 1
 
-        def run(m: Mutant) -> tuple[Mutant, int, float]:
+        def run(m: Mutant) -> tuple[Mutant, int | None, float]:
             src = _copy_source(Path(tmp) / m.name)
             target = src / "fuzzonto" / m.file
             text = target.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:  # the source changed after the table was checked
+                return m, None, 0.0
             target.write_text(text.replace(m.old, m.new), encoding="utf-8")
             began = time.perf_counter()
             return m, _pytest(src, m.tests), time.perf_counter() - began
@@ -661,7 +707,7 @@ def main() -> int:
         failed = 0
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
             for m, code, seconds in pool.map(run, runnable):
-                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+                verdict = {0: "SURVIVED", 1: "killed", None: "STALE"}.get(code, f"ERROR {code}")
                 failed += code != 1
                 print(f"{verdict:<8} {m.name} ({m.file}, {seconds:.1f} s)", flush=True)
     for m in MUTANTS:

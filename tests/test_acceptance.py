@@ -12,10 +12,11 @@ import pytest
 
 from conftest import FIXTURE_NAMES, fixture_bytes, fixture_path, normalize_fixture
 from fuzzonto import assign_all, closure, emit_json, normalize, parse_document
-from fuzzonto.emit import annotated_to_json, rules_to_json, runs_text_chunks
+from fuzzonto.emit import rules_to_json, runs_text_chunks
 from fuzzonto.membership import PART_OF, PROPERTY, representatives
 from fuzzonto.model import TRANSITIVE, OntologyModel, RawModifier
 from fuzzonto.rules import check_consistency, generate_rules, premise_runs, premise_text
+from fuzzonto.staged import annotated_to_json
 from randmodels import (
     brute_groups,
     brute_reachable,

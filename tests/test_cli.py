@@ -15,13 +15,13 @@ from fuzzonto import (
     OntologyModel,
     cli,
     emit_json,
-    load_json,
     normalize,
     parse_document,
 )
 from fuzzonto.cli import run_pipeline
 from fuzzonto.emit import dump_json
 from fuzzonto.model import SYMMETRIC, RawModifier
+from fuzzonto.staged import load_json
 from test_digests import recipe_model
 
 
@@ -654,6 +654,33 @@ def test_cli_leaves_fractions_and_decimal_out(tmp_path):
     )
     assert "IF subAreaOf EU (mu=0.500000) THEN Latvia\n" in proc.stdout
     assert proc.stderr == "[]\n0 []\n0 ['fuzzonto.trace']\n"
+
+
+def test_a_rules_run_loads_neither_json_nor_the_staged_module(tmp_path):
+    # the modules each run adds, against the child's own set before the
+    # import, since site may load some of the stdlib first; the staged path's
+    # readers and writers, and json with them, load only when a run needs them
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "loaded = set(sys.modules)\n"
+            "import fuzzonto.cli\n"
+            "for args in (['rules', sys.argv[1], '--out', sys.argv[2]],\n"
+            "             ['rules', sys.argv[1], '--format', 'text', '--out', sys.argv[2]],\n"
+            "             ['normalize', sys.argv[1], '--format', 'rdfxml', '--out', sys.argv[2]]):\n"
+            "    code = fuzzonto.cli.main(args)\n"
+            "    added = set(sys.modules) - loaded\n"
+            "    print(code, sorted(added & {'json', 'fuzzonto.staged'}))\n",
+            str(fixture_path("transitive_areas.owl")),
+            str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "0 []\n0 []\n0 ['fuzzonto.staged', 'json']\n"
 
 
 def test_rules_command_goes_from_runs_to_bytes(capsys, monkeypatch):

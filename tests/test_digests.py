@@ -16,10 +16,10 @@ import re
 
 from conftest import FIXTURE_NAMES, fixture_path, parse_fixture
 from fuzzonto import OntologyModel, RawModifier, assign_all, normalize
-from fuzzonto import emit
+from fuzzonto import emit, staged
 from fuzzonto.cli import run_pipeline
 from fuzzonto.rules import generate_rules, premise_runs, rule_runs
-from fuzzonto.trace import traces
+from fuzzonto.trace import traces, traces_chunks
 
 PINNED = {
     "rules_json": "b66121bd7d4d25ad38b387728e2b23a88af5df25260259f26f983d93a89da718",
@@ -101,10 +101,10 @@ def _digests() -> tuple[dict, dict]:
         outputs = {
             "rules_json": emit.rules_to_json(rules),
             "rules_text": "".join(emit.runs_text_chunks(rule_runs(rules))).encode(),
-            "traces": b"".join(emit.traces_chunks(traces(result))),
+            "traces": b"".join(traces_chunks(traces(result))),
             "model_json": emit.emit_json(result.model),
-            "model_rdfxml": emit.emit_normalized_rdf(result.model),
-            "assign_json": emit.annotated_to_json(annotated),
+            "model_rdfxml": staged.emit_normalized_rdf(result.model),
+            "assign_json": staged.annotated_to_json(annotated),
         }
         run_outputs = {
             "rules_json": b"".join(emit.runs_json_chunks(runs)),

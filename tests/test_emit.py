@@ -10,25 +10,16 @@ from fuzzonto import (
     OntologyModel,
     assign_all,
     emit_json,
-    emit_normalized_rdf,
-    load_json,
     normalize,
     parse_document,
     validate_model,
 )
-from fuzzonto.emit import (
-    annotated_to_json,
-    decimal6,
-    dump_json,
-    report_to_json,
-    rules_to_json,
-    runs_text_chunks,
-    traces_chunks,
-)
+from fuzzonto.emit import decimal6, dump_json, rules_to_json, runs_text_chunks
 from fuzzonto.errors import UnwritableName
 from fuzzonto.membership import PART_OF, RELATION, ComplexKey
 from fuzzonto.rules import generate_rules, premise_text, rule_runs
-from fuzzonto.trace import RewriteTrace, traces
+from fuzzonto.staged import annotated_to_json, emit_normalized_rdf, load_json
+from fuzzonto.trace import RewriteTrace, report_to_json, traces, traces_chunks
 from randmodels import (
     AWKWARD_NAMES,
     UNWRITABLE_NAMES,

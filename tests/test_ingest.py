@@ -17,11 +17,11 @@ from fuzzonto import (
     UnsupportedConstruct,
     emit_json,
     ingest,
-    load_json,
     parse_document,
     validate_model,
 )
 from fuzzonto.model import INTERSECTION, INVERSE, SYMMETRIC, TRANSITIVE, RawModifier
+from fuzzonto.staged import load_json
 
 RDF_OPEN = (
     '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'

@@ -11,10 +11,11 @@ from pathlib import Path
 from xml.parsers import expat
 
 from conftest import FIXTURE_NAMES, fixture_bytes
-from fuzzonto import annotated_to_json, assign_all, emit_json, normalize, parse_document
-from fuzzonto.emit import runs_json_chunks, traces_chunks
+from fuzzonto import assign_all, emit_json, normalize, parse_document
+from fuzzonto.emit import runs_json_chunks
 from fuzzonto.rules import premise_runs
-from fuzzonto.trace import traces
+from fuzzonto.staged import annotated_to_json
+from fuzzonto.trace import traces, traces_chunks
 from randmodels import intersection_model, random_model
 
 MAKES = (random_model, intersection_model)
