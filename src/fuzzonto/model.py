@@ -150,29 +150,6 @@ class OntologyModel:
             )
         self.properties[name] = kind
 
-    def add_holding(self, prop: str, holder: str, origin: str = ASSERTED) -> bool:
-        key = (prop, holder)
-        if key in self.holdings:
-            return False
-        self.holdings[key] = origin
-        return True
-
-    def add_relation(
-        self, predicate: str, subject: str, object_: str, origin: str = ASSERTED
-    ) -> bool:
-        key = (predicate, subject, object_)
-        if key in self.relations:
-            return False
-        self.relations[key] = origin
-        return True
-
-    def add_subclass(self, sub: str, sup: str, origin: str = ASSERTED) -> bool:
-        key = (sub, sup)
-        if key in self.subclass_axioms:
-            return False
-        self.subclass_axioms[key] = origin
-        return True
-
     def add_equivalence(self, a: str, b: str) -> bool:
         """Record an unordered equivalence pair; self-pairs are rejected."""
         if a == b:

@@ -45,6 +45,11 @@ self-axioms, and it does so before it logs its batch and before any batch
 whose positions or axiom count index the subclass axioms.  So the positions
 index the result's collections and say what was present before each batch;
 trace.py rebuilds every element's derivation from them.
+
+RULES names the rules in tally order, each with the OWL 2 RL rules it
+applies (W3C OWL 2 Profiles, section 4.3) as tests/randmodels.py's rule table
+names them.  Two of its rows are no rule's: equivalence-sym, which unordered
+equivalence pairs state, and prp-inv2, the reverse inverseOf mirror.
 """
 
 from __future__ import annotations
@@ -68,26 +73,17 @@ from .model import (
     el_subclass,
 )
 
-# Rule identifiers, by what each rewrite does.
-RULE_EQUIV_PROPERTY = "equiv-property-copy"
-RULE_EQUIV_RELATION = "equiv-relation-copy"
-RULE_SUBCLASS_CLOSURE = "subclass-closure"
-RULE_RELATION_LIFT = "relation-lift"
-RULE_SYMMETRIC = "symmetric-expand"
-RULE_INVERSE = "inverse-expand"
-RULE_INTERSECTION = "intersection-to-subclass"
-RULE_TRANSITIVE = "transitive-close"
-
-ALL_RULES = (
-    RULE_EQUIV_PROPERTY,
-    RULE_EQUIV_RELATION,
-    RULE_SUBCLASS_CLOSURE,
-    RULE_RELATION_LIFT,
-    RULE_SYMMETRIC,
-    RULE_INVERSE,
-    RULE_INTERSECTION,
-    RULE_TRANSITIVE,
-)
+# rule name -> the OWL 2 RL rules it applies, in tally order (see above)
+RULES = {
+    "equiv-property-copy": ("holding-copy",),
+    "equiv-relation-copy": ("subject-copy",),
+    "subclass-closure": ("scm-sco", "scm-eqc2"),
+    "relation-lift": ("relation-lift",),
+    "symmetric-expand": ("prp-symp",),
+    "inverse-expand": ("prp-inv1",),
+    "intersection-to-subclass": ("scm-int",),
+    "transitive-close": ("prp-trp",),
+}
 
 DEFAULT_BOUND = 100000
 
@@ -113,7 +109,7 @@ class _Run:
         m.modifiers = set()
         self.self_axioms = sum(sub == sup for sub, sup in m.subclass_axioms)  # until dropped
         self.bound = bound
-        self.tally = dict.fromkeys(ALL_RULES, 0)
+        self.tally = dict.fromkeys(RULES, 0)
         self.log: list[tuple] = []
         self.warnings: list[Diagnostic] = []
         self.closed: int | None = None  # len(subclass_axioms) after the last closure
@@ -178,7 +174,7 @@ def _propagate_equivalents(m: OntologyModel, run: _Run) -> bool:
         run.group_of = closure.groups(m.equivalences)
         run.copied = (0, 0)
     group_of = run.group_of
-    kinds = ((RULE_EQUIV_PROPERTY, m.holdings), (RULE_EQUIV_RELATION, m.relations))
+    kinds = (("equiv-property-copy", m.holdings), ("equiv-relation-copy", m.relations))
     # one unsorted pass per kind buckets the candidate patterns by their group;
     # groups are disjoint, so one group's copies never land in another's bucket
     buckets = []
@@ -258,7 +254,7 @@ def _merge_cycles(m: OntologyModel, run: _Run, cycles: list[list[str]]) -> bool:
         run.admit(len(batch))
         m.equivalences.update(batch)
         changed |= bool(batch)
-        run.record(RULE_SUBCLASS_CLOSURE, 0, len(batch), batch)
+        run.record("subclass-closure", 0, len(batch), batch)
     return changed
 
 
@@ -277,7 +273,7 @@ def _close_subclass_hierarchy(m: OntologyModel, run: _Run) -> bool:
         del axioms[key]  # self-axioms are dropped
     run.self_axioms = 0  # the input's were among them, and no rule adds one
     found = [(names[u], names[v]) for u, targets in reach.derived() for v in targets if v != u]
-    added = run.add(axioms, RULE_SUBCLASS_CLOSURE, found)
+    added = run.add(axioms, "subclass-closure", found)
     run.closed = len(axioms)
     return changed or added or bool(dropped)
 
@@ -352,7 +348,7 @@ def _lift_relations(m: OntologyModel, run: _Run) -> bool:
     if fresh_supers:
         scans.append((keys[:lifted], fresh_supers))
 
-    added = run.add(relations, RULE_RELATION_LIFT, dict.fromkeys(_missing_lifts(scans, relations)))
+    added = run.add(relations, "relation-lift", dict.fromkeys(_missing_lifts(scans, relations)))
     run.lifted = (len(relations), len(axioms))
     return added
 
@@ -379,7 +375,7 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
     mirroring added; within a kind, modifiers go in RawModifier.key order."""
     for mod in chain.from_iterable(run.modifiers.values()):
         if mod.kind == SYMMETRIC:
-            _mirror(m, run, RULE_SYMMETRIC, mod, mod.target)
+            _mirror(m, run, "symmetric-expand", mod, mod.target)
         elif mod.kind == INVERSE:
             counterpart = mod.counterpart or mod.target
             if counterpart not in m.properties:
@@ -389,7 +385,7 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
                     el_modifier(mod),
                 )
                 m.declare_property(counterpart, OBJECT)
-            _mirror(m, run, RULE_INVERSE, mod, counterpart)
+            _mirror(m, run, "inverse-expand", mod, counterpart)
         elif mod.kind == INTERSECTION:
             if not mod.members:
                 run.warn(
@@ -400,7 +396,7 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
             # member == target would be the vacuous C <= C
             run.add(
                 m.subclass_axioms,
-                RULE_INTERSECTION,
+                "intersection-to-subclass",
                 dict.fromkeys(
                     key
                     for member in mod.members
@@ -417,7 +413,7 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
             # only the pairs that are not relations yet, in sorted order
             run.add(
                 m.relations,
-                RULE_TRANSITIVE,
+                "transitive-close",
                 [(pred, names[u], names[v]) for u, targets in reach.derived() for v in targets],
                 mod,
             )

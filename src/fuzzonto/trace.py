@@ -17,14 +17,6 @@ from itertools import islice
 from . import closure
 from .emit import dump_json
 from .model import el_equivalence, el_holding, el_modifier, el_relation, el_subclass
-from .normalize import (
-    RULE_EQUIV_PROPERTY,
-    RULE_EQUIV_RELATION,
-    RULE_INTERSECTION,
-    RULE_RELATION_LIFT,
-    RULE_SUBCLASS_CLOSURE,
-    RULE_TRANSITIVE,
-)
 
 # one element's first derivation: the rule, the element and its rendered sources
 RewriteTrace = namedtuple("RewriteTrace", "rule produced sources", defaults=((),))
@@ -37,19 +29,19 @@ def traces(result):
     m = result.model
     holdings, relations, axioms = list(m.holdings), list(m.relations), list(m.subclass_axioms)
     for rule, start, end, present, extra in result.log:
-        if rule == RULE_EQUIV_PROPERTY:
+        if rule == "equiv-property-copy":
             found = _copies(holdings[start:end], extra, el_holding)
-        elif rule == RULE_EQUIV_RELATION:
+        elif rule == "equiv-relation-copy":
             found = _copies(relations[start:end], extra, el_relation)
-        elif rule == RULE_SUBCLASS_CLOSURE and extra:  # a cycle's equivalences
+        elif rule == "subclass-closure" and extra:  # a cycle's equivalences
             found = ((el_equivalence(*p), (el_subclass(*p), el_subclass(*p[::-1]))) for p in extra)
-        elif rule == RULE_SUBCLASS_CLOSURE:
+        elif rule == "subclass-closure":
             found = _closure(axioms[start:end], axioms[:end], el_subclass)
-        elif rule == RULE_RELATION_LIFT:
+        elif rule == "relation-lift":
             found = _lifts(relations[start:end], islice(relations, start), axioms[:present])
-        elif rule == RULE_INTERSECTION:
+        elif rule == "intersection-to-subclass":
             found = ((el_subclass(*key), (el_modifier(extra),)) for key in axioms[start:end])
-        elif rule == RULE_TRANSITIVE:
+        elif rule == "transitive-close":
             found = _closure(
                 [key[1:] for key in relations[start:end]],
                 [key[1:] for key in islice(relations, end) if key[0] == extra.target],

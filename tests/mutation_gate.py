@@ -59,6 +59,9 @@ EVERY_FORMAT = T_EMIT + "test_every_valid_model_survives_every_format"
 EXACT_FIT = T_NORMALIZE + "test_a_bound_equal_to_the_output_count_fits"
 SOUND = T_NORMALIZE + "test_output_is_sound_against_the_rule_table"
 SCANNED = T_NORMALIZE + "test_traces_match_a_scan_of_the_state_before_each_batch"
+CLAIMED = T_NORMALIZE + "test_rule_table_claims_each_oracle_row_once"
+LICENSED = T_NORMALIZE + "test_every_trace_is_licensed_by_the_owl_rules_of_its_rule"
+FIRST_WINS = T_MODEL + "test_first_derivation_wins"
 
 MUTANTS = [
     # -- normalize.py ----------------------------------------------------------
@@ -145,6 +148,35 @@ MUTANTS = [
         "        supers.setdefault(sub, []).append(sup)",
         "        supers.setdefault(sup, []).append(sub)",
         [SOUND],
+    ),
+    Mutant(
+        "mirror-overwrites-an-element-present",
+        "normalize.py",
+        "[key for _, subject, obj in found if (key := (counterpart, obj, subject)) not in "
+        "relations]",
+        "[(counterpart, obj, subject) for _, subject, obj in found]",
+        [FIRST_WINS],
+    ),
+    Mutant(
+        "inverse-expand-claims-prp-inv2",
+        "normalize.py",
+        '"inverse-expand": ("prp-inv1",),',
+        '"inverse-expand": ("prp-inv2",),',
+        [LICENSED],
+    ),
+    Mutant(
+        "subclass-closure-claims-no-scm-eqc2",
+        "normalize.py",
+        '"subclass-closure": ("scm-sco", "scm-eqc2"),',
+        '"subclass-closure": ("scm-sco",),',
+        [CLAIMED],
+    ),
+    Mutant(
+        "lift-claims-scm-sco",
+        "normalize.py",
+        '"relation-lift": ("relation-lift",),',
+        '"relation-lift": ("scm-sco",),',
+        [CLAIMED],
     ),
     # -- trace.py --------------------------------------------------------------
     Mutant(
@@ -475,6 +507,13 @@ MUTANTS = [
         [T_INGEST + "test_json_round_trip_preserves_everything"],
     ),
     Mutant(
+        "last-derivation-wins",
+        "staged.py",
+        "elements.setdefault(key, _origin(item, where))",
+        "elements[key] = _origin(item, where)",
+        [FIRST_WINS],
+    ),
+    Mutant(
         "json-class-iris-dropped",
         "staged.py",
         "        model.touch_class(name, iri)\n",
@@ -502,13 +541,6 @@ MUTANTS = [
         "pair = (a, b) if a < b else (b, a)",
         "pair = (a, b)",
         [T_MODEL + "test_equivalence_pairs_are_canonical_and_self_free"],
-    ),
-    Mutant(
-        "last-derivation-wins",
-        "model.py",
-        "        if key in self.holdings:\n            return False\n",
-        "",
-        [T_MODEL + "test_first_derivation_wins"],
     ),
     Mutant(
         "declarations-counted-as-elements",

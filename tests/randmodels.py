@@ -11,6 +11,8 @@ reference_validate_model is the validator as it was before it filtered
 elements by lookups: it sorts and renders every element.
 reference_parse_rdfxml is the RDF/XML reader as it was when it built an
 ElementTree and walked it; random_rdfxml writes documents for it.
+add_holding, add_relation and add_subclass insert one element into a model
+that a test builds by hand.
 
 Models define no equality.  A test compares two models by their emit_json
 bytes, by element_keys where origins must not count, and by model_state
@@ -47,18 +49,31 @@ from fuzzonto.model import (
     el_relation,
     el_subclass,
 )
-from fuzzonto.normalize import (
-    DEFAULT_BOUND,
-    RULE_EQUIV_PROPERTY,
-    RULE_EQUIV_RELATION,
-    RULE_INTERSECTION,
-    RULE_RELATION_LIFT,
-    RULE_SUBCLASS_CLOSURE,
-    RULE_TRANSITIVE,
-    _close_subclass_hierarchy,
-    _rewrite_modifiers,
-    _Run,
-)
+from fuzzonto.normalize import DEFAULT_BOUND, _close_subclass_hierarchy, _rewrite_modifiers, _Run
+
+
+def _insert(elements: dict, key: tuple, origin: str) -> bool:
+    """Insert key with origin unless it is present, since the first
+    derivation wins, and say whether it went in."""
+    if key in elements:
+        return False
+    elements[key] = origin
+    return True
+
+
+def add_holding(m: OntologyModel, prop: str, holder: str, origin: str = ASSERTED) -> bool:
+    return _insert(m.holdings, (prop, holder), origin)
+
+
+def add_relation(
+    m: OntologyModel, pred: str, subject: str, obj: str, origin: str = ASSERTED
+) -> bool:
+    return _insert(m.relations, (pred, subject, obj), origin)
+
+
+def add_subclass(m: OntologyModel, sub: str, sup: str, origin: str = ASSERTED) -> bool:
+    return _insert(m.subclass_axioms, (sub, sup), origin)
+
 
 def element_keys(m: OntologyModel) -> dict:
     """m without origins and the normalized flag: classes with their IRIs,
@@ -116,12 +131,12 @@ def random_model(seed: int) -> OntologyModel:
 
     for prop in dt_props:
         for holder in rng.sample(classes, rng.randint(0, min(4, len(classes)))):
-            m.add_holding(prop, holder)
+            add_holding(m, prop, holder)
     for pred in predicates:
         for _ in range(rng.randint(0, 4)):
-            m.add_relation(pred, rng.choice(classes), rng.choice(classes))
+            add_relation(m, pred, rng.choice(classes), rng.choice(classes))
     for _ in range(rng.randint(0, 6)):
-        m.add_subclass(rng.choice(classes), rng.choice(classes))
+        add_subclass(m, rng.choice(classes), rng.choice(classes))
     for _ in range(rng.randint(0, 3)):
         a, b = rng.sample(classes, 2)
         m.add_equivalence(a, b)
@@ -248,22 +263,23 @@ def scan_traces(result) -> list[tuple]:
     holdings, relations, axioms = list(m.holdings), list(m.relations), list(m.subclass_axioms)
     found = []
     for rule, start, end, present, extra in result.log:
-        if rule in (RULE_EQUIV_PROPERTY, RULE_EQUIV_RELATION):
-            elements, render = (
-                (holdings, el_holding) if rule == RULE_EQUIV_PROPERTY else (relations, el_relation)
-            )
+        if rule in ("equiv-property-copy", "equiv-relation-copy"):
+            if rule == "equiv-property-copy":
+                elements, render = holdings, el_holding
+            else:
+                elements, render = relations, el_relation
             batch = sorted(elements[start:end], key=lambda key: (key[::2], key[1]))
             for key in batch:
                 held = min(
                     k[1] for k in elements[:start] if k[::2] == key[::2] and k[1] in extra
                 )
                 found.append((rule, render(*key), (render(key[0], held, *key[2:]),)))
-        elif rule == RULE_SUBCLASS_CLOSURE and extra:
+        elif rule == "subclass-closure" and extra:
             for a, b in extra:
                 source = (el_subclass(a, b), el_subclass(b, a))
                 found.append((rule, el_equivalence(a, b), source))
-        elif rule in (RULE_SUBCLASS_CLOSURE, RULE_TRANSITIVE):
-            if rule == RULE_SUBCLASS_CLOSURE:
+        elif rule in ("subclass-closure", "transitive-close"):
+            if rule == "subclass-closure":
                 before, render = axioms[:start], el_subclass
             else:
                 pred = extra.target
@@ -274,12 +290,12 @@ def scan_traces(result) -> list[tuple]:
 
             pairs = brute_reachable(before)
             for a, b in sorted(pairs - set(before)):
-                if a == b and rule == RULE_SUBCLASS_CLOSURE:
+                if a == b and rule == "subclass-closure":
                     continue  # the subclass closure drops self-pairs
                 w = brute_witness(a, b, pairs)
                 sources = () if w is None else (render(a, w), render(w, b))
                 found.append((rule, render(a, b), sources))
-        elif rule == RULE_RELATION_LIFT:
+        elif rule == "relation-lift":
             present_axioms = set(axioms[:present])
             batch = []
             for pred, subject, sup in relations[start:end]:
@@ -292,7 +308,7 @@ def scan_traces(result) -> list[tuple]:
             for pred, subject, producer, sup in sorted(batch):
                 source = (el_relation(pred, subject, producer), el_subclass(producer, sup))
                 found.append((rule, el_relation(pred, subject, sup), source))
-        elif rule == RULE_INTERSECTION:
+        elif rule == "intersection-to-subclass":
             for key in axioms[start:end]:
                 found.append((rule, el_subclass(*key), (el_modifier(extra),)))
         else:  # mirroring: the batch holds counterpart(o, s) for each target(s, o)
@@ -408,12 +424,13 @@ def _reference_propagate(m: OntologyModel, run: _Run) -> None:
         group = sorted(members)
         for prop in sorted({prop for prop, holder in m.holdings if holder in members}):
             for member in group:
-                run.tally[RULE_EQUIV_PROPERTY] += m.add_holding(prop, member, RULE_EQUIV_PROPERTY)
+                added = add_holding(m, prop, member, "equiv-property-copy")
+                run.tally["equiv-property-copy"] += added
         patterns = {(pred, obj) for pred, subject, obj in m.relations if subject in members}
         for pred, obj in sorted(patterns):
             for member in group:
-                added = m.add_relation(pred, member, obj, RULE_EQUIV_RELATION)
-                run.tally[RULE_EQUIV_RELATION] += added
+                added = add_relation(m, pred, member, obj, "equiv-relation-copy")
+                run.tally["equiv-relation-copy"] += added
 
 
 def _reference_lift(m: OntologyModel, run: _Run) -> None:
@@ -423,7 +440,7 @@ def _reference_lift(m: OntologyModel, run: _Run) -> None:
         supers.setdefault(sub, []).append(sup)
     for pred, subject, obj in sorted(m.relations):
         for sup in supers.get(obj, ()):
-            run.tally[RULE_RELATION_LIFT] += m.add_relation(pred, subject, sup, RULE_RELATION_LIFT)
+            run.tally["relation-lift"] += add_relation(m, pred, subject, sup, "relation-lift")
 
 
 def reference_normalize(m: OntologyModel, bound: int = DEFAULT_BOUND):
@@ -505,20 +522,22 @@ RULES = (
 )
 
 
+def modifier_facts(mod: RawModifier) -> set:
+    """One modifier's facts; an intersection gives one per member."""
+    if mod.kind == INVERSE:
+        return {(INVERSE, mod.target, mod.counterpart or mod.target)}
+    if mod.kind == INTERSECTION:
+        return {(INTERSECTION, mod.target, member) for member in mod.members}
+    return {(mod.kind, mod.target)}
+
+
 def model_facts(m: OntologyModel) -> set:
     """m's elements and modifiers as facts; classes and properties are none."""
     facts = {("holding", *key) for key in m.holdings}
     facts |= {("relation", *key) for key in m.relations}
     facts |= {("subclass", *key) for key in m.subclass_axioms}
     facts |= {("equivalence", *pair) for pair in m.equivalences}
-    for mod in m.modifiers:
-        if mod.kind == INVERSE:
-            facts.add((INVERSE, mod.target, mod.counterpart or mod.target))
-        elif mod.kind == INTERSECTION:
-            facts |= {(INTERSECTION, mod.target, member) for member in mod.members}
-        else:
-            facts.add((mod.kind, mod.target))
-    return facts
+    return facts.union(*map(modifier_facts, m.modifiers))
 
 
 def _bindings(premises, binding: dict, index: dict):
@@ -580,13 +599,13 @@ def undeclared_model(seed: int) -> OntologyModel:
     ghost_props = ["q0", "q1", "r9"]
     anyclass = classes + ghosts
     for _ in range(rng.randint(0, 4)):
-        m.add_holding(rng.choice(ghost_props + DT_POOL), rng.choice(anyclass))
+        add_holding(m, rng.choice(ghost_props + DT_POOL), rng.choice(anyclass))
     for _ in range(rng.randint(0, 4)):
-        m.add_relation(
-            rng.choice(ghost_props + REL_POOL), rng.choice(anyclass), rng.choice(anyclass)
+        add_relation(
+            m, rng.choice(ghost_props + REL_POOL), rng.choice(anyclass), rng.choice(anyclass)
         )
     for _ in range(rng.randint(0, 3)):
-        m.add_subclass(rng.choice(anyclass), rng.choice(anyclass))
+        add_subclass(m, rng.choice(anyclass), rng.choice(anyclass))
     if rng.random() < 0.5:
         m.add_equivalence(rng.choice(anyclass), rng.choice(ghosts))
     if rng.random() < 0.3:
@@ -875,7 +894,7 @@ class _ReferenceRdfXmlParser:
             if (ns, local) == (RDFS_NS, "subClassOf"):
                 target = self._class_target(child, location)
                 if target is not None:
-                    self.model.add_subclass(name, target, ASSERTED)
+                    add_subclass(self.model, name, target, ASSERTED)
             elif (ns, local) == (OWL_NS, "equivalentClass"):
                 target = self._class_target(child, location)
                 if target is None:
@@ -920,7 +939,7 @@ class _ReferenceRdfXmlParser:
             return
         obj, iri = res
         self.model.touch_class(obj, iri)
-        self.model.add_relation(predicate, subject, obj, ASSERTED)
+        add_relation(self.model, predicate, subject, obj, ASSERTED)
 
     def _parse_property(self, el, kind: str, modifier_kind: str | None = None) -> None:
         name = self._element_name(el, "property")
@@ -969,10 +988,10 @@ class _ReferenceRdfXmlParser:
         if kind == OBJECT:
             for d in domains:
                 for r in ranges:
-                    self.model.add_relation(name, d, r, ASSERTED)
+                    add_relation(self.model, name, d, r, ASSERTED)
         else:
             for d in domains:
-                self.model.add_holding(name, d, ASSERTED)
+                add_holding(self.model, name, d, ASSERTED)
 
 
 _CLASS_NAMES = ["A", "B", "C", "D", "E"]

@@ -18,6 +18,8 @@ from fuzzonto.model import TRANSITIVE, OntologyModel, RawModifier
 from fuzzonto.rules import check_consistency, generate_rules, premise_runs, premise_text
 from fuzzonto.staged import annotated_to_json
 from randmodels import (
+    add_relation,
+    add_subclass,
     brute_groups,
     brute_reachable,
     brute_table,
@@ -202,7 +204,7 @@ def test_criterion_6_closure_matches_reachability_oracle():
             for name in names:
                 hierarchy.touch_class(name)
             for a, b in edges:
-                hierarchy.add_subclass(names[a], names[b])
+                add_subclass(hierarchy, names[a], names[b])
             closed = normalize(hierarchy).model
             got_axioms = {
                 (int(sub[1:]), int(sup[1:])) for sub, sup in closed.subclass_axioms
@@ -222,7 +224,7 @@ def test_criterion_6_closure_matches_reachability_oracle():
                 graph.touch_class(name)
             graph.declare_property("p", "object")
             for a, b in edges:
-                graph.add_relation("p", names[a], names[b])
+                add_relation(graph, "p", names[a], names[b])
             graph.add_modifier(RawModifier(TRANSITIVE, "p"))
             closed_relations = normalize(graph).model
             got_pairs = {

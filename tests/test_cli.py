@@ -22,6 +22,7 @@ from fuzzonto.cli import run_pipeline
 from fuzzonto.emit import dump_json
 from fuzzonto.model import SYMMETRIC, RawModifier
 from fuzzonto.staged import load_json
+from randmodels import add_holding, add_relation, add_subclass
 from test_digests import recipe_model
 
 
@@ -309,9 +310,9 @@ def test_a_budget_equal_to_the_output_count_fits(tmp_path, capsys):
     for name in ("A", "B", "C"):
         m.touch_class(name)
     for sub, sup in (("A", "A"), ("A", "B"), ("B", "C")):
-        m.add_subclass(sub, sup)
+        add_subclass(m, sub, sup)
     m.declare_property("r", "object")
-    m.add_relation("r", "C", "A")
+    add_relation(m, "r", "C", "A")
     m.add_modifier(RawModifier(SYMMETRIC, "r"))
     source, report = tmp_path / "model.json", tmp_path / "report.json"
     source.write_bytes(emit_json(m))
@@ -332,7 +333,7 @@ def test_a_name_that_xml_cannot_carry_is_refused_by_rdfxml_only(tmp_path, capsys
         m = OntologyModel()
         m.touch_class(name)
         m.touch_class("B")
-        m.add_subclass(name, "B")
+        add_subclass(m, name, "B")
         source, out = tmp_path / "model.json", tmp_path / "out" / "model.owl"
         source.write_bytes(emit_json(m))
         out.parent.mkdir(exist_ok=True)
@@ -946,7 +947,7 @@ def test_closed_stderr_pipe_ends_diagnostics_quietly(tmp_path):
     model = OntologyModel()
     model.declare_property("p", "datatype")
     for i in range(3000):
-        model.add_holding("p", f"U{i}")
+        add_holding(model, "p", f"U{i}")
     source = tmp_path / "model.json"
     source.write_bytes(emit_json(model))
     target = tmp_path / "rules.json"

@@ -20,6 +20,7 @@ from fuzzonto import emit, staged
 from fuzzonto.cli import run_pipeline
 from fuzzonto.rules import generate_rules, premise_runs, rule_runs
 from fuzzonto.trace import traces, traces_chunks
+from randmodels import add_holding, add_relation, add_subclass
 
 PINNED = {
     "rules_json": "b66121bd7d4d25ad38b387728e2b23a88af5df25260259f26f983d93a89da718",
@@ -65,15 +66,15 @@ def recipe_model(n: int, seed: int) -> OntologyModel:
     for name in classes:
         m.touch_class(name)
     for i in range(1, n):
-        m.add_subclass(classes[i], classes[rng.randrange(max(0, i - 20), i)])
+        add_subclass(m, classes[i], classes[rng.randrange(max(0, i - 20), i)])
     for k in range(5):
         m.declare_property(f"p{k}", "datatype")
         for holder in rng.sample(classes, n // 10):
-            m.add_holding(f"p{k}", holder)
+            add_holding(m, f"p{k}", holder)
     for pred in ("r0", "r1", "r2", "r3"):
         m.declare_property(pred, "object")
         for _ in range(n // 2):
-            m.add_relation(pred, rng.choice(classes), rng.choice(classes))
+            add_relation(m, pred, rng.choice(classes), rng.choice(classes))
     for _ in range(n // 50):
         m.add_equivalence(*rng.sample(classes, 2))
     m.add_modifier(RawModifier("symmetric", "r0"))

@@ -21,15 +21,17 @@ from fuzzonto.rules import generate_rules, premise_text, rule_runs
 from fuzzonto.staged import annotated_to_json, emit_normalized_rdf, load_json
 from fuzzonto.trace import RewriteTrace, report_to_json, traces, traces_chunks
 from randmodels import (
-    AWKWARD_NAMES,
-    UNWRITABLE_NAMES,
+    add_holding,
+    add_relation,
     awkward_model,
+    AWKWARD_NAMES,
     clash_model,
     element_keys,
     intersection_model,
     model_state,
     random_model,
     traces_to_obj,
+    UNWRITABLE_NAMES,
 )
 
 
@@ -173,8 +175,8 @@ def test_emit_rdf_round_trips_the_empty_class_name():
     m.declare_property("p", "object")
     m.declare_property("d", "datatype")
     m.declare_property("unused", "object")
-    m.add_relation("p", "", "B")
-    m.add_holding("d", "")
+    add_relation(m, "p", "", "B")
+    add_holding(m, "d", "")
     model = normalize(m).model
     text = emit_normalized_rdf(model).decode()
     assert '<rdfs:domain rdf:resource="#"/>' in text

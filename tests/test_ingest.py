@@ -4,6 +4,9 @@ import pytest
 
 from conftest import FIXTURE_NAMES, fixture_bytes, parse_fixture
 from randmodels import (
+    add_holding,
+    add_relation,
+    add_subclass,
     model_state,
     random_rdfxml,
     reference_parse_rdfxml,
@@ -326,10 +329,10 @@ def build_everything() -> OntologyModel:
     m.touch_class("C")
     m.declare_property("age", "datatype")
     m.declare_property("knows", "object")
-    m.add_holding("age", "A")
-    m.add_holding("age", "B", "equiv-property-copy")
-    m.add_relation("knows", "A", "B")
-    m.add_subclass("A", "C", "subclass-closure")
+    add_holding(m, "age", "A")
+    add_holding(m, "age", "B", "equiv-property-copy")
+    add_relation(m, "knows", "A", "B")
+    add_subclass(m, "A", "C", "subclass-closure")
     m.add_equivalence("A", "B")
     m.add_modifier(RawModifier(SYMMETRIC, "knows"))
     m.add_modifier(RawModifier(INVERSE, "knows", counterpart="known_by"))
@@ -416,7 +419,7 @@ def test_validate_clean_fixture_is_empty():
 def test_validate_reports_dangling_class():
     m = OntologyModel()
     m.declare_property("knows", "object")
-    m.add_relation("knows", "A", "B")
+    add_relation(m, "knows", "A", "B")
     diagnostics = validate_model(m)
     errors = [d for d in diagnostics if d.severity == "error"]
     assert {d.code for d in errors} == {"undeclared-class"}
@@ -426,7 +429,7 @@ def test_validate_reports_dangling_class():
 def test_validate_reports_undeclared_property():
     m = OntologyModel()
     m.touch_class("A")
-    m.add_holding("p", "A")
+    add_holding(m, "p", "A")
     assert any(d.code == "undeclared-property" for d in validate_model(m))
 
 
@@ -441,7 +444,7 @@ def test_validate_reports_undeclared_inverse_counterpart():
     m.declare_property("p", "object")
     m.touch_class("A")
     m.touch_class("B")
-    m.add_relation("p", "A", "B")
+    add_relation(m, "p", "A", "B")
     m.add_modifier(RawModifier(INVERSE, "p", counterpart="ghost"))
     assert any(d.code == "undeclared-inverse" for d in validate_model(m))
 
@@ -451,7 +454,7 @@ def test_validate_flags_modifiers_in_normalized_model():
     m.declare_property("p", "object")
     m.touch_class("A")
     m.touch_class("B")
-    m.add_relation("p", "A", "B")
+    add_relation(m, "p", "A", "B")
     m.add_modifier(RawModifier(SYMMETRIC, "p"))
     m.normalized = True
     assert any(d.code == "modifiers-in-normalized" for d in validate_model(m))

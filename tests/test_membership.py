@@ -23,7 +23,7 @@ from fuzzonto.membership import (
     MembershipTable,
     representatives,
 )
-from randmodels import brute_table, random_model
+from randmodels import add_holding, add_relation, add_subclass, brute_table, random_model
 
 
 def normalized(name):
@@ -63,7 +63,7 @@ def test_count_property_holders():
     m = blank_normalized("Man", "Woman", "Child")
     m.declare_property("hasAge", "datatype")
     for holder in ("Man", "Woman", "Child"):
-        m.add_holding("hasAge", holder)
+        add_holding(m, "hasAge", holder)
     entry = assign_property_mu(m, build_equivalence_groups(m))["hasAge"]
     assert entry.n == 3
     assert entry.determiners == ("Child", "Man", "Woman")
@@ -72,8 +72,8 @@ def test_count_property_holders():
 def test_count_collapses_equivalent_holders():
     m = blank_normalized("A", "B")
     m.declare_property("hasAge", "datatype")
-    m.add_holding("hasAge", "A")
-    m.add_holding("hasAge", "B")
+    add_holding(m, "hasAge", "A")
+    add_holding(m, "hasAge", "B")
     m.add_equivalence("A", "B")
     entry = assign_property_mu(m, build_equivalence_groups(m))["hasAge"]
     assert entry.n == 1
@@ -82,7 +82,7 @@ def test_count_collapses_equivalent_holders():
 
 def test_count_partof_complex():
     m = blank_normalized("Paris", "France")
-    m.add_subclass("Paris", "France")
+    add_subclass(m, "Paris", "France")
     entry = assign_partof_mu(m, build_equivalence_groups(m))[ComplexKey(PART_OF, None, "France")]
     assert entry.n == 1
     assert entry.determiners == ("Paris",)
@@ -103,9 +103,9 @@ def test_property_mu_simple_counts():
     m = blank_normalized("A", "B", "C", "D")
     m.declare_property("single", "datatype")
     m.declare_property("wide", "datatype")
-    m.add_holding("single", "A")
+    add_holding(m, "single", "A")
     for holder in ("A", "B", "C", "D"):
-        m.add_holding("wide", holder)
+        add_holding(m, "wide", holder)
     table = assign_property_mu(m, build_equivalence_groups(m))
     assert table["single"].n == 1
     assert table["wide"].n == 4
@@ -115,7 +115,7 @@ def test_property_mu_with_equivalent_pair():
     m = blank_normalized("A", "B", "C")
     m.declare_property("p", "datatype")
     for holder in ("A", "B", "C"):
-        m.add_holding("p", holder)
+        add_holding(m, "p", holder)
     m.add_equivalence("A", "B")
     table = assign_property_mu(m, build_equivalence_groups(m))
     assert table["p"].n == 2
@@ -132,8 +132,8 @@ def test_partof_mu_on_closed_chain():
 
 def test_partof_mu_two_subclasses():
     m = blank_normalized("Paris", "Lyon", "France")
-    m.add_subclass("Paris", "France")
-    m.add_subclass("Lyon", "France")
+    add_subclass(m, "Paris", "France")
+    add_subclass(m, "Lyon", "France")
     table = assign_partof_mu(m, build_equivalence_groups(m))
     assert table[ComplexKey(PART_OF, None, "France")].n == 2
 
@@ -150,8 +150,8 @@ def test_relation_mu_on_expanded_symmetric_fixture():
 def test_relation_mu_shared_object():
     m = blank_normalized("Man", "Woman", "City")
     m.declare_property("livesIn", "object")
-    m.add_relation("livesIn", "Man", "City")
-    m.add_relation("livesIn", "Woman", "City")
+    add_relation(m, "livesIn", "Man", "City")
+    add_relation(m, "livesIn", "Woman", "City")
     table = assign_relation_mu(m, build_equivalence_groups(m))
     assert table[ComplexKey(RELATION, "livesIn", "City")].n == 2
 
@@ -179,9 +179,9 @@ def test_copy_widens_every_shared_determiner():
     m.add_equivalence("E", "F")
     m.declare_property("p", "datatype")
     for holder in ("B", "C", "F"):
-        m.add_holding("p", holder)
+        add_holding(m, "p", holder)
     m.declare_property("q", "datatype")
-    m.add_holding("q", "C")
+    add_holding(m, "q", "C")
     table = assign_all(m).table.property_mu
     assert table["p"].n == 3
     assert table["p"].determiners == ("A", "B", "C", "D", "E", "F")
@@ -200,7 +200,7 @@ def test_copy_keeps_entries_without_shared_determiners():
     m = normalized("equivalent_property_copy.owl")
     m.touch_class("Loner")
     m.declare_property("solo", "datatype")
-    m.add_holding("solo", "Loner")
+    add_holding(m, "solo", "Loner")
     annotated = assign_all(m)
     entry = annotated.table.property_mu["solo"]
     assert copy_to_equivalents(annotated).table.property_mu["solo"] is entry
@@ -213,9 +213,9 @@ def test_copy_keeps_complete_entries_and_widens_part_of():
     m = blank_normalized("A", "B", "C")
     m.add_equivalence("A", "B")
     m.declare_property("p", "datatype")
-    m.add_holding("p", "A")
-    m.add_holding("p", "B")
-    m.add_subclass("A", "C")
+    add_holding(m, "p", "A")
+    add_holding(m, "p", "B")
+    add_subclass(m, "A", "C")
     groups = build_equivalence_groups(m)
     raw = AnnotatedOntology(
         m,
@@ -261,10 +261,10 @@ def test_assign_all_transitive_fixture_entries():
 def test_assign_all_entry_order_is_properties_partof_relations():
     m = blank_normalized("A", "B")
     m.declare_property("zz", "datatype")
-    m.add_holding("zz", "A")
-    m.add_subclass("A", "B")
+    add_holding(m, "zz", "A")
+    add_subclass(m, "A", "B")
     m.declare_property("aa", "object")
-    m.add_relation("aa", "A", "B")
+    add_relation(m, "aa", "A", "B")
     kinds = [kind for kind, _, _ in assign_all(m).table.entries()]
     assert kinds == [PROPERTY, PART_OF, RELATION]
 

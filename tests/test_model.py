@@ -1,6 +1,10 @@
+import json
+
 import fuzzonto
-from fuzzonto import emit_json
-from fuzzonto.model import OntologyModel, RawModifier
+from fuzzonto import emit_json, normalize
+from fuzzonto.model import SYMMETRIC, OntologyModel, RawModifier
+from fuzzonto.staged import load_json
+from randmodels import add_holding, add_relation, add_subclass
 
 
 def build_small():
@@ -8,17 +12,27 @@ def build_small():
     m.touch_class("A")
     m.touch_class("B")
     m.declare_property("p", "datatype")
-    m.add_holding("p", "A")
-    m.add_subclass("A", "B")
+    add_holding(m, "p", "A")
+    add_subclass(m, "A", "B")
     return m
 
 
 def test_first_derivation_wins():
-    m = build_small()
-    assert not m.add_holding("p", "A", "something-derived")
-    assert m.holdings[("p", "A")] == "asserted"
-    assert m.add_holding("p", "B", "something-derived")
-    assert m.holdings[("p", "B")] == "something-derived"
+    """An element keeps the origin it went in with: the JSON reader keeps a
+    repeated element's first origin, and a rule never rewrites the origin of
+    an element that is present."""
+    doc = json.loads(emit_json(build_small()))
+    doc["holdings"].append({**doc["holdings"][0], "origin": "something-derived"})
+    assert load_json(json.dumps(doc).encode()).holdings == {("p", "A"): "asserted"}
+
+    m = OntologyModel()
+    m.declare_property("r", "object")
+    add_relation(m, "r", "A", "B")
+    add_relation(m, "r", "B", "A")
+    m.add_modifier(RawModifier(SYMMETRIC, "r"))
+    result = normalize(m)
+    assert set(result.model.relations.values()) == {"asserted"}
+    assert result.tally["symmetric-expand"] == 0
 
 
 def test_equivalence_pairs_are_canonical_and_self_free():
@@ -42,7 +56,7 @@ def test_touch_class_upgrades_iri_once():
 def test_copy_is_independent():
     m = build_small()
     clone = m.copy()
-    clone.add_holding("p", "B")
+    add_holding(clone, "p", "B")
     clone.add_modifier(RawModifier("symmetric", "q"))
     assert ("p", "B") not in m.holdings
     assert not m.modifiers

@@ -11,17 +11,21 @@ import pytest
 from conftest import FIXTURE_NAMES, normalize_fixture, parse_fixture
 import fuzzonto
 from fuzzonto import FixpointOverflow, OntologyModel, emit_json, normalize
-from fuzzonto.model import INTERSECTION, INVERSE, SYMMETRIC, TRANSITIVE, RawModifier
+from fuzzonto.model import (
+    INTERSECTION,
+    INVERSE,
+    SYMMETRIC,
+    TRANSITIVE,
+    RawModifier,
+    el_equivalence,
+    el_holding,
+    el_modifier,
+    el_relation,
+    el_subclass,
+)
 from fuzzonto.normalize import (
     DEFAULT_BOUND,
-    RULE_EQUIV_PROPERTY,
-    RULE_EQUIV_RELATION,
-    RULE_INTERSECTION,
-    RULE_INVERSE,
-    RULE_RELATION_LIFT,
-    RULE_SUBCLASS_CLOSURE,
-    RULE_SYMMETRIC,
-    RULE_TRANSITIVE,
+    RULES,
     _close_subclass_hierarchy,
     _lift_relations,
     _propagate_equivalents,
@@ -29,12 +33,19 @@ from fuzzonto.normalize import (
     _Run,
 )
 from fuzzonto.trace import traces
+import randmodels
 from randmodels import (
+    add_holding,
+    add_relation,
+    add_subclass,
+    brute_groups,
     brute_reachable,
     intersection_model,
     model_facts,
+    modifier_facts,
     random_model,
     reference_normalize,
+    rule_step,
     saturate,
     scan_traces,
 )
@@ -69,14 +80,14 @@ def test_rewrite_symmetric_swaps_subject_and_object():
         ("colleagueOf", "Engineer", "Programmer"),
     }
     assert not out.modifiers
-    assert out.relations[("colleagueOf", "Engineer", "Programmer")] == RULE_SYMMETRIC
+    assert out.relations[("colleagueOf", "Engineer", "Programmer")] == "symmetric-expand"
 
 
 def test_rewrite_symmetric_self_relation_dedupes():
     m = OntologyModel()
     m.touch_class("A")
     m.declare_property("p", "object")
-    m.add_relation("p", "A", "A")
+    add_relation(m, "p", "A", "A")
     m.add_modifier(RawModifier(SYMMETRIC, "p"))
     out = rewrite(m)
     assert list(out.relations) == [("p", "A", "A")]
@@ -102,7 +113,7 @@ def test_rewrite_inverse_of_itself_acts_symmetric():
     m.touch_class("A")
     m.touch_class("B")
     m.declare_property("p", "object")
-    m.add_relation("p", "A", "B")
+    add_relation(m, "p", "A", "B")
     m.add_modifier(RawModifier(INVERSE, "p", counterpart="p"))
     out = rewrite(m)
     assert set(out.relations) == {("p", "A", "B"), ("p", "B", "A")}
@@ -113,7 +124,7 @@ def test_rewrite_inverse_creates_missing_counterpart_with_warning():
     m.touch_class("A")
     m.touch_class("B")
     m.declare_property("p", "object")
-    m.add_relation("p", "A", "B")
+    add_relation(m, "p", "A", "B")
     m.add_modifier(RawModifier(INVERSE, "p", counterpart="q"))
     warnings = []
     out = rewrite(m, warnings=warnings)
@@ -126,7 +137,7 @@ def test_rewrite_intersection_produces_subclass_axioms():
     out = rewrite(m)
     assert set(out.subclass_axioms) == {("Man", "Male"), ("Man", "Human")}
     assert not out.modifiers
-    assert out.subclass_axioms[("Man", "Male")] == RULE_INTERSECTION
+    assert out.subclass_axioms[("Man", "Male")] == "intersection-to-subclass"
 
 
 def test_rewrite_intersection_single_member():
@@ -146,12 +157,12 @@ def test_intersection_listing_its_own_target_gives_no_self_subclass():
     m.touch_class("D")
     m.add_modifier(RawModifier(INTERSECTION, "C", members=("C", "D")))
     result = normalize(m)
-    assert result.model.subclass_axioms == {("C", "D"): RULE_INTERSECTION}
+    assert result.model.subclass_axioms == {("C", "D"): "intersection-to-subclass"}
     assert result.warnings == ()
     assert [(t.rule, t.produced) for t in traces(result)] == [
-        (RULE_INTERSECTION, "subclass C -> D")
+        ("intersection-to-subclass", "subclass C -> D")
     ]
-    assert sum(result.tally.values()) == result.tally[RULE_INTERSECTION] == 1
+    assert sum(result.tally.values()) == result.tally["intersection-to-subclass"] == 1
 
 
 def test_rewrite_intersection_empty_warns_and_drops():
@@ -173,7 +184,7 @@ def test_rewrite_transitive_closes_chain():
         ("subAreaOf", "Latvia", "EU"),
         ("subAreaOf", "Latgale", "EU"),
     }
-    assert out.relations[("subAreaOf", "Latgale", "EU")] == RULE_TRANSITIVE
+    assert out.relations[("subAreaOf", "Latgale", "EU")] == "transitive-close"
     assert not out.modifiers
 
 
@@ -183,7 +194,7 @@ def test_rewrite_transitive_four_chain_gives_six_pairs():
         m.touch_class(name)
     m.declare_property("p", "object")
     for sub, sup in [("A", "B"), ("B", "C"), ("C", "D")]:
-        m.add_relation("p", sub, sup)
+        add_relation(m, "p", sub, sup)
     m.add_modifier(RawModifier(TRANSITIVE, "p"))
     out = rewrite(m)
     assert len(out.relations) == 6
@@ -194,7 +205,7 @@ def test_rewrite_transitive_single_pair_unchanged():
     m.touch_class("A")
     m.touch_class("B")
     m.declare_property("p", "object")
-    m.add_relation("p", "A", "B")
+    add_relation(m, "p", "A", "B")
     m.add_modifier(RawModifier(TRANSITIVE, "p"))
     out = rewrite(m)
     assert list(out.relations) == [("p", "A", "B")]
@@ -208,7 +219,7 @@ def test_close_subclass_hierarchy_adds_transitive_axiom():
         ("City", "Country"),
         ("House", "Country"),
     }
-    assert out.subclass_axioms[("House", "Country")] == RULE_SUBCLASS_CLOSURE
+    assert out.subclass_axioms[("House", "Country")] == "subclass-closure"
     assert out.subclass_axioms[("House", "City")] == "asserted"
 
 
@@ -216,7 +227,7 @@ def test_close_subclass_hierarchy_single_axiom_unchanged():
     m = OntologyModel()
     m.touch_class("A")
     m.touch_class("B")
-    m.add_subclass("A", "B")
+    add_subclass(m, "A", "B")
     assert emit_json(close(m)) == emit_json(m)
 
 
@@ -224,8 +235,8 @@ def test_close_subclass_hierarchy_cycle_becomes_equivalence():
     m = OntologyModel()
     m.touch_class("A")
     m.touch_class("B")
-    m.add_subclass("A", "B")
-    m.add_subclass("B", "A")
+    add_subclass(m, "A", "B")
+    add_subclass(m, "B", "A")
     warnings = []
     out = close(m, warnings=warnings)
     assert set(out.subclass_axioms) == {("A", "B"), ("B", "A")}  # no self-axioms
@@ -236,7 +247,7 @@ def test_close_subclass_hierarchy_cycle_becomes_equivalence():
 def test_close_subclass_hierarchy_drops_self_axiom():
     m = OntologyModel()
     m.touch_class("A")
-    m.add_subclass("A", "A")
+    add_subclass(m, "A", "A")
     warnings = []
     out = close(m, warnings=warnings)
     assert not out.subclass_axioms
@@ -248,7 +259,7 @@ def test_propagate_equivalents_copies_holdings():
     m = parse_fixture("equivalent_property_copy.owl")
     out = propagate(m)
     assert set(out.holdings) == {("hasAge", "Person"), ("hasAge", "Human")}
-    assert out.holdings[("hasAge", "Human")] == RULE_EQUIV_PROPERTY
+    assert out.holdings[("hasAge", "Human")] == "equiv-property-copy"
     assert out.holdings[("hasAge", "Person")] == "asserted"
 
 
@@ -257,7 +268,7 @@ def test_propagate_equivalents_copies_subject_relations_across_group():
     for name in ("A", "B", "C", "Plane"):
         m.touch_class(name)
     m.declare_property("owns", "object")
-    m.add_relation("owns", "A", "Plane")
+    add_relation(m, "owns", "A", "Plane")
     m.add_equivalence("A", "B")
     m.add_equivalence("B", "C")
     out = propagate(m)
@@ -266,7 +277,7 @@ def test_propagate_equivalents_copies_subject_relations_across_group():
         ("owns", "B", "Plane"),
         ("owns", "C", "Plane"),
     }
-    assert out.relations[("owns", "B", "Plane")] == RULE_EQUIV_RELATION
+    assert out.relations[("owns", "B", "Plane")] == "equiv-relation-copy"
 
 
 def test_propagate_equivalents_identity_without_equivalences():
@@ -281,14 +292,14 @@ def test_lift_relations_walks_object_up_the_hierarchy():
         ("livesIn", "Man", "House"),
         ("livesIn", "Man", "City"),
     }
-    assert out.relations[("livesIn", "Man", "City")] == RULE_RELATION_LIFT
+    assert out.relations[("livesIn", "Man", "City")] == "relation-lift"
 
 
 def test_lift_relations_uses_closed_hierarchy():
     m = close(parse_fixture("subclass_chain.owl"))
     m.declare_property("livesIn", "object")
     m.touch_class("Man")
-    m.add_relation("livesIn", "Man", "House")
+    add_relation(m, "livesIn", "Man", "House")
     out = lift(m)
     assert ("livesIn", "Man", "City") in out.relations
     assert ("livesIn", "Man", "Country") in out.relations
@@ -299,8 +310,8 @@ def test_lift_relations_never_touches_subjects():
     for name in ("Sub", "Sup", "X"):
         m.touch_class(name)
     m.declare_property("r", "object")
-    m.add_subclass("Sub", "Sup")
-    m.add_relation("r", "Sub", "X")
+    add_subclass(m, "Sub", "Sup")
+    add_relation(m, "r", "Sub", "X")
     out = lift(m)
     assert set(out.relations) == {("r", "Sub", "X")}
 
@@ -380,26 +391,15 @@ def test_traces_are_one_per_derived_element():
 
 def test_trace_tally_counts_every_rule():
     result = normalize_fixture("transitive_areas.owl")
-    assert result.tally[RULE_TRANSITIVE] == 1
-    assert result.tally[RULE_SYMMETRIC] == 0
-    assert result.tally[RULE_INVERSE] == 0
-    assert sorted(result.tally) == sorted(
-        [
-            RULE_EQUIV_PROPERTY,
-            RULE_EQUIV_RELATION,
-            RULE_SUBCLASS_CLOSURE,
-            RULE_RELATION_LIFT,
-            RULE_SYMMETRIC,
-            RULE_INVERSE,
-            RULE_INTERSECTION,
-            RULE_TRANSITIVE,
-        ]
-    )
+    assert result.tally["transitive-close"] == 1
+    assert result.tally["symmetric-expand"] == 0
+    assert result.tally["inverse-expand"] == 0
+    assert list(result.tally) == list(RULES)
 
 
 def test_trace_sources_reference_output_elements():
     result = normalize_fixture("subclass_chain.owl")
-    (trace,) = [t for t in traces(result) if t.rule == RULE_SUBCLASS_CLOSURE]
+    (trace,) = [t for t in traces(result) if t.rule == "subclass-closure"]
     assert trace.produced == "subclass House -> Country"
     assert trace.sources == ("subclass House -> City", "subclass City -> Country")
 
@@ -418,7 +418,7 @@ def test_closure_past_the_budget_reports_a_count_past_the_bound():
     for name in names:
         m.touch_class(name)
     for sub, sup in zip(names[1:], names):
-        m.add_subclass(sub, sup)
+        add_subclass(m, sub, sup)
     with pytest.raises(FixpointOverflow) as exc:
         normalize(m)
     assert exc.value.bound == DEFAULT_BOUND
@@ -430,7 +430,7 @@ def test_closure_past_the_budget_reports_a_count_past_the_bound():
     cycle = OntologyModel()
     for sub, sup in (("A", "B"), ("B", "C"), ("C", "A")):
         cycle.touch_class(sub)
-        cycle.add_subclass(sub, sup)
+        add_subclass(cycle, sub, sup)
     assert normalize(cycle, bound=11).model.element_count() == 11
     with pytest.raises(FixpointOverflow) as exc:
         normalize(cycle, bound=10)
@@ -449,10 +449,10 @@ def test_budget_refuses_the_batch_that_crosses_it():
     m.add_equivalence("A", "B")
     for k in range(5):
         m.declare_property(f"p{k}", "datatype")
-        m.add_holding(f"p{k}", "A")
+        add_holding(m, f"p{k}", "A")
     m.declare_property("r", "object")
     for subject, obj in (("X", "Y"), ("Y", "Z"), ("X", "Z")):
-        m.add_relation("r", subject, obj)
+        add_relation(m, "r", subject, obj)
     m.add_modifier(RawModifier(SYMMETRIC, "r"))
     before = m.element_count()  # the modifier's 1 included
     with pytest.raises(FixpointOverflow) as exc:
@@ -508,7 +508,7 @@ def test_transitive_closure_matches_oracle_through_normalize():
         for _ in range(rng.randint(0, 12)):
             a, b = rng.randrange(n), rng.randrange(n)
             edges.append((a, b))
-            m.add_relation("p", f"N{a}", f"N{b}")
+            add_relation(m, "p", f"N{a}", f"N{b}")
         m.add_modifier(RawModifier(TRANSITIVE, "p"))
         out = normalize(m).model
         got = {(int(subject[1:]), int(obj[1:])) for _, subject, obj in out.relations}
@@ -518,17 +518,66 @@ def test_transitive_closure_matches_oracle_through_normalize():
 def test_traces_match_a_scan_of_the_state_before_each_batch():
     """Every trace, in order, against scan_traces: its sources found by
     plain scans of the collection prefixes before its batch, the closures
-    recomputed by brute force."""
+    recomputed by brute force.  Every trace has sources: a derived closure
+    pair has a path of two or more edges, so an intermediate node."""
     seen = Counter()
     for make in (random_model, intersection_model):
         for seed in range(200):
             result = normalize(make(seed))
             expected = scan_traces(result)
-            assert [tuple(t) for t in traces(result)] == expected, f"{make.__name__}({seed})"
+            label = f"{make.__name__}({seed})"
+            assert [tuple(t) for t in traces(result)] == expected, label
+            assert all(sources for _, _, sources in expected), label
             seen.update(rule for rule, _, _ in expected)
-            seen["no witness"] += sum(not sources for _, _, sources in expected)
-    # every rule met, and closure pairs with no intermediate node
-    assert len(seen) == len(NORMALIZE.ALL_RULES) + 1, seen
+    assert set(seen) == set(RULES), seen  # every rule met
+
+
+def test_rule_table_claims_each_oracle_row_once():
+    """Every OWL 2 RL name in RULES is a row of randmodels.RULES, and every
+    row is claimed by exactly one rule, but two that no rule applies:
+    equivalence-sym, which the unordered equivalence pairs state, and
+    prp-inv2, the reverse inverseOf mirror (the closure defect)."""
+    claimed = Counter(owl for owls in RULES.values() for owl in owls)
+    rows = [name for name, _, _ in randmodels.RULES]
+    assert set(claimed) <= set(rows), claimed
+    unclaimed = ("equivalence-sym", "prp-inv2")
+    assert {row: claimed[row] for row in rows} == {row: row not in unclaimed for row in rows}
+
+
+FACT_TEXT = {
+    "holding": el_holding,
+    "relation": el_relation,
+    "subclass": el_subclass,
+    "equivalence": el_equivalence,
+}
+
+
+def test_every_trace_is_licensed_by_the_owl_rules_of_its_rule():
+    """Each trace's produced element is a conclusion of one of the OWL 2 RL
+    rules that RULES lists for its rule, in one randmodels.rule_step over
+    the facts of its sources and a background, without the produced fact.
+    The background is the input's modifiers and every ordered pair within
+    each output equivalence group: a transitive-close trace cites no
+    modifier, a copy cites no equivalence, and a copy can cross a chain of
+    equivalences in one step.  Element texts map to facts through the output
+    model and the input's modifiers, so no string is parsed."""
+    checked = 0
+    for make in (random_model, intersection_model):
+        for seed in range(200):
+            m = make(seed)
+            result = normalize(m)
+            facts_of = {FACT_TEXT[f[0]](*f[1:]): {f} for f in model_facts(result.model)}
+            facts_of.update((el_modifier(mod), modifier_facts(mod)) for mod in m.modifiers)
+            background = set().union(*map(modifier_facts, m.modifiers))
+            for group in brute_groups((), result.model.equivalences).values():
+                background |= {("equivalence", a, b) for a in group for b in group if a != b}
+            for t in traces(result):
+                (produced,) = facts_of[t.produced]
+                step = rule_step(background.union(*map(facts_of.get, t.sources)) - {produced})
+                licensed = set().union(*(step[owl] for owl in RULES[t.rule]))
+                assert produced in licensed, (f"{make.__name__}({seed})", t)
+                checked += 1
+    assert checked > 5000, checked
 
 
 def test_normalize_matches_full_reevaluation_reference(monkeypatch):
@@ -636,8 +685,8 @@ def test_cycle_is_warned_once_per_run():
     m = OntologyModel()
     for name in "ABCD":
         m.touch_class(name)
-    m.add_subclass("A", "B")
-    m.add_subclass("B", "A")
+    add_subclass(m, "A", "B")
+    add_subclass(m, "B", "A")
     result = normalize(m)
     assert [w.code for w in result.warnings] == ["cyclic-hierarchy"]
     assert result.model.equivalences == {("A", "B")}

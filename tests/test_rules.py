@@ -10,7 +10,7 @@ from fuzzonto.rules import (
     premise_text,
     rule_runs,
 )
-from randmodels import random_model
+from randmodels import add_holding, add_relation, add_subclass, random_model
 
 
 def annotated_fixture(name):
@@ -32,8 +32,8 @@ def test_property_premise_yields_one_rule_per_holder():
     m.touch_class("Man")
     m.touch_class("Woman")
     m.declare_property("hasAge", "datatype")
-    m.add_holding("hasAge", "Man")
-    m.add_holding("hasAge", "Woman")
+    add_holding(m, "hasAge", "Man")
+    add_holding(m, "hasAge", "Woman")
     m.normalized = True
     rules = generate_rules(assign_all(m))
     assert printed(rules) == [
@@ -132,9 +132,9 @@ def test_consistency_tells_apart_premises_that_print_alike():
     for name in ("A", "B", "C", "X"):
         m.touch_class(name)
     m.declare_property("part_of", "object")
-    m.add_subclass("A", "X")
-    m.add_relation("part_of", "B", "X")
-    m.add_relation("part_of", "C", "X")
+    add_subclass(m, "A", "X")
+    add_relation(m, "part_of", "B", "X")
+    add_relation(m, "part_of", "C", "X")
     annotated = assign_all(normalize(m).model)
     rules = generate_rules(annotated)
     assert printed(rules) == [
@@ -180,19 +180,19 @@ def alike_premises_model() -> OntologyModel:
     for name in ("A", "B", "C", "D", "E", "X", "c", "b c"):
         m.touch_class(name)
     m.declare_property("part_of X", "datatype")
-    m.add_holding("part_of X", "B")
-    m.add_holding("part_of X", "E")
-    m.add_subclass("C", "X")
-    m.add_subclass("A", "X")
+    add_holding(m, "part_of X", "B")
+    add_holding(m, "part_of X", "E")
+    add_subclass(m, "C", "X")
+    add_subclass(m, "A", "X")
     m.declare_property("part_of", "object")
-    m.add_relation("part_of", "D", "X")
-    m.add_relation("part_of", "B", "X")
+    add_relation(m, "part_of", "D", "X")
+    add_relation(m, "part_of", "B", "X")
     m.declare_property("a b", "object")
     m.declare_property("a", "object")
-    m.add_relation("a b", "E", "c")
-    m.add_relation("a b", "A", "c")
-    m.add_relation("a", "A", "b c")
-    m.add_relation("a", "D", "b c")
+    add_relation(m, "a b", "E", "c")
+    add_relation(m, "a b", "A", "c")
+    add_relation(m, "a", "A", "b c")
+    add_relation(m, "a", "D", "b c")
     m.add_equivalence("D", "E")
     return m
 
@@ -248,7 +248,7 @@ def test_generate_rules_merges_premises_that_print_alike():
     m = alike_premises_model()
     for name in ("Y1", "Y2"):
         m.touch_class(name)
-        m.add_subclass(name, "X")
+        add_subclass(m, name, "X")
     annotated = assign_all(normalize(m).model)
     runs = premise_runs(annotated)
     assert runs == list(rule_runs(sorted_entries_rules(annotated)))
