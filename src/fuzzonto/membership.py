@@ -11,13 +11,12 @@ one per equivalence group:
 
 An entry holds the integer n, not 1/n: every grade is a unit fraction, and
 the writers render 1/n.  After assignment, determining sets are widened so
-that every member of an equivalence group appears wherever its
-representative does — n itself never changes, because it is counted over
-representatives.
+that every member of an equivalence group appears wherever another member
+does — n itself never changes, because widening adds no group.
 
 The equivalence groups are the map ``closure.groups`` returns: each class in
-a group of two or more mapped to its sorted group.  Any other class is its
-own representative: with no groups n is the length of a key's sorted
+a group of two or more mapped to its sorted group.  Any other class is a
+group of its own: with no groups n is the length of a key's sorted
 determiner list, and otherwise counting and widening look up only the
 determiners in a shared group; widening keeps an entry with none.  Assign
 keeps the order in which the model's elements meet a key (relation keys by
@@ -66,16 +65,13 @@ class MembershipEntry(namedtuple("MembershipEntry", "n determiners")):
     __slots__ = ()
 
 
-def representatives(group_of: dict[str, tuple[str, ...]], names) -> set[str]:
-    """The names with each member of a group replaced by the group's least
-    member; group_of maps only the classes in groups of two or more."""
-    reps = set(names)
-    if group_of:
-        shared = group_of.keys() & reps
-        if shared:
-            reps -= shared
-            reps.update(group_of[name][0] for name in shared)
-    return reps
+def group_count(group_of: dict[str, tuple[str, ...]], names) -> int:
+    """The number of equivalence groups among the names, counting each name
+    that group_of does not map as a group of its own; group_of maps only the
+    classes in groups of two or more."""
+    names = set(names)
+    shared = group_of.keys() & names
+    return len(names) - len(shared) + len({group_of[name] for name in shared})
 
 
 class MembershipTable:
@@ -110,38 +106,23 @@ def build_equivalence_groups(m: OntologyModel) -> dict[str, tuple[str, ...]]:
     return closure.groups(m.equivalences)
 
 
-# per kind: the element collection, and the key and the determiner of an element
-_DETERMINED_BY = {
-    PROPERTY: ("holdings", itemgetter(0), itemgetter(1)),
-    PART_OF: ("subclass_axioms", itemgetter(1), itemgetter(0)),
-}
-
-
-def _elements(m: OntologyModel, attr: str, asserted_only: bool):
-    elements = getattr(m, attr)
-    if asserted_only:
-        return [key for key, origin in elements.items() if origin == ASSERTED]
-    return elements
-
-
 def _entry(determiners: list[str], groups: dict) -> MembershipEntry:
     """The entry of a key's determiners, each listed once; the list is sorted
-    in place.  Only determiners in a shared group need representatives."""
+    in place.  Only determiners in a shared group need a group lookup."""
     determiners.sort()
     n = len(determiners)
     if groups and not groups.keys().isdisjoint(determiners):
-        n = len(representatives(groups, determiners))
+        n = group_count(groups, determiners)
     return _new(MembershipEntry, (n, tuple(determiners)))
 
 
-def _entries(m: OntologyModel, kind: str, groups: dict, asserted_only: bool) -> dict:
-    """Every key of one kind mapped to its entry, from a determiner index
-    built in one pass: property -> holders or superclass -> subclasses.  Each
-    element is a dict key, so a key's list holds each class once."""
-    attr, key_of, determiner_of = _DETERMINED_BY[kind]
-    elements = _elements(m, attr, asserted_only)
+def _entries(keys, determiners, groups: dict) -> dict:
+    """Every key mapped to its entry, from a determiner index built in one
+    pass over the two columns of one kind of element: property -> holders or
+    superclass -> subclasses.  Each element is distinct, so a key's list
+    holds each class once."""
     index: dict = {}
-    for key, determiner in zip(map(key_of, elements), map(determiner_of, elements)):
+    for key, determiner in zip(keys, determiners):
         found = index.get(key)
         if found is None:
             index[key] = [determiner]
@@ -152,26 +133,22 @@ def _entries(m: OntologyModel, kind: str, groups: dict, asserted_only: bool) -> 
     return index
 
 
-def assign_property_mu(
-    m: OntologyModel, groups: dict, asserted_only: bool = False
-) -> dict[str, MembershipEntry]:
-    return _entries(m, PROPERTY, groups, asserted_only)
+def assign_property_mu(m: OntologyModel, groups: dict) -> dict[str, MembershipEntry]:
+    holdings = m.holdings
+    return _entries(map(itemgetter(0), holdings), map(itemgetter(1), holdings), groups)
 
 
-def assign_partof_mu(
-    m: OntologyModel, groups: dict, asserted_only: bool = False
-) -> dict[ComplexKey, MembershipEntry]:
-    entries = _entries(m, PART_OF, groups, asserted_only)
+def assign_partof_mu(m: OntologyModel, groups: dict) -> dict[ComplexKey, MembershipEntry]:
+    axioms = m.subclass_axioms
+    entries = _entries(map(itemgetter(1), axioms), map(itemgetter(0), axioms), groups)
     return {_new(ComplexKey, (PART_OF, None, sup)): entry for sup, entry in entries.items()}
 
 
-def assign_relation_mu(
-    m: OntologyModel, groups: dict, asserted_only: bool = False
-) -> dict[ComplexKey, MembershipEntry]:
+def assign_relation_mu(m: OntologyModel, groups: dict) -> dict[ComplexKey, MembershipEntry]:
     """Entries keyed by predicate, then object, from one pass that indexes
     predicate -> object -> subjects; no (predicate, object) tuple is built."""
     index: defaultdict[str, dict[str, list[str]]] = defaultdict(dict)
-    for predicate, subject, obj in _elements(m, "relations", asserted_only):
+    for predicate, subject, obj in m.relations:
         by_object = index[predicate]
         found = by_object.get(obj)
         if found is None:
@@ -188,10 +165,10 @@ def assign_relation_mu(
 def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
     """Widen every determining set with the equivalents of its members.
 
-    n stays as computed: representatives of the widened set are the
-    representatives of the original set.  With no groups, annotated itself
-    is returned, and an entry that gains no class is kept as it is: the
-    equivalence copy in normalize already gives most groups in full.
+    n stays as computed: the widened set falls into the same groups as the
+    original set.  With no groups, annotated itself is returned, and an
+    entry that gains no class is kept as it is: the equivalence copy in
+    normalize already gives most groups in full.
     """
     group_of = annotated.groups
     in_groups = group_of.keys()
@@ -217,15 +194,23 @@ def copy_to_equivalents(annotated: AnnotatedOntology) -> AnnotatedOntology:
 
 def assign_all(m: OntologyModel, asserted_only: bool = False) -> AnnotatedOntology:
     """Property, part_of and relation assignment followed by the equivalence
-    copy, in that order."""
+    copy, in that order.  With asserted_only, derived holdings, relations and
+    subclass axioms neither determine a key nor make one exist; the groups
+    and the returned model stay m's."""
     if not m.normalized:
         raise NotNormalized("membership assignment requires a normalized model")
     groups = build_equivalence_groups(m)
+    view = m
+    if asserted_only:  # a model of m's asserted elements, filtered once
+        view = OntologyModel()
+        for attr in ("holdings", "relations", "subclass_axioms"):
+            elements = getattr(m, attr).items()
+            setattr(view, attr, {key: origin for key, origin in elements if origin == ASSERTED})
     complex_mu: dict[ComplexKey, MembershipEntry] = {}
-    complex_mu.update(assign_partof_mu(m, groups, asserted_only))
-    complex_mu.update(assign_relation_mu(m, groups, asserted_only))
+    complex_mu.update(assign_partof_mu(view, groups))
+    complex_mu.update(assign_relation_mu(view, groups))
     table = MembershipTable(
-        property_mu=assign_property_mu(m, groups, asserted_only),
+        property_mu=assign_property_mu(view, groups),
         complex_mu=complex_mu,
     )
     return copy_to_equivalents(AnnotatedOntology(m, table, groups))

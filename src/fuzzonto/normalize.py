@@ -19,7 +19,7 @@ hold: the modifiers leave the working model when the run starts, and the
 self-axioms do not count.  It refuses each batch of insertions that would
 take the count past it, before the batch goes in, and a closure stops as
 soon as its pairs pass the room that is left.  One _Run object carries a
-run's state: the model, the modifiers by kind, the bound, the warnings, what
+run's state: the model, the modifiers in order, the bound, the warnings, what
 each rule keeps from pass to pass, and the tally and batch log.
 
 Passes after the first only redo what the previous pass's additions call for
@@ -55,7 +55,7 @@ equivalence pairs state, and prp-inv2, the reverse inverseOf mirror.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 from . import closure
 from .closure import bits
@@ -101,11 +101,10 @@ class _Run:
 
     def __init__(self, m: OntologyModel, bound: int) -> None:
         self.m = m
-        # the modifiers leave the model, by kind in the order stage 2 applies them
-        # (RawModifier.key order would put intersection first and change traces)
-        self.modifiers = {kind: [] for kind in (SYMMETRIC, INVERSE, INTERSECTION, TRANSITIVE)}
-        for mod in m.sorted_modifiers():
-            self.modifiers[mod.kind].append(mod)
+        # the modifiers leave the model, by kind in the order stage 2 applies them, then
+        # by key (RawModifier.key order alone would put intersection first and change traces)
+        order = (SYMMETRIC, INVERSE, INTERSECTION, TRANSITIVE)
+        self.modifiers = sorted(m.modifiers, key=lambda mod: (order.index(mod.kind), mod.key()))
         m.modifiers = set()
         self.self_axioms = sum(sub == sup for sub, sup in m.subclass_axioms)  # until dropped
         self.bound = bound
@@ -370,10 +369,10 @@ def _mirror(m: OntologyModel, run: _Run, rule: str, mod: RawModifier, counterpar
 
 def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
     """Replace the run's modifiers by the plain elements they imply; a pass
-    that applies any changes the output, which holds none.  Kinds go in
+    that applies any changes the output, which holds none.  They go in
     run.modifiers order, so a transitive closure sees the relations that
     mirroring added; within a kind, modifiers go in RawModifier.key order."""
-    for mod in chain.from_iterable(run.modifiers.values()):
+    for mod in run.modifiers:
         if mod.kind == SYMMETRIC:
             _mirror(m, run, "symmetric-expand", mod, mod.target)
         elif mod.kind == INVERSE:
@@ -417,7 +416,7 @@ def _rewrite_modifiers(m: OntologyModel, run: _Run) -> bool:
                 [(pred, names[u], names[v]) for u, targets in reach.derived() for v in targets],
                 mod,
             )
-    return any(run.modifiers.values())
+    return bool(run.modifiers)
 
 
 # -- fixpoint driver -------------------------------------------------------------

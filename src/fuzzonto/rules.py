@@ -2,10 +2,10 @@
 
 Each table key becomes a premise; each class in its (widened) determining set
 becomes one conclusion.  A rule's grade is mu = 1/n, carried as the integer
-n, so rules satisfy, by construction, n = |representative conclusions| —
-the check re-verifies that identity from the rules alone.  Every rule is
-identifying, so a rule carries no category; the writers print the one there
-is.
+n, so rules satisfy, by construction, n = the number of equivalence groups
+among a premise's conclusions — the check re-verifies that identity from
+the rules alone.  Every rule is identifying, so a rule carries no category;
+the writers print the one there is.
 
 All rules of one key share its premise and n, so the rules API is runs:
 ``((premise, n), conclusions)`` pairs.  ``premise_runs`` builds them with
@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import groupby
 from operator import itemgetter
 
-from .membership import AnnotatedOntology, ComplexKey, representatives
+from .membership import AnnotatedOntology, ComplexKey, group_count
 from .model import Diagnostic
 
 
@@ -110,14 +110,14 @@ def check_runs(runs, annotated: AnnotatedOntology) -> list[Diagnostic]:
                 )
                 continue
             conclusions = [c for _, part in parts for c in part]
-        reps = len(representatives(groups, conclusions) if groups else set(conclusions))
-        if reps != n:
+        count = group_count(groups, conclusions) if groups else len(set(conclusions))
+        if count != n:
             text = premise_text(premise)
             out.append(
                 Diagnostic(
                     "identity-violation",
                     "error",
-                    f"premise {text!r}: mu=1/{n} but {reps} representative conclusions",
+                    f"premise {text!r}: mu=1/{n} but {count} representative conclusions",
                     text,
                 )
             )

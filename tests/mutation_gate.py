@@ -101,6 +101,13 @@ MUTANTS = [
         [DIGESTS],
     ),
     Mutant(
+        "stage-2-in-key-order-alone",
+        "normalize.py",
+        "key=lambda mod: (order.index(mod.kind), mod.key())",
+        "key=RawModifier.key",
+        [T_NORMALIZE + "test_stage_2_takes_the_modifiers_by_kind_then_by_key"],
+    ),
+    Mutant(
         "budget-refuses-reaching-the-bound",
         "normalize.py",
         "            if count > self.bound:",
@@ -284,8 +291,8 @@ MUTANTS = [
     Mutant(
         "n-is-len-with-groups",
         "membership.py",
-        "n = len(representatives(groups, determiners))",
-        "n = len(set(determiners))",
+        "n = group_count(groups, determiners)",
+        "n = len(determiners)",
         [T_MEMBERSHIP + "test_count_collapses_equivalent_holders"],
     ),
     Mutant(
@@ -312,8 +319,8 @@ MUTANTS = [
     Mutant(
         "asserted-only-ignored",
         "membership.py",
-        "    if asserted_only:\n",
-        "    if False:\n",
+        "if asserted_only:",
+        "if False:",
         [T_MEMBERSHIP + "test_asserted_only_affects_denominator"],
     ),
     Mutant(
@@ -324,13 +331,32 @@ MUTANTS = [
         [DIGESTS],
     ),
     Mutant(
-        "representative-is-the-greatest-member",
+        "group-count-counts-a-repeated-name-twice",
         "membership.py",
-        "reps.update(group_of[name][0] for name in shared)",
-        "reps.update(group_of[name][-1] for name in shared)",
-        [],
-        "callers read only the number of representatives, and any one member "
-        "per group gives the same number",
+        "    names = set(names)\n",
+        "",
+        [T_MEMBERSHIP + "test_groups_close_transitively"],
+    ),
+    Mutant(
+        "group-count-counts-each-grouped-name",
+        "membership.py",
+        "len({group_of[name] for name in shared})",
+        "len(shared)",
+        [T_MEMBERSHIP + "test_groups_keep_only_shared_classes"],
+    ),
+    Mutant(
+        "asserted-only-view-keeps-derived-subclass-axioms",
+        "membership.py",
+        "if origin == ASSERTED})",
+        'if origin == ASSERTED or attr == "subclass_axioms"})',
+        [T_MEMBERSHIP + "test_asserted_only_affects_denominator"],
+    ),
+    Mutant(
+        "asserted-only-returns-the-filtered-model",
+        "membership.py",
+        "AnnotatedOntology(m, table, groups)",
+        "AnnotatedOntology(view, table, groups)",
+        [T_MEMBERSHIP + "test_asserted_only_filters_the_keys_not_the_model"],
     ),
     # -- rules.py --------------------------------------------------------------
     Mutant(
@@ -357,8 +383,8 @@ MUTANTS = [
     Mutant(
         "no-group-count-is-len-conclusions",
         "rules.py",
-        "if groups else set(conclusions))",
-        "if groups else conclusions)",
+        "if groups else len(set(conclusions))",
+        "if groups else len(conclusions)",
         [T_RULES + "test_check_runs_without_groups_recounts_split_premises"],
     ),
     Mutant(
@@ -652,9 +678,16 @@ MUTANTS = [
     Mutant(
         "package-misses-a-public-name",
         "__init__.py",
-        "from .emit import decimal6, emit_json",
-        "from .emit import emit_json",
+        "from .ingest import parse_document, validate_model",
+        "from .ingest import parse_document",
         [T_MODEL + "test_every_public_name_resolves"],
+    ),
+    Mutant(
+        "package-root-imports-a-helper",
+        "__init__.py",
+        "from .membership import assign_all",
+        "from .membership import assign_all, copy_to_equivalents",
+        [T_MODEL + "test_the_package_root_holds_only_documented_names"],
     ),
     Mutant(
         "module-entry-returns-without-its-code",

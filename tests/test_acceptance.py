@@ -13,7 +13,7 @@ import pytest
 from conftest import FIXTURE_NAMES, fixture_bytes, fixture_path, normalize_fixture
 from fuzzonto import assign_all, closure, emit_json, normalize, parse_document
 from fuzzonto.emit import rules_to_json, runs_text_chunks
-from fuzzonto.membership import PART_OF, PROPERTY, representatives
+from fuzzonto.membership import PART_OF, PROPERTY
 from fuzzonto.model import TRANSITIVE, OntologyModel, RawModifier
 from fuzzonto.rules import check_consistency, generate_rules, premise_runs, premise_text
 from fuzzonto.staged import annotated_to_json
@@ -151,8 +151,9 @@ def _assert_identity(annotated) -> None:
         by_premise.setdefault(premise_text(premise), []).append((conclusion, n))
     for premise, bucket in by_premise.items():
         assert len({n for _, n in bucket}) == 1, premise
-        reps = representatives(annotated.groups, (c for c, _ in bucket))
-        assert bucket[0][1] == len(reps), premise  # mu = 1/n
+        # each class in a group of two or more maps to its group; any other is its own
+        groups = {annotated.groups.get(c, (c,)) for c, _ in bucket}
+        assert bucket[0][1] == len(groups), premise  # mu = 1/n
 
 
 def test_criterion_4_reciprocity_identity():

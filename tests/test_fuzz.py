@@ -15,9 +15,11 @@ MUTANTS = 300
 def mutate(rng: random.Random, data: bytes) -> bytes:
     """One or two of: byte flips, truncation, a duplicated span, a huge
     name everywhere it occurs, a \\ud800 escape spliced into a quoted JSON
-    value everywhere it occurs, rdf:about="#X" turned into rdf:ID="X"."""
+    value everywhere it occurs, rdf:about="#X" turned into rdf:ID="X", an
+    element or a JSON string value wrapped in up to 100,000 levels of
+    nesting."""
     for _ in range(rng.randint(1, 2)):
-        op = rng.randrange(6)
+        op = rng.randrange(7)
         if op == 0 and data:
             flipped = bytearray(data)
             for _ in range(rng.randint(1, 4)):
@@ -42,8 +44,18 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
                 cut = rng.randint(0, len(value))
                 spliced = value[:cut] + rb"\ud800" + value[cut:]
                 data = data.replace(b'"' + value + b'"', b'"' + spliced + b'"')
-        else:
+        elif op == 5:
             data = data.replace(b'rdf:about="#', b'rdf:ID="', rng.randint(1, 5))
+        else:
+            depth = rng.choice((10, 1000, 100_000))
+            if data.lstrip().startswith(b"{"):  # a JSON string value in arrays
+                spans = [m.span(1) for m in re.finditer(rb': ("[^"]*")', data)]
+                before, after = b"[" * depth, b"]" * depth
+            else:  # a self-closing XML element in elements
+                spans = [m.span() for m in re.finditer(rb"<[A-Za-z][^<>]*/>", data)]
+                before, after = b"<n>" * depth, b"</n>" * depth
+            start, end = rng.choice(spans) if spans else (0, 0)
+            data = data[:start] + before + data[start:end] + after + data[end:]
     return data
 
 
@@ -52,7 +64,7 @@ def test_mutants_end_with_a_documented_exit_code(tmp_path, capsys):
     originals += [emit_json(normalize_fixture(name).model) for name in FIXTURE_NAMES]
     rng = random.Random(14)
     source, out, report = (str(tmp_path / name) for name in ("input", "out", "report"))
-    codes = set()
+    codes, too_deep = set(), 0
     for i in range(MUTANTS):
         with open(source, "wb") as handle:
             handle.write(mutate(rng, rng.choice(originals)))
@@ -62,6 +74,9 @@ def test_mutants_end_with_a_documented_exit_code(tmp_path, capsys):
             args += ["--report", report]
         code = run_pipeline(args)
         assert code in range(5), (i, args, code)
-        assert "Traceback" not in capsys.readouterr().err, (i, args)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, (i, args)
         codes.add(code)
+        too_deep += "error[parse]: JSON nesting too deep" in err
     assert {0, 1} <= codes, codes  # the mutants reach the pipeline and the parsers' errors
+    assert too_deep, "no mutant reached the JSON reader's nesting limit"

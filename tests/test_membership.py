@@ -3,17 +3,7 @@ import itertools
 import pytest
 
 from conftest import normalize_fixture
-from fuzzonto import (
-    NotNormalized,
-    OntologyModel,
-    assign_all,
-    assign_partof_mu,
-    assign_property_mu,
-    assign_relation_mu,
-    build_equivalence_groups,
-    copy_to_equivalents,
-    normalize,
-)
+from fuzzonto import NotNormalized, OntologyModel, assign_all, normalize
 from fuzzonto.membership import (
     PART_OF,
     PROPERTY,
@@ -21,7 +11,12 @@ from fuzzonto.membership import (
     AnnotatedOntology,
     ComplexKey,
     MembershipTable,
-    representatives,
+    assign_partof_mu,
+    assign_property_mu,
+    assign_relation_mu,
+    build_equivalence_groups,
+    copy_to_equivalents,
+    group_count,
 )
 from randmodels import add_holding, add_relation, add_subclass, brute_table, random_model
 
@@ -47,13 +42,14 @@ def test_groups_close_transitively():
     m.add_equivalence("B", "C")
     groups = build_equivalence_groups(m)
     assert groups == dict.fromkeys("ABC", ("A", "B", "C"))
-    assert representatives(groups, ["C", "X"]) == {"A", "X"}
+    assert group_count(groups, ["C", "X"]) == 2
+    assert group_count(groups, ["A", "C", "X", "X"]) == 2  # a name met twice counts once
 
 
 def test_groups_are_singletons_without_equivalences():
     groups = build_equivalence_groups(blank_normalized("X", "Y"))
     assert groups == {}
-    assert representatives(groups, ["X", "Y"]) == {"X", "Y"}
+    assert group_count(groups, ["X", "Y"]) == 2
 
 
 # -- determiner counts ---------------------------------------------------------
@@ -172,7 +168,7 @@ def test_copy_to_equivalents_widens_determiners_not_mu():
 
 def test_copy_widens_every_shared_determiner():
     """Determiners from two groups and one outside any group: both groups
-    are widened in full, and n counts one representative per group."""
+    are widened in full, and n counts each group once."""
     m = blank_normalized("A", "B", "C", "D", "E", "F")
     m.add_equivalence("A", "B")
     m.add_equivalence("D", "E")
@@ -193,7 +189,7 @@ def test_groups_keep_only_shared_classes():
     m.add_equivalence("A", "B")
     groups = build_equivalence_groups(m)
     assert groups == {"A": ("A", "B"), "B": ("A", "B")}
-    assert representatives(groups, ["A", "B", "C"]) == {"A", "C"}
+    assert group_count(groups, ["A", "B", "C"]) == 2
 
 
 def test_copy_keeps_entries_without_shared_determiners():
@@ -310,6 +306,19 @@ def test_asserted_only_ignores_derived_determiners():
     assert ComplexKey(RELATION, "livesIn", "House") in keys
     assert ComplexKey(RELATION, "livesIn", "City") not in keys  # lifted only
     assert ComplexKey(PART_OF, None, "City") in keys
+
+
+def test_asserted_only_filters_the_keys_not_the_model():
+    """The groups and the returned model stay whole; a derived axiom still
+    gets its subclass in by widening."""
+    m = blank_normalized("A", "B", "C")
+    m.add_equivalence("A", "B")
+    add_subclass(m, "A", "C")
+    m.subclass_axioms[("B", "C")] = "subclass-closure"
+    annotated = assign_all(m, asserted_only=True)
+    assert annotated.model is m
+    assert annotated.groups == {"A": ("A", "B"), "B": ("A", "B")}
+    assert annotated.table.complex_mu == {ComplexKey(PART_OF, None, "C"): (1, ("A", "B"))}
 
 
 def test_asserted_only_affects_denominator():

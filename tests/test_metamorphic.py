@@ -5,6 +5,7 @@ that an oracle copies from the code it checks.
 
 import importlib.util
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,7 +17,7 @@ from fuzzonto.emit import runs_json_chunks
 from fuzzonto.rules import premise_runs
 from fuzzonto.staged import annotated_to_json
 from fuzzonto.trace import traces, traces_chunks
-from randmodels import intersection_model, random_model
+from randmodels import intersection_model, random_model, renamed_model
 
 MAKES = (random_model, intersection_model)
 
@@ -69,6 +70,47 @@ def test_a_fresh_equivalent_class_joins_the_determiners_and_keeps_every_n():
             )
             gained += bool(new)
     assert gained > 50, gained  # keys gained through relations mirrored onto Z
+
+
+def renamed_outputs(m, rename: dict):
+    """The normalized model JSON, the rules JSON, the normalize warnings and
+    the traces of m, with every class name looked up in rename.  The model
+    and the rules are renamed element by element, the warnings and the
+    traces as text, word by word: the names here are words."""
+    result = normalize(m, bound=0)
+    model = renamed_model(result.model, {**{p: p for p in result.model.properties}, **rename})
+    model.normalized = True
+    runs = [
+        (
+            (premise if isinstance(premise, str) else
+             premise._replace(resulting_class=rename[premise.resulting_class]), n),
+            tuple(rename[c] for c in conclusions),
+        )
+        for (premise, n), conclusions in premise_runs(assign_all(result.model))
+    ]
+
+    def text(value: str) -> str:
+        return re.sub(r"\w+", lambda word: rename.get(word.group(), word.group()), value)
+
+    return (
+        emit_json(model),
+        b"".join(runs_json_chunks(runs)),
+        [(w.code, text(w.message), text(w.location)) for w in result.warnings],
+        [(t.rule, text(t.produced), *map(text, t.sources)) for t in traces(result)],
+    )
+
+
+def test_an_order_preserving_renaming_of_the_classes_renames_the_output():
+    """A common prefix on every class name keeps the order of names, so the
+    output is the original's with the names mapped, in the same order: the
+    model, the rules, the warnings and the traces."""
+    models = [(name, parse_document(fixture_bytes(name), "rdfxml")) for name in FIXTURE_NAMES]
+    models += [(f"random_model({seed})", random_model(seed)) for seed in range(200)]
+    for name, m in models:
+        rename = {c: "k" + c for c in m.classes}
+        renamed = renamed_model(m, {**{p: p for p in m.properties}, **rename})
+        expected = renamed_outputs(m, rename)
+        assert renamed_outputs(renamed, {c: c for c in renamed.classes}) == expected, name
 
 
 def load_gen(monkeypatch):

@@ -1,4 +1,6 @@
 import json
+import types
+from pathlib import Path
 
 import fuzzonto
 from fuzzonto import emit_json, normalize
@@ -74,3 +76,17 @@ def test_counts():
 def test_every_public_name_resolves():
     assert len(set(fuzzonto.__all__)) == len(fuzzonto.__all__)
     assert [name for name in fuzzonto.__all__ if not hasattr(fuzzonto, name)] == []
+
+
+def test_the_package_root_holds_only_documented_names():
+    """Every public name at the root is in __all__ and in the README; the
+    membership helpers, the table and entry types and decimal6 live in
+    their modules."""
+    public = {
+        name
+        for name, value in vars(fuzzonto).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(fuzzonto.__all__)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in fuzzonto.__all__ if f"`{name}`" not in readme] == []

@@ -98,6 +98,24 @@ def test_rewrite_symmetric_identity_without_modifiers():
     assert emit_json(rewrite(m)) == emit_json(m)
 
 
+def test_stage_2_takes_the_modifiers_by_kind_then_by_key():
+    """Symmetric, inverse, intersection, then transitive, so that a closure
+    sees what the mirrors added; within a kind, in RawModifier.key order."""
+    m = OntologyModel()
+    mods = []
+    for name in "ecadb":
+        mods.append(RawModifier(TRANSITIVE, "t" + name))
+        mods.append(RawModifier(INTERSECTION, "C" + name, members=("A", "B" + name)))
+        mods.append(RawModifier(INVERSE, "i" + name, "j" + name))
+        mods.append(RawModifier(SYMMETRIC, "s" + name))
+    m.modifiers = set(mods)
+    run = _Run(m, 0)
+    mods.sort(key=RawModifier.key)
+    kinds = (SYMMETRIC, INVERSE, INTERSECTION, TRANSITIVE)
+    assert run.modifiers == [mod for kind in kinds for mod in mods if mod.kind == kind]
+    assert not m.modifiers
+
+
 def test_rewrite_inverse_mirrors_assertions():
     m = parse_fixture("inverse_ownership.owl")
     out = rewrite(m)

@@ -158,7 +158,7 @@ def test_consistency_collapses_equivalent_conclusions():
     m.normalized = True
     annotated = assign_all(m)
     rules = [(ComplexKey(PART_OF, None, "X"), c, 2) for c in ("A", "B", "C")]
-    assert check_consistency(rules, annotated) == []  # representatives are {A, C}
+    assert check_consistency(rules, annotated) == []  # two groups: {A, B} and {C}
 
 
 def sorted_entries_rules(annotated):
